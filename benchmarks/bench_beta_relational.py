@@ -84,11 +84,12 @@ def test_k4_late_branch_relational_vs_compose(benchmark):
     )
 
 
-def test_k4_late_branch_bug_fallback_byte_identical(benchmark):
+def test_refuting_window_byte_identical(benchmark):
     """A refuting k=2 window under each backend: records byte-identical.
 
     (The bug workloads are short by design — the exercise here is the
-    relational backend's classical fallback for witness extraction.)
+    relational backend deriving compose-order witnesses on its own
+    manager, with no classical re-run.)
     """
 
     def both():
@@ -99,12 +100,12 @@ def test_k4_late_branch_bug_fallback_byte_identical(benchmark):
     relational_report, compose_report = benchmark.pedantic(both, rounds=1, iterations=1)
     assert not relational_report.passed and not compose_report.passed
     assert relational_report.verdict_json() == compose_report.verdict_json()
-    assert relational_report.outcomes[0].backend == "relational+fallback"
+    assert relational_report.outcomes[0].backend == "relational"
     record_paper_comparison(
         benchmark,
         experiment="refuting window under both beta backends",
         paper="counterexamples decode to concrete failing sequences",
-        measured="mismatch records byte-identical via the classical fallback",
+        measured="mismatch records byte-identical, witnesses walked in compose order",
     )
 
 

@@ -871,6 +871,74 @@ class BDDManager(BDDKernel):
                 h = high[h]
         return assignment
 
+    def pick_assignment_in_order(
+        self, f: BDD, names: Sequence[str]
+    ) -> Optional[Dict[str, bool]]:
+        """The assignment :meth:`pick_assignment` returns under order ``names``.
+
+        ``f`` is canonical, so the low-first witness walk depends only on
+        the function and the order it is walked in, not on this
+        manager's order: each step decides the ``names``-earliest
+        variable of the current cofactor's support, ``False`` whenever
+        that cofactor stays satisfiable.  Supports are bitmasks over
+        positions in ``names``, memoised per node across the whole walk,
+        so a step only visits the nodes its cofactor created.  A support
+        variable missing from ``names`` raises :class:`ValueError`.
+        """
+        h = f._h
+        if h == 0:
+            return None
+        level = self._level
+        low = self._low
+        high = self._high
+        level_of = self._level_of
+        position: Dict[int, int] = {}
+        for index, name in enumerate(names):
+            lvl = level_of.get(name)
+            if lvl is not None:
+                position.setdefault(lvl, index)
+        masks: Dict[int, int] = {0: 0, 1: 0}
+
+        def support_mask(root: int) -> int:
+            stack = [root]
+            while stack:
+                n = stack[-1]
+                if n in masks:
+                    stack.pop()
+                    continue
+                lo = low[n]
+                hi = high[n]
+                if lo not in masks:
+                    stack.append(lo)
+                elif hi not in masks:
+                    stack.append(hi)
+                else:
+                    index = position.get(level[n])
+                    if index is None:
+                        raise ValueError(
+                            "pick_assignment_in_order: order misses support "
+                            f"variable {self._name_of[level[n]]!r}"
+                        )
+                    masks[n] = masks[lo] | masks[hi] | (1 << index)
+                    stack.pop()
+            return masks[root]
+
+        def cofactor(n: int, lvl: int, value: bool) -> int:
+            return self._restrict_u(n, {lvl: value}, self._sig(("r", ((lvl, value),))))
+
+        assignment: Dict[str, bool] = {}
+        while h >= 2:
+            mask = support_mask(h)
+            name = names[(mask & -mask).bit_length() - 1]
+            lvl = level_of[name]
+            rest = cofactor(h, lvl, False)
+            value = rest == 0
+            if value:
+                rest = cofactor(h, lvl, True)
+            assignment[name] = value
+            h = rest
+        return assignment
+
     def iter_assignments(
         self, f: BDD, variables: Optional[Sequence[str]] = None
     ) -> Iterator[Dict[str, bool]]:

@@ -103,13 +103,21 @@ def evaluate_vector(
 
 
 def find_distinguishing_assignment(
-    manager: BDDManager, left: Sequence[BDDNode], right: Sequence[BDDNode]
+    manager: BDDManager,
+    left: Sequence[BDDNode],
+    right: Sequence[BDDNode],
+    order: Optional[Sequence[str]] = None,
 ) -> Optional[Dict[str, bool]]:
     """An assignment on which the two function vectors differ, if any.
 
     Used to produce counterexamples when a verification run fails: the
     assignment gives concrete instruction encodings and initial register
-    values exhibiting the divergence.
+    values exhibiting the divergence.  The minimal witness follows
+    ``order`` when given (see
+    :meth:`~repro.bdd.manager.BDDManager.pick_assignment_in_order`),
+    the manager's own variable order otherwise.
     """
     difference = manager.apply_not(vector_equal(manager, left, right))
-    return manager.pick_assignment(difference)
+    if order is None:
+        return manager.pick_assignment(difference)
+    return manager.pick_assignment_in_order(difference, order)

@@ -79,8 +79,9 @@ class VerificationReport:
     extraction_cache: Dict[str, object] = field(default_factory=dict)
     #: Which beta backend produced the run (measurement, not verdict):
     #: ``compose``, ``relational``, or ``relational+fallback`` when a
-    #: refuting relational run re-derived its records classically; empty
-    #: for non-beta drivers (events), which have a single code path.
+    #: refuting relational run under a sifting policy re-ran the compose
+    #: path for its witnesses; empty for non-beta drivers (events),
+    #: which have a single code path.
     backend: str = ""
     #: Persistent-snapshot activity (measurement, not verdict): per-role
     #: restore/save timings and node counts when the run rehydrated its

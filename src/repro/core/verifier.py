@@ -113,8 +113,8 @@ def verify_beta_relation(
     compose path (``beta_backend="compose"``) and/or dynamic variable
     reordering between the simulation phases.  Verdicts are
     byte-identical across backends: passing reports carry no witnesses,
-    and a refuting relational run re-derives its mismatch records on the
-    classical path.
+    and a refuting relational run walks its witnesses in the compose
+    path's variable order on its own manager.
     """
     from ..engine.executor import run_beta
 

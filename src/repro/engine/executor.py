@@ -21,7 +21,7 @@ benchmarks and campaigns all measure the same code.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..bdd import BDDManager, create_manager, find_distinguishing_assignment
 from ..isa import vsm as vsm_isa
@@ -341,6 +341,38 @@ def run_beta(
     )
 
 
+def _declare_stimulus(
+    manager: BDDManager, architecture: Architecture, siminfo: SimulationInfo
+):
+    """Build the stimulus plan, then the shared initial state, on ``manager``.
+
+    Variable-ordering note: the instruction variables act as selectors
+    into the register file, so they must sit *above* the initial-state
+    data variables in the BDD order (Section 3.2's ordering discussion).
+    The stimulus is therefore built before the initial state.  On a
+    declaration-free manager this fixes the classical path's variable
+    order, which :func:`_compose_variable_order` replays.
+    """
+    from ..core.verifier import build_stimulus
+
+    plan = build_stimulus(manager, architecture, siminfo)
+    return plan, architecture.make_initial_state(manager)
+
+
+def _compose_variable_order(
+    architecture: Architecture, siminfo: SimulationInfo
+) -> Tuple[str, ...]:
+    """The variable order :func:`_run_beta_compose` declares, replayed.
+
+    The relational backend walks its refutation witnesses in this order
+    (:meth:`~repro.bdd.BDDManager.pick_assignment_in_order`), so they
+    equal the compose backend's bit for bit.
+    """
+    scratch = BDDManager()
+    _declare_stimulus(scratch, architecture, siminfo)
+    return scratch.variables
+
+
 def _run_beta_compose(
     architecture: Architecture,
     siminfo: SimulationInfo,
@@ -351,20 +383,12 @@ def _run_beta_compose(
     models=None,
 ) -> VerificationReport:
     """The classical beta path: functional simulation by composition."""
-    from ..core.verifier import build_stimulus
-
     specification, implementation = (
         models
         if models is not None
         else architecture.make_models(manager, impl_kwargs=impl_kwargs)
     )
-
-    # Variable-ordering note: the instruction variables act as selectors into
-    # the register file, so they must sit *above* the initial-state data
-    # variables in the BDD order (Section 3.2's ordering discussion).  The
-    # stimulus is therefore built before the shared initial state.
-    plan = build_stimulus(manager, architecture, siminfo)
-    initial_state = architecture.make_initial_state(manager)
+    plan, initial_state = _declare_stimulus(manager, architecture, siminfo)
     specification.reset(**initial_state)
     implementation.reset(**initial_state)
 
@@ -435,22 +459,23 @@ def _run_beta_relational(
     ``models`` is the (specification, implementation) pair the
     dispatcher already built and protocol-checked.
 
-    On a mismatch the classical path is re-run on a fresh manager and
-    *its* report returned: the relational backend proves or refutes the
-    relation under its own (selector-above-data) variable order, whose
-    minimal witnesses would decode to different — though equally valid —
-    counterexample bits; canonicity guarantees both backends refute
-    exactly the same (sample, observable) pairs, and the golden
-    counterexample suite pins the records down byte for byte.
+    The relation is proved or refuted under the backend's own
+    (selector-above-data) variable order.  Canonicity makes the
+    refuted (sample, observable) pairs the compose backend's, and the
+    witnesses are walked in the compose path's declaration order
+    (:func:`_compose_variable_order`), so failing records are
+    byte-identical to it as well; the golden counterexample suite pins
+    them down.  Only a policy that sifts re-runs the classical path on
+    a fresh manager (``backend == "relational+fallback"``): the compose
+    run's post-sift order, which its witness don't-cares follow, cannot
+    be replayed.
     """
-    from ..core.verifier import build_stimulus
     from ..relational.beta import beta_stimulus_order, cached_extract_steppers
 
     specification, implementation = models
 
     manager.declare_all(beta_stimulus_order(architecture, siminfo))
-    plan = build_stimulus(manager, architecture, siminfo)
-    initial_state = architecture.make_initial_state(manager)
+    plan, initial_state = _declare_stimulus(manager, architecture, siminfo)
 
     # Extraction cache keys: the relation is a pure function of the
     # model construction (architecture dataclass repr covers the design
@@ -537,21 +562,20 @@ def _run_beta_relational(
             impl_samples,
             spec_cycles,
             ordered_cycles,
+            witness_order=lambda: _compose_variable_order(architecture, siminfo),
         )
     comparison_seconds = time.perf_counter() - started
 
-    if mismatches:
-        # Witness bits follow the variable order; re-derive the records
-        # on the classical path so failing verdicts are byte-identical
-        # to the compose backend's (same mismatch set by canonicity).
-        report = _run_beta_compose(
-            architecture,
-            siminfo,
-            create_manager(backend=effective_kernel_backend(relational)),
-            impl_kwargs,
-            observation,
-            relational,
-        )
+    if mismatches and relational is not None and relational.reorders:
+        with telemetry.span("beta.fallback"):
+            report = _run_beta_compose(
+                architecture,
+                siminfo,
+                create_manager(backend=effective_kernel_backend(relational)),
+                impl_kwargs,
+                observation,
+                relational,
+            )
         report.backend = "relational+fallback"
         report.extraction_cache = dict(extraction_record)
         report.snapshot = dict(snapshot_record)
@@ -587,13 +611,17 @@ def _compare_samples(
     impl_samples: Sequence[Dict[str, BitVec]],
     spec_cycles: Sequence[int],
     impl_cycles: Sequence[int],
+    witness_order: Optional[Callable[[], Sequence[str]]] = None,
 ) -> List[Mismatch]:
     """Pairwise canonical comparison of the sampled observables.
 
-    Shared verbatim by both beta backends: the samples are canonical
-    ROBDDs of the same Boolean functions, so the mismatch *set* cannot
-    depend on the backend — only witness bits can, which is why the
-    relational backend defers failing records to the classical path.
+    Shared by both beta backends: the samples are canonical ROBDDs of
+    the same Boolean functions, so the mismatch *set* cannot depend on
+    the backend — only witness don't-cares can, since the minimal
+    witness follows the variable order.  Witnesses are walked in the
+    order ``witness_order()`` returns when given (called at the first
+    mismatch, so passing runs never build it), in ``manager``'s own
+    order otherwise.
     """
     labelled_vectors = [
         (f"instr{index}", vector) for index, vector in enumerate(plan.slot_instructions)
@@ -609,13 +637,18 @@ def _compare_samples(
             "internal error: the sampling schedules of the two machines disagree "
             f"({len(spec_samples)} vs {len(impl_samples)} samples)"
         )
+    order = None
     for index, (spec_obs, impl_obs) in enumerate(zip(spec_samples, impl_samples)):
         for name in observation:
             spec_value = spec_obs[name]
             impl_value = impl_obs[name]
             if spec_value.identical(impl_value):
                 continue
-            witness = find_distinguishing_assignment(manager, spec_value.bits, impl_value.bits)
+            if order is None and witness_order is not None:
+                order = witness_order()
+            witness = find_distinguishing_assignment(
+                manager, spec_value.bits, impl_value.bits, order
+            )
             decoded, words = decode_counterexample(
                 architecture, labelled_vectors, witness or {}
             )

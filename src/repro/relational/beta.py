@@ -44,10 +44,11 @@ Because every observable the backend produces is the canonical ROBDD of
 the same Boolean function the functional path builds, the sampled
 observations — and therefore the pass/fail verdict — are *node
 identical* on a shared manager and byte-identical across backends.
-Counterexample witness bits, however, follow the variable order, so the
-backend declares its own (selector-above-data) stimulus order and, on
-any mismatch, the executor re-runs the classical path to produce the
-exact witness records the compose backend would have reported.
+Counterexample witness don't-cares, however, follow the variable
+order: the backend declares its own (selector-above-data) stimulus
+order, and on a mismatch the executor walks each witness in the compose
+path's declaration order instead, reproducing the compose backend's
+records exactly (a policy that sifts re-runs the compose path).
 """
 
 from __future__ import annotations

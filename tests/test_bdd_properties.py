@@ -9,7 +9,9 @@ gets particular attention here.
 """
 
 import itertools
+import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bdd import BDDManager
@@ -147,3 +149,65 @@ def test_compose_is_substitution(expression, variable, replacement):
         substituted = dict(assignment)
         substituted[variable] = bool(eval_g(assignment))
         assert manager.evaluate(composed, assignment) == bool(eval_f(substituted))
+
+
+# ----------------------------------------------------------------------
+# pick_assignment_in_order: the witness walk of another variable order
+# ----------------------------------------------------------------------
+WIDE_VARIABLES = tuple(f"x{index}" for index in range(8))
+
+
+def _random_function(manager, seed):
+    """A seeded random function over ``WIDE_VARIABLES``, independent of the order."""
+    rng = random.Random(seed)
+    pool = [manager.var(name) for name in WIDE_VARIABLES]
+    operations = (manager.apply_and, manager.apply_or, manager.apply_xor)
+    for _ in range(10):
+        left, right = rng.sample(pool, 2)
+        node = rng.choice(operations)(left, right)
+        pool.append(manager.apply_not(node) if rng.random() < 0.3 else node)
+    return pool[-1]
+
+
+def _shuffled(seed):
+    names = list(WIDE_VARIABLES)
+    random.Random(f"order:{seed}").shuffle(names)
+    return tuple(names)
+
+
+def _walk(assignment):
+    """The witness with its decision order (dict equality ignores order)."""
+    return None if assignment is None else list(assignment.items())
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_pick_assignment_in_order_matches_own_order(seed):
+    manager = BDDManager(_shuffled(seed))
+    f = _random_function(manager, seed)
+    assert _walk(manager.pick_assignment_in_order(f, manager.variables)) == _walk(
+        manager.pick_assignment(f)
+    )
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_pick_assignment_in_order_ignores_the_manager_order(seed):
+    names = _shuffled(seed)
+    reference = BDDManager(names)
+    other = BDDManager(_shuffled(seed + 1000))
+    expected = reference.pick_assignment(_random_function(reference, seed))
+    f = _random_function(other, seed)
+    assert _walk(other.pick_assignment_in_order(f, names)) == _walk(expected)
+
+
+def test_pick_assignment_in_order_on_constants():
+    manager = BDDManager(VARIABLES)
+    assert manager.pick_assignment_in_order(manager.zero, VARIABLES) is None
+    assert manager.pick_assignment_in_order(manager.one, VARIABLES) == {}
+
+
+def test_pick_assignment_in_order_rejects_an_order_missing_support():
+    manager = BDDManager(VARIABLES)
+    # The walk decides a=0 and stops; d is off the path but in the support.
+    f = manager.apply_or(manager.nvar("a"), manager.var("d"))
+    with pytest.raises(ValueError, match="'d'"):
+        manager.pick_assignment_in_order(f, ("a", "b", "c"))

@@ -24,6 +24,7 @@ from repro.bdd import BDDManager
 from repro.core.architectures import Alpha0Architecture, VSMArchitecture
 from repro.core.siminfo import SimulationInfo
 from repro.core.verifier import build_stimulus, verify_beta_relation
+from repro.engine.executor import _compose_variable_order, _run_beta_compose
 from repro.logic import BitVec
 from repro.processors import SymbolicAlpha0Options
 from repro.processors.sym_alpha0 import decode_fields, encode_fields
@@ -319,7 +320,33 @@ class TestBackendDispatch:
             VSMArchitecture(), siminfo, impl_kwargs={"bug": "and_becomes_or"}
         )
         assert not failing.passed
-        assert failing.backend == "relational+fallback"
+        assert failing.backend == "relational"
+
+    @pytest.mark.parametrize(
+        "architecture,slots",
+        [
+            (VSMArchitecture(), (NORMAL, CONTROL)),
+            (VSMArchitecture(symbolic_initial_state=True), (CONTROL, NORMAL)),
+            (SMALL_ALPHA0, (NORMAL, CONTROL)),
+            (
+                Alpha0Architecture(
+                    options=SMALL_ALPHA0.options, symbolic_initial_state=True
+                ),
+                (CONTROL, NORMAL),
+            ),
+        ],
+    )
+    def test_compose_variable_order_replays_the_compose_manager(
+        self, architecture, slots
+    ):
+        """Refutation witnesses are walked in exactly the order a real
+        compose run declares, through its whole simulation."""
+        siminfo = SimulationInfo(reset_cycles=1, slots=slots)
+        manager = BDDManager()
+        _run_beta_compose(
+            architecture, siminfo, manager, None, architecture.observation_spec(), None
+        )
+        assert _compose_variable_order(architecture, siminfo) == tuple(manager._name_of)
 
     def test_stimulus_order_matches_the_stimulus_plan(self):
         """Pre-declared names are exactly the plan's variable families."""

@@ -259,6 +259,24 @@ class TestBetaBackendDifferential:
         relational, compose = run_both_backends(slots=slots, bug=bug)
         assert not relational.passed and not compose.passed
         assert verdict_bytes(relational) == verdict_bytes(compose)
+        assert relational.backend == "relational"
+
+    def test_sifting_refutation_keeps_the_fallback(self):
+        """A policy that sifts still re-runs compose for its witnesses:
+        the compose run's post-sift order cannot be replayed."""
+        sifting = {"reorder": "sift", "reorder_threshold": 0}
+        kwargs = {"name": "backend-diff", "slots": (NORMAL, NORMAL), "bug": "no_bypass"}
+        relational = execute_scenario(
+            Scenario(relational=RelationalPolicy(**sifting), **kwargs)
+        )
+        compose = execute_scenario(
+            Scenario(
+                relational=RelationalPolicy(beta_backend=BETA_COMPOSE, **sifting),
+                **kwargs,
+            )
+        )
+        assert not relational.passed
+        assert verdict_bytes(relational) == verdict_bytes(compose)
         assert relational.backend == "relational+fallback"
 
     def test_vsm_symbolic_initial_state(self):

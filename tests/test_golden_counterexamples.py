@@ -6,8 +6,9 @@ as when the golden file was recorded (``tests/data/``).  This pins down
 three things at once:
 
 * the bug is still detected (the mismatch exists),
-* counterexample extraction is deterministic (fixed variable orders and
-  the minimal-witness walk of ``pick_assignment``),
+* counterexample extraction is deterministic (the minimal-witness walk
+  in the compose path's declaration order, which the relational backend
+  takes on its own manager with ``pick_assignment_in_order``),
 * the decoding pipeline (witness assignment → instruction words →
   disassembly) is stable.
 
@@ -82,12 +83,13 @@ def test_counterexamples_decode_to_the_same_sequences(name, outcomes):
 
 def test_beta_goldens_exercise_the_relational_backend(outcomes):
     """The default (relational) beta backend reproduces every stored
-    counterexample: it refutes exactly the scenarios the compose path
-    refutes, then re-derives the byte-identical records classically."""
+    counterexample on its own manager: it refutes exactly the scenarios
+    the compose path refutes and walks each witness in the compose
+    path's variable order, with no classical re-run."""
     beta_outcomes = [o for o in outcomes.values() if o.kind == "beta"]
     assert beta_outcomes
     for outcome in beta_outcomes:
-        assert outcome.backend == "relational+fallback", outcome.scenario
+        assert outcome.backend == "relational", outcome.scenario
 
 
 @pytest.mark.parametrize("name", sorted(GOLDENS))
