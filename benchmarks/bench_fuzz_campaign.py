@@ -17,8 +17,9 @@ generative-campaign acceptance bars:
 
 Tiers: the full tier runs the 200-scenario acceptance campaign with
 batched execution; the ``bench_smoke`` tier runs a 20-scenario pass in
-CI time.  Results are written to ``BENCH_fuzz.json`` next to this file
-(CI uploads it as an artifact).
+CI time.  The full tier and the CLI write ``BENCH_fuzz.json`` next to
+this file (CI uploads it as an artifact); the smoke tier writes under
+pytest's ``tmp_path`` and never touches the committed record.
 
 CLI (the CI fuzz-smoke steps)::
 
@@ -165,11 +166,11 @@ def _assert_acceptance(payload, require_all_classes: bool) -> None:
     assert warm.report.verdict_json() == cold.report.verdict_json()
 
 
-def _write_json(payload) -> None:
+def _write_json(payload, path: pathlib.Path = JSON_PATH) -> None:
     serialisable = {
         key: value for key, value in payload.items() if not key.startswith("_")
     }
-    JSON_PATH.write_text(json.dumps(serialisable, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(serialisable, indent=2, sort_keys=True) + "\n")
 
 
 # ======================================================================
@@ -177,13 +178,16 @@ def _write_json(payload) -> None:
 # ======================================================================
 @pytest.mark.bench_smoke
 def test_fuzz_campaign_smoke(benchmark, tmp_path):
-    """CI tier: two scenarios per mutation class, cold + warm."""
+    """CI tier: two scenarios per mutation class, cold + warm.
+
+    Its record goes to ``tmp_path``; only the full tier writes the
+    committed BENCH_fuzz.json."""
     payload = benchmark.pedantic(
         lambda: run_tier("smoke", tmp_path / "store", tmp_path / "corpus"),
         rounds=1,
         iterations=1,
     )
-    _write_json(payload)
+    _write_json(payload, tmp_path / JSON_PATH.name)
     _assert_acceptance(payload, require_all_classes=False)
     record_paper_comparison(
         benchmark,

@@ -18,8 +18,10 @@ the "on means cheap" half on the smoke campaign:
   tracing, accidental flushing in a hot loop) fails CI outright while
   a noisy-box near-miss of the 5% goal does not.
 
-Results land in ``BENCH_telemetry.json`` next to this file; CI uploads
-it together with the smoke campaign's trace artifacts.
+The CLI writes its record to ``BENCH_telemetry.json`` next to this
+file (CI uploads it together with the smoke campaign's trace
+artifacts); the ``bench_smoke`` test writes under pytest's
+``tmp_path`` and never touches the committed record.
 """
 
 import argparse
@@ -134,8 +136,8 @@ def measure_overhead(names=SMOKE_SCENARIOS, rounds=ROUNDS) -> dict:
     }
 
 
-def _write_json(payload: dict) -> None:
-    JSON_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write_json(payload: dict, path: pathlib.Path = JSON_PATH) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def emit_artifacts(directory: pathlib.Path, names=SMOKE_SCENARIOS) -> None:
@@ -165,10 +167,11 @@ def emit_artifacts(directory: pathlib.Path, names=SMOKE_SCENARIOS) -> None:
 # Tiers
 # ======================================================================
 @pytest.mark.bench_smoke
-def test_telemetry_overhead_smoke(benchmark):
-    """Traced vs untraced smoke campaign; emits BENCH_telemetry.json."""
+def test_telemetry_overhead_smoke(benchmark, tmp_path):
+    """Traced vs untraced smoke campaign; its record goes to ``tmp_path``
+    (the committed BENCH_telemetry.json is the CLI's record)."""
     payload = benchmark.pedantic(measure_overhead, rounds=1, iterations=1)
-    _write_json(payload)
+    _write_json(payload, tmp_path / JSON_PATH.name)
     assert payload["verdicts_identical"], "tracing changed a verdict"
     assert payload["trace_spans_per_run"][0] > 0, "traced run recorded no spans"
     assert payload["overhead_ratio"] <= OVERHEAD_CEILING, payload

@@ -1610,6 +1610,62 @@ class BDDKernel:
         return handles
 
     # ------------------------------------------------------------------
+    # Arena images (in-process clones)
+    # ------------------------------------------------------------------
+    def arena_image(self) -> Dict[str, object]:
+        """A private copy of the whole arena, for :meth:`adopt_image`.
+
+        Unlike :meth:`snapshot` this is no serialisation: the node
+        arrays, the free-list, every per-level subtable and every
+        level-index bucket are copied at C speed (the copies share the
+        immutable key tuples and ints), so neither capturing nor
+        adopting an image does per-node Python work.  The image never
+        aliases the arena: later operations, collections or swaps on
+        this kernel leave it untouched.
+        """
+        return {
+            "level": self._level.copy(),
+            "low": self._low.copy(),
+            "high": self._high.copy(),
+            "free": self._free.copy(),
+            "table": {lvl: sub.copy() for lvl, sub in self._table.items()},
+            "index": {lvl: set(bucket) for lvl, bucket in self._level_index.items()},
+        }
+
+    def adopt_image(self, image: Dict[str, object]) -> None:
+        """Replace this arena with a copy of ``image``.
+
+        The image must *extend* the current arena — every slot here
+        holds the same ``(level, low, high)`` record there — so every
+        handle external code already names keeps denoting the same
+        node; otherwise :class:`ValueError` is raised and the arena is
+        left untouched.  Adopting an image into a fresh kernel is
+        handle-identical to replaying the restores that built it.  The
+        image is copied, never aliased, so it can seed any number of
+        kernels.
+        """
+        level = image["level"]
+        low = image["low"]
+        high = image["high"]
+        n = len(self._level)
+        if (
+            len(level) < n
+            or level[:n] != self._level
+            or low[:n] != self._low
+            or high[:n] != self._high
+        ):
+            raise ValueError("arena image does not extend this arena")
+        new_bucket = self._new_bucket
+        self._level = level.copy()
+        self._low = low.copy()
+        self._high = high.copy()
+        self._free = image["free"].copy()
+        self._table = {lvl: sub.copy() for lvl, sub in image["table"].items()}
+        self._level_index = {
+            lvl: new_bucket(bucket) for lvl, bucket in image["index"].items()
+        }
+
+    # ------------------------------------------------------------------
     # Reorder support
     # ------------------------------------------------------------------
     def _plan_swap(

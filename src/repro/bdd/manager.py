@@ -340,13 +340,24 @@ class BDDManager(BDDKernel):
         declarations it may have replayed are exactly the ones a fresh
         computation would declare, so a failed restore leaves the
         manager in the state that fallback recomputation expects.
+
+        Traced as two sibling spans: ``snapshot.validate`` (bookkeeping
+        checks, declaration replay, level mapping) and
+        ``snapshot.build`` (the kernel's node validation and
+        hash-consing).
         """
         with telemetry.span("snapshot.validate", manager=self) as val_span:
-            return self._restore_validated(payload, val_span)
+            level_map = self._restore_level_map(payload)
+            val_span.set(declares=len(payload.get("declares", ())))
+        with telemetry.span("snapshot.build", manager=self) as build_span:
+            handles = super().restore(payload, level_map)
+            build_span.set(roots=len(handles))
+        wrap = self._wrap
+        return [wrap(handle) for handle in handles]
 
-    def _restore_validated(
-        self, payload: Dict[str, object], val_span
-    ) -> List[BDD]:
+    def _restore_level_map(self, payload: Dict[str, object]) -> Dict[int, int]:
+        """Validate a snapshot's bookkeeping, replay its declarations and
+        return the map from recorded levels to this manager's levels."""
         try:
             declares = payload.get("declares", ())
             level_names = payload["level_names"]
@@ -387,10 +398,38 @@ class BDDManager(BDDKernel):
                     f"snapshot variable {name!r} is not declared on this manager"
                 )
             level_map[lvl] = target
-        handles = super().restore(payload, level_map)
-        val_span.set(roots=len(handles), declares=len(declares))
+        return level_map
+
+    def arena_image(self) -> Dict[str, object]:
+        """The kernel's arena image plus the declared variable order."""
+        image = super().arena_image()
+        image["names"] = self._name_of.copy()
+        return image
+
+    def adopt_image(
+        self, image: Dict[str, object], roots: Iterable[int] = ()
+    ) -> List[BDD]:
+        """Adopt a copy of ``image`` (see the kernel's
+        :meth:`~repro.bdd.kernel.BDDKernel.adopt_image`) together with
+        its variable order; returns wrappers for the ``roots`` handles.
+
+        The image's order must extend this manager's, as its arena must
+        extend this arena; otherwise :class:`ValueError` is raised with
+        the manager untouched.
+        """
+        names = image["names"]
+        if names[: len(self._name_of)] != self._name_of:
+            raise ValueError("arena image's variable order does not extend this one")
+        super().adopt_image(image)
+        self._name_of = names.copy()
+        self._level_of = dict(zip(names, range(len(names))))
+        self._depth_hint = len(names)
         wrap = self._wrap
-        return [wrap(handle) for handle in handles]
+        return [wrap(handle) for handle in roots]
+
+    def arena_shape(self) -> Tuple[int, int, int]:
+        """``(arena length, declared variables, free-listed handles)``."""
+        return len(self._level), len(self._name_of), len(self._free)
 
     # ------------------------------------------------------------------
     # Variable order management

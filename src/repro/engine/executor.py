@@ -294,6 +294,7 @@ def run_beta(
     observation: Optional[ObservationSpec] = None,
     relational: Optional[RelationalPolicy] = None,
     snapshot_store=None,
+    relation_templates=None,
 ) -> VerificationReport:
     """Verify a pipelined implementation against its unpipelined specification.
 
@@ -308,8 +309,10 @@ def run_beta(
     whether dynamic variable reordering runs between the simulation
     phases (see :func:`_maybe_reorder` for the exact guarantee).
     ``snapshot_store`` lets the relational backend rehydrate its beta
-    relations from persistent arena snapshots instead of re-extracting
-    (see :func:`repro.relational.beta.cached_extract_steppers`).
+    relations from persistent arena snapshots instead of re-extracting,
+    and ``relation_templates`` lets a fresh manager clone relations an
+    earlier manager restored (see
+    :func:`repro.relational.beta.cached_extract_steppers`).
     """
     from ..relational.beta import supports_state_injection
 
@@ -332,6 +335,7 @@ def run_beta(
                 relational,
                 models,
                 snapshot_store=snapshot_store,
+                relation_templates=relation_templates,
             )
         # The design's models predate the state-injection protocol —
         # fall through to the classical path on the same (still
@@ -453,6 +457,7 @@ def _run_beta_relational(
     relational: Optional[RelationalPolicy],
     models,
     snapshot_store=None,
+    relation_templates=None,
 ) -> VerificationReport:
     """The relational beta backend (see :mod:`repro.relational.beta`).
 
@@ -474,9 +479,13 @@ def _run_beta_relational(
 
     specification, implementation = models
 
-    manager.declare_all(beta_stimulus_order(architecture, siminfo))
-    plan, initial_state = _declare_stimulus(manager, architecture, siminfo)
-
+    # Relations first: their variables and nodes then sit at the same
+    # levels and handles on every manager of a design, whatever the
+    # slot shape, which is what lets a fresh manager adopt a relation
+    # template.  The relation and the stimulus/initial-state functions
+    # use disjoint variables, so declaring the relation block above the
+    # stimulus block changes no diagram's shape.
+    #
     # Extraction cache keys: the relation is a pure function of the
     # model construction (architecture dataclass repr covers the design
     # and its condensation options; the implementation additionally
@@ -498,12 +507,16 @@ def _run_beta_relational(
             impl_key=("beta_impl_relation", arch_sig, kwargs_sig),
             snapshot_store=snapshot_store,
             dependencies=codehash.components_for_architecture(architecture),
+            templates=relation_templates,
         )
     extraction_seconds = time.perf_counter() - started
     extraction_record["seconds"] = round(extraction_seconds, 4)
     # Snapshot activity is its own measurement family on the report;
     # the extraction record keeps only the cache-level hit/miss story.
     snapshot_record = extraction_record.pop("snapshot", {})
+
+    manager.declare_all(beta_stimulus_order(architecture, siminfo))
+    plan, initial_state = _declare_stimulus(manager, architecture, siminfo)
     specification.reset(**initial_state)
     implementation.reset(**initial_state)
 
@@ -1105,12 +1118,14 @@ def execute_scenario(
     scenario: Scenario,
     manager: Optional[BDDManager] = None,
     snapshot_store=None,
+    relation_templates=None,
 ) -> ScenarioOutcome:
     """Execute one scenario on ``manager`` (fresh if ``None``).
 
-    ``snapshot_store`` flows to the relational beta backend, which uses
-    it to rehydrate extracted relations from persistent arena snapshots
-    (see :func:`run_beta`); the other drivers ignore it.
+    ``snapshot_store`` and ``relation_templates`` flow to the relational
+    beta backend, which uses them to rehydrate extracted relations from
+    persistent arena snapshots or to clone them from earlier restores
+    (see :func:`run_beta`); the other drivers ignore them.
     """
     if scenario.needs_manager() and manager is None:
         manager = create_manager(
@@ -1126,7 +1141,9 @@ def execute_scenario(
         kind=scenario.kind,
         design=scenario.design,
     ):
-        outcome = _dispatch_scenario(scenario, manager, snapshot_store)
+        outcome = _dispatch_scenario(
+            scenario, manager, snapshot_store, relation_templates
+        )
     outcome.seconds = time.perf_counter() - started
 
     if manager is not None and cache_before is not None:
@@ -1138,6 +1155,7 @@ def _dispatch_scenario(
     scenario: Scenario,
     manager: Optional[BDDManager],
     snapshot_store,
+    relation_templates=None,
 ) -> ScenarioOutcome:
     """Route one scenario to its driver and wrap the outcome."""
     if scenario.kind == BETA:
@@ -1149,6 +1167,7 @@ def _dispatch_scenario(
             observation=scenario.observation(),
             relational=scenario.relational,
             snapshot_store=snapshot_store,
+            relation_templates=relation_templates,
         )
         outcome = _outcome_from_verification(scenario, report)
     elif scenario.kind == EVENTS:

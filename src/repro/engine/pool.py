@@ -21,6 +21,18 @@ signature declares, so handing it to the next scenario would silently
 break the declared-order contract.  The scenario that triggered the
 reorder keeps using it safely — canonicity survives reordering — but
 the next acquisition for that signature gets a fresh manager.
+
+Most campaign scenarios differ in slot shape, so most acquisitions
+create a fresh manager, and the relational beta backend must then bring
+the design's extracted relations onto it.  The pool holds the two
+campaign-wide tiers that serve them (see
+:func:`repro.relational.beta.cached_extract_steppers` for all four):
+the persistent ``snapshot_store``, from which a relation is restored
+node by node, and the ``relation_templates``, copies of the arenas that
+such restores left on fresh managers, which later fresh managers of the
+same design adopt with C-level list, dict and set copies.  Every worker
+process has its own pool and so its own templates; :meth:`clear` drops
+them with the managers.
 """
 
 from __future__ import annotations
@@ -28,6 +40,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..bdd import BDDManager, create_manager
+from ..relational.beta import RelationTemplates
 
 
 def _signature_backend(signature: Optional[Tuple]) -> Optional[str]:
@@ -68,6 +81,10 @@ class ManagerPool:
         #: pooled *or* private manager can rehydrate extracted relations
         #: instead of recomputing them.
         self.snapshot_store = None
+        #: Arena images of relations restored from ``snapshot_store``
+        #: onto fresh managers; the executor reads them next to the
+        #: store, so a later fresh manager clones instead of restoring.
+        self.relation_templates = RelationTemplates()
         self._managers: Dict[Tuple, BDDManager] = {}
         self._acquisitions = 0
         self._reuses = 0
@@ -148,10 +165,12 @@ class ManagerPool:
             manager.clear_caches()
 
     def clear(self) -> None:
-        """Drop every pooled manager (and its unique table)."""
+        """Drop every pooled manager (and its unique table) and every
+        relation template."""
         for manager in self._managers.values():
             self._retire_counters(manager)
         self._managers.clear()
+        self.relation_templates.clear()
 
     def __len__(self) -> int:
         return len(self._managers)
@@ -182,7 +201,8 @@ class ManagerPool:
         ``arena`` breaks the same managers down into live vs. allocated
         capacity vs. free-listed handles, with monotonic allocation/GC
         counters that fold in retired managers like the cache counters
-        do.
+        do.  ``templates`` counts the relation templates held, captured
+        and cloned.
         """
         arena = {
             "live": 0,
@@ -237,4 +257,5 @@ class ManagerPool:
             "total_nodes": total_nodes,
             "arena": arena,
             "cache": cache,
+            "templates": self.relation_templates.statistics(),
         }

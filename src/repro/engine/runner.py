@@ -263,7 +263,10 @@ def _execute_pooled(
         try:
             faults.fire("scenario.run")
             outcome = execute_scenario(
-                scenario, manager=manager, snapshot_store=pool.snapshot_store
+                scenario,
+                manager=manager,
+                snapshot_store=pool.snapshot_store,
+                relation_templates=pool.relation_templates,
             )
             break
         except (KeyboardInterrupt, SystemExit):
@@ -360,6 +363,8 @@ def _pool_campaign_delta(
     lookups = hits + misses
     arena_before = before.get("arena", {})
     arena_after = after.get("arena", {})
+    templates_before = before.get("templates", {})
+    templates_after = after.get("templates", {})
     arena = {
         # Sizes are the absolute post-campaign state; counters are the
         # campaign's delta (monotonic thanks to the pool's fold-in of
@@ -382,6 +387,13 @@ def _pool_campaign_delta(
         - before.get("reorder_evictions", 0),
         "total_nodes": after["total_nodes"],
         "arena": arena,
+        "templates": {
+            "held": templates_after.get("held", 0),
+            "captures": templates_after.get("captures", 0)
+            - templates_before.get("captures", 0),
+            "clones": templates_after.get("clones", 0)
+            - templates_before.get("clones", 0),
+        },
         "cache": {
             "hits": hits,
             "misses": misses,

@@ -94,7 +94,11 @@ def beta_stimulus_order(architecture, siminfo) -> List[str]:
     the functional construction by an order of magnitude; the relational
     backend both declares it and exploits it.  (Initial-state variables
     stay below all instruction variables, exactly as on the classical
-    path.)
+    path.)  The relation variables sit *above* this whole block: the
+    executor acquires the relations first, so they keep the same levels
+    and handles on every manager of a design.  Relation and stimulus
+    functions share no variable, so that placement changes no
+    diagram's shape.
     """
     width = architecture.instruction_width
     names: List[str] = []
@@ -558,6 +562,121 @@ def _deserialize_stepper_payload(
     }
 
 
+# ----------------------------------------------------------------------
+# Relation templates (in-process arena clones)
+# ----------------------------------------------------------------------
+#: Key of a manager's relation chain inside ``manager.session_cache``:
+#: ``(chain, shape)`` with the relation keys restored or adopted on the
+#: manager so far and its arena shape right after the last of them, or
+#: ``(None, None)`` once an extraction ended the manager's eligibility.
+_CHAIN_KEY = "beta_relation_chain"
+
+#: :meth:`BDDManager.arena_shape` of a manager with no node and no
+#: declaration — the base state of every chain.
+_FRESH_SHAPE = (2, 0, 0)
+
+
+class RelationTemplate:
+    """A restored relation's arena image, cloneable into other managers.
+
+    ``base`` is the arena shape the relation was restored onto;
+    ``image`` the whole arena right after that restore; ``roots`` the
+    per-bit next-state handles in layout order; ``payload`` the
+    session-cache payload minus its node wrappers.
+    """
+
+    __slots__ = ("base", "image", "roots", "payload", "nodes")
+
+    def __init__(self, base, image, roots, payload, nodes) -> None:
+        self.base = base
+        self.image = image
+        self.roots = roots
+        self.payload = payload
+        self.nodes = nodes
+
+    def adopt(self, manager: BDDManager) -> Dict[str, object]:
+        """Clone the image into ``manager``; returns its session payload.
+
+        Raises :class:`ValueError` (manager untouched) when the image
+        does not extend the manager's arena.
+        """
+        roots = manager.adopt_image(self.image, self.roots)
+        # The wrapper-free fields are read-only, so managers share them.
+        return dict(
+            self.payload,
+            next_functions=dict(zip(_layout_keys(self.payload["layout"]), roots)),
+        )
+
+
+class RelationTemplates:
+    """Arena images of snapshot-restored relations, keyed by relation chain.
+
+    The relational backend acquires a design's relations first on a
+    fresh manager (specification, then implementation), so they occupy
+    the same levels and handles on every manager of that design,
+    whatever the scenario's slot shape.  A manager's *chain* is the
+    sequence of relation keys restored or adopted on it — ``(spec,)``,
+    then ``(spec, impl)``.  Right after a relation is restored from disk
+    onto an *eligible* manager (fresh, or holding only restored or
+    adopted relations and nothing else), the arena is exactly that
+    chain's relations, and a copy of it is kept here; later fresh
+    managers adopt the copy at C speed instead of hash-consing the
+    snapshot node by node.  Owned by the
+    :class:`~repro.engine.pool.ManagerPool`, next to its snapshot store.
+    """
+
+    def __init__(self) -> None:
+        self._templates: Dict[Tuple, RelationTemplate] = {}
+        self.captures = 0
+        self.clones = 0
+
+    def __len__(self) -> int:
+        return len(self._templates)
+
+    def get(self, chain: Tuple) -> Optional[RelationTemplate]:
+        return self._templates.get(chain)
+
+    def capture(
+        self,
+        chain: Tuple,
+        base: Tuple[int, int, int],
+        manager: BDDManager,
+        payload: Dict[str, object],
+        nodes: int,
+    ) -> None:
+        """Keep a copy of ``manager``'s arena as ``chain``'s template."""
+        if chain in self._templates:
+            return
+        next_functions = payload["next_functions"]
+        self._templates[chain] = RelationTemplate(
+            base,
+            manager.arena_image(),
+            [next_functions[key].node_id for key in _layout_keys(payload["layout"])],
+            {name: value for name, value in payload.items() if name != "next_functions"},
+            nodes,
+        )
+        self.captures += 1
+
+    def clear(self) -> None:
+        self._templates.clear()
+
+    def statistics(self) -> Dict[str, int]:
+        return {"held": len(self), "captures": self.captures, "clones": self.clones}
+
+
+def _layout_keys(layout) -> List[Tuple[str, int]]:
+    """The per-bit relation keys of ``layout``, in layout order."""
+    return [(field, bit) for field, width in layout for bit in range(width)]
+
+
+def _relation_chain(manager: BDDManager) -> Optional[Tuple]:
+    """The manager's relation chain while it is template-eligible, else ``None``."""
+    chain, shape = manager.session_cache.get(_CHAIN_KEY, ((), _FRESH_SHAPE))
+    if chain is None or manager.arena_shape() != shape:
+        return None
+    return chain
+
+
 def cached_extract_steppers(
     manager: BDDManager,
     specification,
@@ -568,40 +687,55 @@ def cached_extract_steppers(
     impl_key: object,
     snapshot_store=None,
     dependencies=None,
+    templates: Optional[RelationTemplates] = None,
 ) -> Tuple[MachineStepper, MachineStepper, Dict[str, object]]:
-    """Extract or re-use the stepper pair via ``manager.session_cache``.
+    """Acquire the stepper pair from the cheapest of four tiers.
 
     Extraction is the fixed per-run cost of the relational backend
-    (~2.5 s for the 240-bit Alpha0 condensation); on a pooled manager a
-    repeated scenario — or a bug-sweep variant, which shares the golden
-    specification — pays it once per session.  Keys must identify the
-    model construction exactly: the executor derives them from the
+    (~2.5 s for the 240-bit Alpha0 condensation).  Keys must identify
+    the model construction exactly: the executor derives them from the
     architecture (name + condensation options) and, for the
     implementation, the injected-bug kwargs.  The policy is *not* part
     of the key because extraction is policy-independent (only
-    :meth:`MachineStepper.advance` consults it); cached relations are
+    :meth:`MachineStepper.advance` consults it); acquired relations are
     re-bound to the fresh model instances under the current policy.
+    Each role (specification first, then implementation) is served by
+    the first tier that has it:
 
-    ``snapshot_store`` (anything with ``fingerprint_for`` /
-    ``load_snapshot`` / ``save_snapshot`` — in practice the engine's
-    :class:`~repro.engine.store.ResultStore`) adds a persistent level
-    below the session cache: on a session miss the relation is
-    rehydrated from a stored arena snapshot instead of re-extracted
-    (a deserialisation instead of a symbolic simulation), and a fresh
-    extraction is snapshotted back so every later process skips it.  A
-    stale or corrupt snapshot fails validation and falls back to
-    extraction — never a wrong relation.  ``dependencies`` names the
-    code components the extracted relation depends on (the executor
-    passes the BDD kernel, this relational subsystem, and the
-    architecture's model component); the store embeds their content
-    hashes in the snapshot envelope and refuses the record — again
-    falling back to extraction — when any of *those* components
-    changed, while edits to unrelated code leave the snapshot servable.
+    1. **Session cache** (``manager.session_cache``): a repeated
+       scenario on a pooled manager — or a bug-sweep variant, which
+       shares the golden specification — reuses the relation's nodes.
+    2. **Relation template** (``templates``, a
+       :class:`RelationTemplates` owned by the manager pool): a fresh
+       manager adopts a copy of the arena an earlier manager held right
+       after restoring the same relation chain from disk — list, dict
+       and set copies, no per-node work.  Adoption requires the manager
+       to sit at exactly the template's base arena shape, and is traced
+       as ``snapshot.restore`` with ``source="template"``.
+    3. **Disk snapshot** (``snapshot_store``, anything with
+       ``fingerprint_for`` / ``load_snapshot`` / ``save_snapshot`` — in
+       practice the engine's :class:`~repro.engine.store.ResultStore`):
+       the relation is rehydrated from a stored arena snapshot (a
+       deserialisation instead of a symbolic simulation).  A stale or
+       corrupt snapshot fails validation and falls through to
+       extraction — never a wrong relation.  A restore onto a
+       template-eligible manager is captured as a template.
+    4. **Extraction**, snapshotted back to the store so every later
+       process skips it.  It ends the manager's template eligibility.
+
+    ``dependencies`` names the code components the extracted relation
+    depends on (the executor passes the BDD kernel, this relational
+    subsystem, and the architecture's model component); the store
+    embeds their content hashes in the snapshot envelope and refuses
+    the record — again falling back to extraction — when any of
+    *those* components changed, while edits to unrelated code leave the
+    snapshot servable.
 
     Returns ``(spec_stepper, impl_stepper, info)`` where ``info`` is the
-    measurement record surfaced as ``outcome.extraction_cache``; with a
-    store attached it carries a per-role ``snapshot`` sub-record
-    (status restored/saved/invalid, seconds, nodes, bytes).
+    measurement record surfaced as ``outcome.extraction_cache`` (role
+    status ``hit``/``template``/``snapshot``/``miss``); with a store
+    attached it carries a per-role ``snapshot`` sub-record (status
+    template/restored/saved/invalid, seconds, nodes, bytes).
     """
     policy = policy if policy is not None else RelationalPolicy()
     cache = manager.session_cache
@@ -617,11 +751,38 @@ def cached_extract_steppers(
             stats["hits"] += 1
             info[role] = "hit"
             return _stepper_from_payload(manager, payload, model, prefix, policy)
+        chain = _relation_chain(manager) if templates is not None else None
+        if chain is not None:
+            template = templates.get(chain + (key,))
+            if template is not None and template.base == manager.arena_shape():
+                started = time.perf_counter()
+                with telemetry.span(
+                    "snapshot.restore", manager=manager, role=role, source="template"
+                ) as adopt_span:
+                    try:
+                        payload = template.adopt(manager)
+                    except ValueError:
+                        adopt_span.set(status="mismatch")
+                if payload is not None:
+                    cache[key] = payload
+                    cache[_CHAIN_KEY] = (chain + (key,), manager.arena_shape())
+                    templates.clones += 1
+                    stats["cloned"] = stats.get("cloned", 0) + 1
+                    info[role] = "template"
+                    snapshot_info[role] = {
+                        "status": "template",
+                        "seconds": round(time.perf_counter() - started, 4),
+                        "nodes": template.nodes,
+                    }
+                    return _stepper_from_payload(
+                        manager, payload, model, prefix, policy
+                    )
         if snapshot_store is not None:
             fingerprint = snapshot_store.fingerprint_for(key)
             blob = snapshot_store.load_snapshot(fingerprint, dependencies)
             if blob is not None:
                 started = time.perf_counter()
+                base = manager.arena_shape()
                 with telemetry.span(
                     "snapshot.restore", manager=manager, role=role
                 ) as restore_span:
@@ -643,11 +804,23 @@ def cached_extract_steppers(
                         "seconds": round(time.perf_counter() - started, 4),
                         "nodes": blob.get("nodes", 0),
                     }
+                    if chain is not None:
+                        # The arena is exactly the chain's restored
+                        # relations: worth keeping for the next fresh
+                        # manager of this design.
+                        templates.capture(
+                            chain + (key,), base, manager, payload, blob.get("nodes", 0)
+                        )
+                        cache[_CHAIN_KEY] = (chain + (key,), manager.arena_shape())
                     return _stepper_from_payload(
                         manager, payload, model, prefix, policy
                     )
         stats["misses"] += 1
         info[role] = "miss"
+        if templates is not None:
+            # Extraction leaves intermediate nodes behind: no later
+            # arena on this manager is a clean template.
+            cache[_CHAIN_KEY] = (None, None)
         with telemetry.span("beta.extract_role", manager=manager, role=role):
             stepper = MachineStepper.extract(
                 manager,
@@ -714,6 +887,8 @@ def cached_extract_steppers(
     info["session_misses"] = stats["misses"]
     if stats.get("restored"):
         info["session_restored"] = stats["restored"]
+    if stats.get("cloned"):
+        info["session_cloned"] = stats["cloned"]
     if snapshot_info:
         info["snapshot"] = snapshot_info
     return spec_stepper, impl_stepper, info

@@ -420,3 +420,141 @@ class TestArenaSnapshots:
         target = create_manager([f"v{i}" for i in reversed(range(10))])
         with pytest.raises(SnapshotError):
             target.restore(payload)
+
+
+def image_digest(image):
+    """Order-free SHA-256 of an arena image (arrays, tables, index, names)."""
+    import hashlib
+
+    canonical = {
+        "level": image["level"],
+        "low": image["low"],
+        "high": image["high"],
+        "free": image["free"],
+        "table": sorted(
+            (lvl, sorted(sub.items())) for lvl, sub in image["table"].items()
+        ),
+        "index": sorted((lvl, sorted(bucket)) for lvl, bucket in image["index"].items()),
+        "names": image.get("names"),
+    }
+    return hashlib.sha256(json.dumps(canonical).encode()).hexdigest()
+
+
+def arena_of(manager):
+    """The manager's arena state, read straight from its attributes."""
+    return {
+        "level": list(manager._level),
+        "low": list(manager._low),
+        "high": list(manager._high),
+        "free": list(manager._free),
+        "table": {lvl: dict(sub) for lvl, sub in manager._table.items()},
+        "index": {lvl: set(bucket) for lvl, bucket in manager._level_index.items()},
+        "names": list(manager.variables),
+    }
+
+
+class TestArenaImages:
+    """In-process arena images: exact, handle-identical, never aliased."""
+
+    def build(self, seed):
+        rng = random.Random(seed)
+        manager = create_manager([f"v{i}" for i in range(9)])
+        names = list(manager.variables)
+        roots = [random_function(manager, rng, names, depth=5) for _ in range(4)]
+        # Some garbage, then a sweep: the free-list is part of the image.
+        for _ in range(3):
+            random_function(manager, rng, names, depth=5)
+        manager.collect()
+        roots.append(random_function(manager, rng, names, depth=4))
+        return manager, roots
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_adopted_image_equals_the_source(self, seed):
+        source, roots = self.build(SEED + 40 + seed)
+        assert source._free or seed, "the seeds should exercise a free-list"
+        clone = create_manager()
+        adopted = clone.adopt_image(source.arena_image(), [r.node_id for r in roots])
+        assert arena_of(clone) == arena_of(source)
+        assert [f.node_id for f in adopted] == [f.node_id for f in roots]
+        names = list(source.variables)
+        assert [clone.sat_count(f, names) for f in adopted] == [
+            source.sat_count(f, names) for f in roots
+        ]
+        # The clone hash-conses onto the adopted table: rebuilding a
+        # root's function yields the adopted handle, allocating nothing.
+        rebuilt = clone.restore(source.snapshot(roots))
+        assert [f.node_id for f in rebuilt] == [f.node_id for f in adopted]
+        assert arena_of(clone)["level"] == arena_of(source)["level"]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_adopting_is_handle_identical_to_restoring(self, seed):
+        source, roots = self.build(SEED + 50 + seed)
+        first = json.loads(
+            json.dumps(source.snapshot(roots[:2], declares=source.variables))
+        )
+        second = json.loads(json.dumps(source.snapshot(roots[2:])))
+        # Template chain: first restore onto a fresh manager, image, then
+        # the second restore on top, image again.
+        seeder = create_manager()
+        seeder.restore(first)
+        image_one = seeder.arena_image()
+        handles_two = [f.node_id for f in seeder.restore(second)]
+        image_two = seeder.arena_image()
+
+        replayed = create_manager()
+        replayed.restore(first)
+        expected_two = [f.node_id for f in replayed.restore(second)]
+
+        cloned = create_manager()
+        cloned.adopt_image(image_one)
+        cloned.adopt_image(image_two)
+        assert arena_of(cloned) == arena_of(replayed)
+        assert handles_two == expected_two
+
+        # Mixed path: a restore on top of an adopted image.
+        mixed = create_manager()
+        mixed.adopt_image(image_one)
+        assert [f.node_id for f in mixed.restore(second)] == expected_two
+        assert arena_of(mixed) == arena_of(replayed)
+
+    def test_operating_on_or_sifting_a_clone_leaves_the_image_unchanged(self):
+        source, roots = self.build(SEED + 60)
+        image = source.arena_image()
+        digest = image_digest(image)
+        clone = create_manager()
+        adopted = clone.adopt_image(image, [r.node_id for r in roots])
+        rng = random.Random(SEED + 61)
+        names = list(clone.variables)
+        adopted.extend(random_function(clone, rng, names, depth=5) for _ in range(3))
+        clone.collect()
+        swap_adjacent(clone, 2)
+        converge_sift(clone, roots=adopted, max_passes=2)
+        clone.collect()
+        assert image_digest(image) == digest
+        # The source moving on does not reach into the image either.
+        random_function(source, rng, list(source.variables), depth=5)
+        source.collect()
+        sift_variable(source, "v3", roots=roots)
+        assert image_digest(image) == digest
+        # And the image still seeds a faithful clone.
+        again = create_manager()
+        again.adopt_image(image)
+        assert image_digest(again.arena_image()) == digest
+
+    def test_an_image_that_does_not_extend_the_arena_is_refused(self):
+        source, roots = self.build(SEED + 70)
+        image = source.arena_image()
+        other = create_manager(["w0", "w1"])
+        other.apply_and(other.var("w0"), other.var("w1"))
+        before = arena_of(other)
+        with pytest.raises(ValueError):
+            other.adopt_image(image)
+        assert arena_of(other) == before
+        # Same variable names, different nodes: refused by the arrays.
+        diverged = create_manager(list(source.variables))
+        diverged.apply_xor(diverged.var("v7"), diverged.var("v8"))
+        before = arena_of(diverged)
+        if before["level"] != image["level"][: len(before["level"])]:
+            with pytest.raises(ValueError):
+                diverged.adopt_image(image)
+            assert arena_of(diverged) == before
