@@ -452,6 +452,13 @@ class SymbolicUnpipelinedAlpha0(_Alpha0SymbolicBase):
         )
         return mapping
 
+    def datapath_fields(self) -> List[str]:
+        """The :meth:`state_layout` fields that hold datapath words."""
+        options = self.options
+        return [f"reg{i}" for i in range(options.num_registers)] + [
+            f"mem{i}" for i in range(options.memory_words)
+        ]
+
     def state_guards(self) -> Dict[str, Tuple[str, ...]]:
         """No validity-gated state: the architectural machine is all live."""
         return {}
@@ -856,6 +863,16 @@ class SymbolicPipelinedAlpha0(_Alpha0SymbolicBase):
             }
         )
         return mapping
+
+    def datapath_fields(self) -> List[str]:
+        """The :meth:`state_layout` fields that hold datapath words (see
+        the VSM twin)."""
+        options = self.options
+        return (
+            [f"reg{i}" for i in range(options.num_registers)]
+            + [f"mem{i}" for i in range(options.memory_words)]
+            + ["id.a", "id.b", "ex.value", "wb.value"]
+        )
 
     def state_guards(self) -> Dict[str, Tuple[str, ...]]:
         """Validity bits and the latch fields they gate (see the VSM twin)."""

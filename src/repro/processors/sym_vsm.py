@@ -217,6 +217,10 @@ class SymbolicUnpipelinedVSM:
         )
         return mapping
 
+    def datapath_fields(self) -> List[str]:
+        """The :meth:`state_layout` fields that hold datapath words."""
+        return [f"reg{i}" for i in range(NUM_REGISTERS)]
+
     def state_guards(self) -> Dict[str, Tuple[str, ...]]:
         """No validity-gated state: the architectural machine is all live."""
         return {}
@@ -538,6 +542,15 @@ class SymbolicPipelinedVSM:
             }
         )
         return mapping
+
+    def datapath_fields(self) -> List[str]:
+        """The :meth:`state_layout` fields that hold datapath words.
+
+        Everything else in the layout is control: the instruction word,
+        register specifiers, opcodes, program counters and valid bits
+        that select over these words.
+        """
+        return [f"reg{i}" for i in range(NUM_REGISTERS)] + ["id.a", "id.b", "ex.value"]
 
     def state_guards(self) -> Dict[str, Tuple[str, ...]]:
         """Validity bits and the latch fields they gate.

@@ -40,6 +40,26 @@ measurement).  Latch fields gated by a constant-0 validity guard
 (:meth:`state_guards`) are not computed at all: canonicity guarantees
 the observables cannot depend on them.
 
+The relation variables follow the same selector-above-data rule, in one
+fixed order (:func:`relation_declares`): the input word, the
+fetch-valid bit, the *control* fields of ``state_layout()`` in layout
+order (instruction words, register specifiers, opcodes, program
+counters, valid bits), and last the *datapath* words
+(``datapath_fields()``: register and memory banks, operand and result
+latches) bit-interleaved — bit 0 of every word, then bit 1, and so on.
+The control fields select among the words (register-file read ports,
+bypass and writeback muxes), so with the banks above them, as raw
+layout order puts them, every select path carries its own copy of the
+word cones.  On the VSM and ``FUZZ_ALPHA0_SPEC`` relations this order
+takes the four relations from 280,032 to 79,342 shared nodes.  Putting
+the control fields first does nearly all of it (79,697 nodes with the
+words left whole, not interleaved); interleaved words kept *above* the
+control fields grow the VSM implementation relation from 2,956 to 8,235
+nodes, and its Alpha0 extraction did not complete in five minutes.  The
+order changes no verdict: relation functions are canonical, relation
+variables are composed away every cycle, and the whole relation block
+still sits above the stimulus block.
+
 Because every observable the backend produces is the canonical ROBDD of
 the same Boolean function the functional path builds, the sampled
 observations — and therefore the pass/fail verdict — are *node
@@ -75,12 +95,48 @@ PROTOCOL_METHODS = (
     "load_state",
     "observable_fields",
     "state_guards",
+    "datapath_fields",
 )
 
 
 def supports_state_injection(model) -> bool:
     """Whether ``model`` exposes the full beta-extraction protocol."""
     return all(callable(getattr(model, name, None)) for name in PROTOCOL_METHODS)
+
+
+def relation_declares(
+    prefix: str,
+    input_names: Sequence[str],
+    fetch_valid_name: Optional[str],
+    layout: Sequence[Tuple[str, int]],
+    datapath: Sequence[str],
+) -> List[str]:
+    """The declaration sequence of one beta relation's variables.
+
+    The input word, then the fetch-valid bit, then the control fields of
+    ``layout`` in layout order, then the ``datapath`` word fields
+    bit-interleaved: bit 0 of every datapath field, then bit 1, and so
+    on.  :meth:`MachineStepper.extract` declares exactly this sequence,
+    and a snapshot restore replays it.  Raises :class:`ValueError` when
+    ``datapath`` is not a list of distinct ``layout`` fields.
+    """
+    widths = dict(layout)
+    words = set(datapath)
+    if len(words) != len(datapath) or not words <= set(widths):
+        raise ValueError(
+            f"datapath fields {list(datapath)!r} are not distinct layout fields"
+        )
+    names = list(input_names)
+    if fetch_valid_name is not None:
+        names.append(fetch_valid_name)
+    for field, width in layout:
+        if field not in words:
+            names.extend(f"{prefix}{field}[{bit}]" for bit in range(width))
+    for bit in range(max((widths[field] for field in datapath), default=0)):
+        names.extend(
+            f"{prefix}{field}[{bit}]" for field in datapath if bit < widths[field]
+        )
+    return names
 
 
 def beta_stimulus_order(architecture, siminfo) -> List[str]:
@@ -127,6 +183,7 @@ class MachineStepper:
         model,
         prefix: str,
         layout: Sequence[Tuple[str, int]],
+        datapath: Sequence[str],
         input_names: Sequence[str],
         fetch_valid_name: Optional[str],
         next_functions: Dict[Tuple[str, int], BDDNode],
@@ -137,6 +194,7 @@ class MachineStepper:
         self.model = model
         self.prefix = prefix
         self.layout = list(layout)
+        self.datapath = list(datapath)
         self.input_names = list(input_names)
         self.fetch_valid_name = fetch_valid_name
         self.next_functions = next_functions
@@ -156,10 +214,9 @@ class MachineStepper:
             for field in fields
         }
         if supports is None:
-            supports = {
-                key: manager.support(function)
-                for key, function in next_functions.items()
-            }
+            supports = dict(
+                zip(next_functions, manager.supports(next_functions.values()))
+            )
         self.supports: Dict[Tuple[str, int], Tuple[str, ...]] = dict(supports)
         #: How many gated field-bit products the guards short-circuited.
         self.gated_skips = 0
@@ -187,14 +244,12 @@ class MachineStepper:
         """
         policy = policy if policy is not None else RelationalPolicy()
         layout = model.state_layout()
+        datapath = model.datapath_fields()
         input_names = [f"{prefix}in[{bit}]" for bit in range(input_width)]
         fetch_valid_name = f"{prefix}fetch_valid" if with_fetch_valid else None
-        manager.declare_all(input_names)
-        if fetch_valid_name is not None:
-            manager.declare(fetch_valid_name)
-        for field, width in layout:
-            for bit in range(width):
-                manager.declare(f"{prefix}{field}[{bit}]")
+        manager.declare_all(
+            relation_declares(prefix, input_names, fetch_valid_name, layout, datapath)
+        )
 
         saved = model.state_formulae()
         symbolic = {
@@ -223,6 +278,7 @@ class MachineStepper:
             model,
             prefix,
             layout,
+            datapath,
             input_names,
             fetch_valid_name,
             next_functions,
@@ -402,6 +458,7 @@ def _stepper_payload(stepper: MachineStepper) -> Dict[str, object]:
     """
     return {
         "layout": list(stepper.layout),
+        "datapath": list(stepper.datapath),
         "input_names": list(stepper.input_names),
         "fetch_valid_name": stepper.fetch_valid_name,
         "next_functions": dict(stepper.next_functions),
@@ -425,6 +482,7 @@ def _stepper_from_payload(
         model,
         prefix,
         payload["layout"],
+        payload["datapath"],
         payload["input_names"],
         payload["fetch_valid_name"],
         payload["next_functions"],
@@ -445,19 +503,20 @@ def extraction_cache_statistics(manager: BDDManager) -> Dict[str, int]:
 # Persistent relation snapshots
 # ----------------------------------------------------------------------
 def _stepper_declares(payload: Dict[str, object], prefix: str) -> List[str]:
-    """The exact declaration sequence :meth:`MachineStepper.extract` performs.
+    """:func:`relation_declares` of a cached relation payload.
 
     Replayed verbatim before a snapshot restore, so a rehydrating
     manager's variable order stays byte-identical to a freshly
     extracting one — the property the pool's order-signature contract
     (and with it cross-mode verdict identity) rests on.
     """
-    names = list(payload["input_names"])
-    if payload["fetch_valid_name"] is not None:
-        names.append(payload["fetch_valid_name"])
-    for field, width in payload["layout"]:
-        names.extend(f"{prefix}{field}[{bit}]" for bit in range(width))
-    return names
+    return relation_declares(
+        prefix,
+        payload["input_names"],
+        payload["fetch_valid_name"],
+        payload["layout"],
+        payload["datapath"],
+    )
 
 
 def _serialize_stepper_payload(
@@ -467,7 +526,8 @@ def _serialize_stepper_payload(
 
     The per-bit next-state functions are serialised through the arena
     snapshot (root-projected parallel lists with name-mapped levels);
-    layout, input names and supports ride along as plain lists.
+    layout, datapath fields, input names and supports ride along as
+    plain lists.
     """
     layout = [(field, width) for field, width in payload["layout"]]
     keys = [(field, bit) for field, width in layout for bit in range(width)]
@@ -483,6 +543,7 @@ def _serialize_stepper_payload(
         "prefix": prefix,
         "nodes": nodes,
         "layout": [[field, width] for field, width in layout],
+        "datapath": list(payload["datapath"]),
         "input_names": list(payload["input_names"]),
         "fetch_valid_name": payload["fetch_valid_name"],
         "supports": [
@@ -511,6 +572,7 @@ def _deserialize_stepper_payload(
             )
         layout = [(field, int(width)) for field, width in blob["layout"]]
         keys = [(field, bit) for field, width in layout for bit in range(width)]
+        datapath = list(blob["datapath"])
         input_names = list(blob["input_names"])
         fetch_valid_name = blob["fetch_valid_name"]
         supports = {
@@ -525,19 +587,23 @@ def _deserialize_stepper_payload(
     # Cross-validate the blob's bookkeeping against the arena's recorded
     # declaration sequence: both are independently-stored copies of the
     # same fact (what extraction declares), so any single corrupted
-    # field — an input name, the layout, the fetch-valid flag — makes
-    # them disagree and the record is refused *before* the manager is
-    # touched.  The supports must stay inside that declared set, or the
-    # rehydrated stepper would later trip a BDDOrderError mid-scenario
-    # instead of falling back to extraction here.
-    expected_declares = _stepper_declares(
-        {
-            "input_names": input_names,
-            "fetch_valid_name": fetch_valid_name,
-            "layout": layout,
-        },
-        prefix,
-    )
+    # field — an input name, the layout, the datapath list, the
+    # fetch-valid flag — makes them disagree and the record is refused
+    # *before* the manager is touched.  A blob from before the
+    # control-first order carries no datapath list at all.  The
+    # supports must stay inside that declared set, or the rehydrated
+    # stepper would later trip a BDDOrderError mid-scenario instead of
+    # falling back to extraction here.
+    payload = {
+        "layout": layout,
+        "datapath": datapath,
+        "input_names": input_names,
+        "fetch_valid_name": fetch_valid_name,
+    }
+    try:
+        expected_declares = _stepper_declares(payload, prefix)
+    except ValueError as exc:
+        raise SnapshotError(f"malformed relation snapshot: {exc}") from None
     if not isinstance(arena, dict) or list(arena.get("declares", ())) != expected_declares:
         raise SnapshotError(
             "relation snapshot bookkeeping disagrees with its arena declarations"
@@ -553,13 +619,9 @@ def _deserialize_stepper_payload(
         raise SnapshotError(
             f"relation snapshot carries {len(roots)} roots for {len(keys)} bits"
         )
-    return {
-        "layout": layout,
-        "input_names": input_names,
-        "fetch_valid_name": fetch_valid_name,
-        "next_functions": dict(zip(keys, roots)),
-        "supports": supports,
-    }
+    payload["next_functions"] = dict(zip(keys, roots))
+    payload["supports"] = supports
+    return payload
 
 
 # ----------------------------------------------------------------------
@@ -692,7 +754,8 @@ def cached_extract_steppers(
     """Acquire the stepper pair from the cheapest of four tiers.
 
     Extraction is the fixed per-run cost of the relational backend
-    (~2.5 s for the 240-bit Alpha0 condensation).  Keys must identify
+    (on a 2-CPU box: 0.5 s for the ``FUZZ_ALPHA0_SPEC`` pair, 5.8 s at
+    the default 267-state-bit Alpha0 condensation).  Keys must identify
     the model construction exactly: the executor derives them from the
     architecture (name + condensation options) and, for the
     implementation, the injected-bug kwargs.  The policy is *not* part

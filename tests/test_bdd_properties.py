@@ -211,3 +211,25 @@ def test_pick_assignment_in_order_rejects_an_order_missing_support():
     f = manager.apply_or(manager.nvar("a"), manager.var("d"))
     with pytest.raises(ValueError, match="'d'"):
         manager.pick_assignment_in_order(f, ("a", "b", "c"))
+
+
+# ----------------------------------------------------------------------
+# supports: every root's support from one shared walk
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("seed", range(40))
+def test_supports_match_per_function_support(seed):
+    manager = BDDManager(_shuffled(seed))
+    rng = random.Random(f"supports:{seed}")
+    pool = [manager.zero, manager.one]
+    pool += [manager.var(name) for name in WIDE_VARIABLES]
+    operations = (manager.apply_and, manager.apply_or, manager.apply_xor)
+    for _ in range(30):
+        left, right = rng.sample(pool, 2)
+        pool.append(rng.choice(operations)(left, right))
+    # The roots share cones and repeat, so the memo is hit across roots.
+    roots = rng.sample(pool, len(pool)) + pool[-5:]
+    assert manager.supports(roots) == [manager.support(f) for f in roots]
+
+
+def test_supports_of_no_function_is_empty():
+    assert BDDManager(VARIABLES).supports([]) == []
