@@ -1226,6 +1226,65 @@ class BDDKernel:
         self._cache_misses += misses
         return memo[f]
 
+    def _compose_all_u(
+        self, roots: Iterable[int], by_level: Dict[int, int], memo: Dict[int, int]
+    ) -> List[int]:
+        """:meth:`_compose_u` of every root, in one walk with one memo.
+
+        A level bound to a terminal is a cofactor: only the selected
+        child is walked, so the dead cone is never visited.  A level
+        bound to a function is rebuilt through the ITE core.  ``memo``
+        maps handles to results under this one substitution and is
+        shared by every root, and by every call the caller passes it to,
+        so a cone common to several roots is substituted once.  Nothing
+        goes to the shared op cache.  The caller must not reorder or
+        collect while it holds ``memo``.
+        """
+        level = self._level
+        low = self._low
+        high = self._high
+        ite = self._ite3
+        max_level = max(by_level, default=-1)
+        memo[0] = 0
+        memo[1] = 1
+        results: List[int] = []
+        for f in roots:
+            stack = [f]
+            spush = stack.append
+            while stack:
+                n = stack[-1]
+                if n in memo:
+                    stack.pop()
+                    continue
+                ln = level[n]
+                if ln > max_level:
+                    memo[n] = n
+                    stack.pop()
+                    continue
+                replacement = by_level.get(ln)
+                if replacement is not None and replacement < 2:
+                    child = high[n] if replacement else low[n]
+                    r = memo.get(child)
+                    if r is None:
+                        spush(child)
+                        continue
+                else:
+                    lo = memo.get(low[n])
+                    hi = memo.get(high[n])
+                    if lo is None or hi is None:
+                        if hi is None:
+                            spush(high[n])
+                        if lo is None:
+                            spush(low[n])
+                        continue
+                    if replacement is None:
+                        replacement = self._mk_int(ln, 0, 1)
+                    r = ite(replacement, hi, lo)
+                memo[n] = r
+                stack.pop()
+            results.append(memo[f])
+        return results
+
     # ------------------------------------------------------------------
     # Quantification (smoothing)
     # ------------------------------------------------------------------

@@ -758,6 +758,30 @@ class BDDManager(BDDKernel):
         sig = self._sig(("c", tuple(sorted(by_level.items()))))
         return self._wrap(self._compose_u(f._h, by_level, sig))
 
+    def compose_all(
+        self,
+        functions: Iterable[BDD],
+        substitution: Mapping[str, BDD],
+        memo: Optional[Dict[int, int]] = None,
+    ) -> List[BDD]:
+        """``[compose(f, substitution) for f in functions]`` in one walk.
+
+        Variables bound to a constant are cofactored away without
+        visiting the dead branch.  Subresults are shared across all of
+        ``functions``; pass the same ``memo`` dict (initially empty) to
+        several calls with the *same* substitution to share them across
+        calls too.  The memo holds raw handles, so drop it before the
+        manager reorders or collects.
+        """
+        by_level = self._levels_map(
+            (name, g._h) for name, g in substitution.items()
+        )
+        roots = self._compose_all_u(
+            [f._h for f in functions], by_level, {} if memo is None else memo
+        )
+        wrap = self._wrap
+        return [wrap(r) for r in roots]
+
     def rename(self, f: BDD, mapping: Mapping[str, str]) -> BDD:
         """Rename variables of ``f`` according to ``mapping``.
 

@@ -28,17 +28,21 @@ cycle is then the relational product
                   AND  (pi == stimulus(v))  AND  (ps == state(v))
 
 whose bindings split by shape: constant bindings (class-cube bits,
-drained inputs, annulment-killed validity bits) are applied by
-*cofactoring* — the paper's own "cofactor the transition relation with
-respect to the inputs" step, which deletes dead cones before any
-expensive formula is touched — and the surviving function bindings by
-simultaneous composition (the compose normal form of the product; the
-literal :class:`~repro.relational.partition.ConjunctivePartition` +
-:class:`~repro.relational.schedule.QuantificationSchedule` product is
-kept selectable via ``RelationalPolicy.beta_product`` for differential
-measurement).  Latch fields gated by a constant-0 validity guard
-(:meth:`state_guards`) are not computed at all: canonicity guarantees
-the observables cannot depend on them.
+drained inputs, annulment-killed validity bits) act as *cofactors* —
+the paper's own "cofactor the transition relation with respect to the
+inputs" step — and the surviving function bindings as simultaneous
+composition (the compose normal form of the product).  Both happen in
+one walk per machine per cycle (:meth:`BDDManager.compose_all`): a node
+whose variable is bound to a constant descends only into the selected
+child, so dead cones are never visited, and one memo is shared by all
+next-state bits, so a cone common to many bits is substituted once.
+Latch fields gated by a constant-0 validity guard (:meth:`state_guards`)
+are not computed at all: canonicity guarantees the observables cannot
+depend on them.  The literal
+:class:`~repro.relational.partition.ConjunctivePartition` +
+:class:`~repro.relational.schedule.QuantificationSchedule` product stays
+selectable per bit via ``RelationalPolicy.beta_product="schedule"`` for
+differential measurement.
 
 The relation variables follow the same selector-above-data rule, in one
 fixed order (:func:`relation_declares`): the input word, the
@@ -218,6 +222,15 @@ class MachineStepper:
                 zip(next_functions, manager.supports(next_functions.values()))
             )
         self.supports: Dict[Tuple[str, int], Tuple[str, ...]] = dict(supports)
+        self._state_keys = _layout_keys(self.layout)
+        #: The relation variables in binding order: input word,
+        #: fetch-valid, then one per state bit in ``_state_keys`` order.
+        self._binding_names = self.input_names + (
+            [fetch_valid_name] if fetch_valid_name is not None else []
+        )
+        self._binding_names += [
+            f"{prefix}{field}[{bit}]" for field, bit in self._state_keys
+        ]
         #: How many gated field-bit products the guards short-circuited.
         self.gated_skips = 0
 
@@ -322,87 +335,99 @@ class MachineStepper:
         instruction: BitVec,
         fetch_valid: Optional[BDDNode] = None,
     ) -> Dict[Tuple[str, int], BDDNode]:
-        """One relation step: bind, specialise, take per-bit products."""
-        with telemetry.span("beta.advance", role=self.prefix):
-            return self._advance(state, instruction, fetch_valid)
+        """One relation step: bind every relation variable, substitute.
+
+        The ``beta.advance`` span records ``products`` (next-state bits
+        substituted) and ``gated`` (bits a constant-0 guard zeroed).
+        """
+        with telemetry.span("beta.advance", role=self.prefix) as span:
+            new_state, products, gated = self._advance(state, instruction, fetch_valid)
+            span.set(products=products, gated=gated)
+            return new_state
 
     def _advance(
         self,
         state: Mapping[Tuple[str, int], BDDNode],
         instruction: BitVec,
-        fetch_valid: Optional[BDDNode] = None,
-    ) -> Dict[Tuple[str, int], BDDNode]:
+        fetch_valid: Optional[BDDNode],
+    ) -> Tuple[Dict[Tuple[str, int], BDDNode], int, int]:
         manager = self.manager
-        sources: Dict[str, BDDNode] = {}
-        for bit, name in enumerate(self.input_names):
-            sources[name] = instruction[bit]
+        values = [instruction[bit] for bit in range(len(self.input_names))]
         if self.fetch_valid_name is not None:
-            sources[self.fetch_valid_name] = (
-                fetch_valid if fetch_valid is not None else manager.one
-            )
-        for field, width in self.layout:
-            for bit in range(width):
-                sources[f"{self.prefix}{field}[{bit}]"] = state[(field, bit)]
-        constants = {
-            name: bool(function.value)
-            for name, function in sources.items()
-            if function.is_terminal
-        }
+            values.append(fetch_valid if fetch_valid is not None else manager.one)
+        values.extend(state[key] for key in self._state_keys)
+        sources = dict(zip(self._binding_names, values))
+        next_functions = self.next_functions
 
-        new_state: Dict[Tuple[str, int], BDDNode] = {}
+        if self.policy.beta_product == BETA_PRODUCT_SCHEDULE:
+            constants = {
+                name: bool(function.value)
+                for name, function in sources.items()
+                if function.is_terminal
+            }
+
+            def products(keys):
+                return [self._product(key, sources, constants) for key in keys]
+
+        else:
+            # One memo for the guard pass and the field pass: both
+            # substitute under the same bindings.
+            memo: Dict[int, int] = {}
+
+            def products(keys):
+                return manager.compose_all(
+                    [next_functions[key] for key in keys], sources, memo
+                )
+
         # Guards first: a guard whose next value is the constant-0
         # function renders its gated fields unobservable, so their
         # products are skipped outright (the annulment short-circuit).
-        guard_next: Dict[str, BDDNode] = {
-            guard: self._product(guard, 0, sources, constants)
-            for guard in self.guards
-        }
-        for field, width in self.layout:
+        guard_next: Dict[str, BDDNode] = dict(
+            zip(self.guards, products([(guard, 0) for guard in self.guards]))
+        )
+        new_state: Dict[Tuple[str, int], Optional[BDDNode]] = {}
+        pending: List[Tuple[str, int]] = []
+        gated = 0
+        for key in self._state_keys:
+            field = key[0]
             guard = self._gated_by.get(field)
-            for bit in range(width):
-                if field in guard_next:
-                    new_state[(field, bit)] = guard_next[field]
-                elif guard is not None and guard_next[guard] is manager.zero:
-                    new_state[(field, bit)] = manager.zero
-                    self.gated_skips += 1
-                else:
-                    new_state[(field, bit)] = self._product(
-                        field, bit, sources, constants
-                    )
-        return new_state
+            if field in guard_next:
+                new_state[key] = guard_next[field]
+            elif guard is not None and guard_next[guard] is manager.zero:
+                new_state[key] = manager.zero
+                gated += 1
+            else:
+                new_state[key] = None
+                pending.append(key)
+        new_state.update(zip(pending, products(pending)))
+        self.gated_skips += gated
+        return new_state, len(guard_next) + len(pending), gated
 
     def _product(
         self,
-        field: str,
-        bit: int,
+        key: Tuple[str, int],
         sources: Mapping[str, BDDNode],
         constants: Mapping[str, bool],
     ) -> BDDNode:
-        """``exists vars . F_(field,bit) AND (vars == sources)``.
+        """``exists vars . F_key AND (vars == sources)``, schedule strategy.
 
-        Constant bindings are applied by cofactoring — restriction by a
-        literal is linear and erases the dead cone entirely — and the
-        surviving function bindings by the configured product strategy.
+        Constant bindings are applied first by cofactoring; the
+        surviving ``var == source`` conjuncts are then smoothed by the
+        clustered, quantification-scheduled product.
         """
         manager = self.manager
-        function = self.next_functions[(field, bit)]
-        support = self.supports[(field, bit)]
+        function = self.next_functions[key]
+        support = self.supports[key]
         fixed = {name: constants[name] for name in support if name in constants}
         if fixed:
             function = manager.restrict(function, fixed)
             support = manager.support(function)
-        substitution = {name: sources[name] for name in support}
-        if not substitution:
+        if not support:
             return function
-        if self.policy.beta_product == BETA_PRODUCT_SCHEDULE:
-            conjuncts = [function] + [
-                manager.apply_xnor(manager.var(name), bound)
-                for name, bound in substitution.items()
-            ]
-            return smooth_conjunction(
-                manager, conjuncts, list(substitution), self.policy
-            )
-        return manager.compose(function, substitution)
+        conjuncts = [function] + [
+            manager.apply_xnor(manager.var(name), sources[name]) for name in support
+        ]
+        return smooth_conjunction(manager, conjuncts, list(support), self.policy)
 
 
 def extract_steppers(

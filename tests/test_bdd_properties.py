@@ -14,7 +14,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bdd import BDDManager
+from repro.bdd import BDDManager, create_manager
 
 VARIABLES = ("a", "b", "c", "d")
 
@@ -233,3 +233,75 @@ def test_supports_match_per_function_support(seed):
 
 def test_supports_of_no_function_is_empty():
     assert BDDManager(VARIABLES).supports([]) == []
+
+
+# ----------------------------------------------------------------------
+# compose_all: one substitution walk over many roots
+# ----------------------------------------------------------------------
+def _random_pool(manager, rng, steps=30):
+    """Random functions over ``WIDE_VARIABLES``; later ones share cones."""
+    pool = [manager.zero, manager.one]
+    pool += [manager.var(name) for name in WIDE_VARIABLES]
+    operations = (manager.apply_and, manager.apply_or, manager.apply_xor)
+    for _ in range(steps):
+        left, right = rng.sample(pool, 2)
+        pool.append(rng.choice(operations)(left, right))
+    return pool
+
+
+def _mixed_substitution(manager, rng, pool):
+    """Each variable unbound, or bound to a constant, a function or itself."""
+    constants, functions = {}, {}
+    for name in WIDE_VARIABLES:
+        kind = rng.choice(("free", "constant", "function", "identity"))
+        if kind == "constant":
+            constants[name] = rng.random() < 0.5
+        elif kind == "function":
+            functions[name] = rng.choice(pool)
+        elif kind == "identity":
+            functions[name] = manager.var(name)
+    return constants, functions
+
+
+def _ids(functions):
+    return [f.node_id for f in functions]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_compose_all_matches_per_function_compose(seed):
+    manager = create_manager(_shuffled(seed))
+    rng = random.Random(f"compose_all:{seed}")
+    pool = _random_pool(manager, rng)
+    constants, functions = _mixed_substitution(manager, rng, pool)
+    substitution = dict(functions)
+    substitution.update((name, manager.constant(value)) for name, value in constants.items())
+    # The roots share cones and repeat, so the memo is hit across roots.
+    roots = rng.sample(pool, len(pool)) + pool[-5:]
+    result = manager.compose_all(roots, substitution)
+    assert _ids(result) == _ids(manager.compose(f, substitution) for f in roots)
+    assert _ids(result) == _ids(
+        manager.compose(manager.restrict(f, constants), functions) for f in roots
+    )
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_compose_all_memo_is_shared_across_calls(seed):
+    manager = create_manager(_shuffled(seed))
+    rng = random.Random(f"compose_all_memo:{seed}")
+    pool = _random_pool(manager, rng)
+    constants, functions = _mixed_substitution(manager, rng, pool)
+    substitution = dict(functions)
+    substitution.update((name, manager.constant(value)) for name, value in constants.items())
+    memo = {}
+    first = manager.compose_all(pool[:20], substitution, memo)
+    second = manager.compose_all(pool[10:], substitution, memo)
+    assert _ids(first + second) == _ids(
+        manager.compose(f, substitution) for f in pool[:20] + pool[10:]
+    )
+
+
+def test_compose_all_with_empty_substitution_is_identity():
+    manager = create_manager(_shuffled(0))
+    pool = _random_pool(manager, random.Random("compose_all:empty"))
+    assert _ids(manager.compose_all(pool, {})) == _ids(pool)
+    assert manager.compose_all([], {"x0": manager.one}) == []

@@ -20,7 +20,9 @@ verdict byte-identity at engine level lives in
 
 import pytest
 
+from repro import telemetry
 from repro.bdd import BDDManager
+from repro.campaigns import FUZZ_ALPHA0_SPEC
 from repro.core.architectures import Alpha0Architecture, VSMArchitecture
 from repro.core.siminfo import SimulationInfo
 from repro.core.verifier import build_stimulus, verify_beta_relation
@@ -30,11 +32,13 @@ from repro.processors import SymbolicAlpha0Options
 from repro.processors.sym_alpha0 import decode_fields, encode_fields
 from repro.relational import (
     BETA_COMPOSE,
+    MachineStepper,
     RelationalPolicy,
     beta_stimulus_order,
     extract_steppers,
     supports_state_injection,
 )
+from repro.relational.beta import IMPL_PREFIX, SPEC_PREFIX
 from repro.strings import CONTROL, NORMAL
 
 SMALL_ALPHA0 = Alpha0Architecture(
@@ -230,6 +234,115 @@ class TestGuardSoundness:
         assert stepper_b.gated_skips == 0
         assert_node_identical(spec_a, spec_b)
         assert_node_identical(impl_a, impl_b)
+
+
+def reference_advance(stepper, state, instruction, fetch_valid=None):
+    """One per-bit advance through the public restrict/support/compose API.
+
+    Returns the next state and how many bits a constant-0 guard zeroed.
+    """
+    manager = stepper.manager
+    sources = {name: instruction[bit] for bit, name in enumerate(stepper.input_names)}
+    if stepper.fetch_valid_name is not None:
+        sources[stepper.fetch_valid_name] = (
+            fetch_valid if fetch_valid is not None else manager.one
+        )
+    for field, width in stepper.layout:
+        for bit in range(width):
+            sources[f"{stepper.prefix}{field}[{bit}]"] = state[(field, bit)]
+    constants = {
+        name: bool(function.value)
+        for name, function in sources.items()
+        if function.is_terminal
+    }
+
+    def product(field, bit):
+        function = stepper.next_functions[(field, bit)]
+        fixed = {
+            name: constants[name]
+            for name in manager.support(function)
+            if name in constants
+        }
+        function = manager.restrict(function, fixed)
+        return manager.compose(
+            function, {name: sources[name] for name in manager.support(function)}
+        )
+
+    guard_next = {guard: product(guard, 0) for guard in stepper.guards}
+    gated_by = {
+        field: guard for guard, fields in stepper.guards.items() for field in fields
+    }
+    new_state, skips = {}, 0
+    for field, width in stepper.layout:
+        guard = gated_by.get(field)
+        for bit in range(width):
+            if field in guard_next:
+                new_state[(field, bit)] = guard_next[field]
+            elif guard is not None and guard_next[guard] is manager.zero:
+                new_state[(field, bit)] = manager.zero
+                skips += 1
+            else:
+                new_state[(field, bit)] = product(field, bit)
+    return new_state, skips
+
+
+class TestFusedAdvance:
+    """The one-walk advance equals the per-bit cofactor-then-compose one."""
+
+    @pytest.mark.parametrize(
+        "architecture",
+        [VSMArchitecture(), Alpha0Architecture(options=FUZZ_ALPHA0_SPEC.options())],
+        ids=["vsm", "alpha0"],
+    )
+    def test_every_advance_matches_the_per_bit_reference(self, architecture, monkeypatch):
+        siminfo = SimulationInfo(reset_cycles=1, slots=(NORMAL, CONTROL))
+        manager = BDDManager()
+        plan = build_stimulus(manager, architecture, siminfo)
+        fused_advance = MachineStepper.advance
+        checked = {SPEC_PREFIX: 0, IMPL_PREFIX: 0}
+
+        def checked_advance(stepper, state, instruction, fetch_valid=None):
+            expected, skips = reference_advance(stepper, state, instruction, fetch_valid)
+            before = stepper.gated_skips
+            result = fused_advance(stepper, state, instruction, fetch_valid)
+            assert list(result) == list(expected)
+            assert [f.node_id for f in result.values()] == [
+                f.node_id for f in expected.values()
+            ]
+            assert stepper.gated_skips - before == skips
+            checked[stepper.prefix] += 1
+            return result
+
+        monkeypatch.setattr(MachineStepper, "advance", checked_advance)
+        relational_samples(
+            architecture, siminfo, manager, architecture.observation_spec(), plan
+        )
+        assert checked[SPEC_PREFIX] == 2
+        assert checked[IMPL_PREFIX] > 2
+
+    def test_advance_span_records_products_and_gated(self):
+        architecture = VSMArchitecture()
+        siminfo = SimulationInfo(reset_cycles=1, slots=(NORMAL, CONTROL))
+        manager = BDDManager()
+        plan = build_stimulus(manager, architecture, siminfo)
+        tracer = telemetry.enable()
+        try:
+            _, _, impl_stepper = relational_samples(
+                architecture, siminfo, manager, architecture.observation_spec(), plan
+            )
+        finally:
+            telemetry.disable()
+        bits = sum(width for _, width in impl_stepper.layout)
+        advances = [
+            event["attrs"]
+            for event in tracer.events
+            if event["name"] == "beta.advance" and event["attrs"]["role"] == IMPL_PREFIX
+        ]
+        assert advances
+        for attrs in advances:
+            assert attrs["products"] + attrs["gated"] == bits
+        assert any(attrs["gated"] > 0 for attrs in advances)
+        assert sum(attrs["gated"] for attrs in advances) == impl_stepper.gated_skips
 
 
 class TestProtocolCompleteness:
