@@ -385,6 +385,8 @@ class MachineStepper:
         guard_next: Dict[str, BDDNode] = dict(
             zip(self.guards, products([(guard, 0) for guard in self.guards]))
         )
+        # Placeholders keep ``new_state`` in layout order until the
+        # pending bits are substituted in one batch below.
         new_state: Dict[Tuple[str, int], Optional[BDDNode]] = {}
         pending: List[Tuple[str, int]] = []
         gated = 0

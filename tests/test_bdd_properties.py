@@ -216,16 +216,22 @@ def test_pick_assignment_in_order_rejects_an_order_missing_support():
 # ----------------------------------------------------------------------
 # supports: every root's support from one shared walk
 # ----------------------------------------------------------------------
+def _random_pool(manager, rng, steps=30):
+    """Random functions over ``WIDE_VARIABLES``; later ones share cones."""
+    pool = [manager.zero, manager.one]
+    pool += [manager.var(name) for name in WIDE_VARIABLES]
+    operations = (manager.apply_and, manager.apply_or, manager.apply_xor)
+    for _ in range(steps):
+        left, right = rng.sample(pool, 2)
+        pool.append(rng.choice(operations)(left, right))
+    return pool
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_supports_match_per_function_support(seed):
     manager = BDDManager(_shuffled(seed))
     rng = random.Random(f"supports:{seed}")
-    pool = [manager.zero, manager.one]
-    pool += [manager.var(name) for name in WIDE_VARIABLES]
-    operations = (manager.apply_and, manager.apply_or, manager.apply_xor)
-    for _ in range(30):
-        left, right = rng.sample(pool, 2)
-        pool.append(rng.choice(operations)(left, right))
+    pool = _random_pool(manager, rng)
     # The roots share cones and repeat, so the memo is hit across roots.
     roots = rng.sample(pool, len(pool)) + pool[-5:]
     assert manager.supports(roots) == [manager.support(f) for f in roots]
@@ -238,17 +244,6 @@ def test_supports_of_no_function_is_empty():
 # ----------------------------------------------------------------------
 # compose_all: one substitution walk over many roots
 # ----------------------------------------------------------------------
-def _random_pool(manager, rng, steps=30):
-    """Random functions over ``WIDE_VARIABLES``; later ones share cones."""
-    pool = [manager.zero, manager.one]
-    pool += [manager.var(name) for name in WIDE_VARIABLES]
-    operations = (manager.apply_and, manager.apply_or, manager.apply_xor)
-    for _ in range(steps):
-        left, right = rng.sample(pool, 2)
-        pool.append(rng.choice(operations)(left, right))
-    return pool
-
-
 def _mixed_substitution(manager, rng, pool):
     """Each variable unbound, or bound to a constant, a function or itself."""
     constants, functions = {}, {}
