@@ -44,21 +44,17 @@ garbage dominated.  PR 5 attacked the PR-4 cold-chain negative (~0.65x)
 with bounded-depth recursive fast paths in the ITE/AND/OR/XOR cores
 (one cheap frame per expanded node, explicit stack only past the depth
 budget) plus cheaper wrapper interning; cold recovered to ~0.90x on the
-dev box.  PR 9 re-profiled the residual for the vectorized-backend
-work: manager construction is ~1.5% of the regime and suppressing
-wrapper interning entirely moves the needle by under 1% — the remaining
+dev box.  A later re-profile of the residual found manager construction
+at ~1.5% of the regime, and suppressing wrapper interning entirely moves
+the needle by under 1% — the remaining
 gap lives *inside* the memoized cores (standard-triple normalisation
 and GC-capable bookkeeping per constructed node, which buy the
 compare/advance/swap wins), so the >=1.0x target stays a recorded
-near-miss at ~0.90-0.93x.  The ``backends`` regimes added by PR 9
-measure the vector backend's bulk restore and (forced-on) swap planner
-against the dict backend; their floors track the measured numbers,
-including the honest negatives.  The asserted bars below are measured
+near-miss at ~0.90-0.93x.  The asserted bars below are measured
 floors; ROADMAP records the headline numbers and the misses alongside
 the wins.
 """
 
-import contextlib
 import gc
 import json
 import math
@@ -68,10 +64,8 @@ from typing import Dict, Iterable
 
 import pytest
 
-from repro.bdd import BDDManager, create_manager
-from repro.bdd import vector as vector_backend
+from repro.bdd import BDDManager
 from repro.bdd.reorder import _swap_levels
-from repro.bdd.vector import numpy_available
 
 from _bench_utils import record_paper_comparison
 
@@ -666,122 +660,6 @@ def _arena_sessions(sessions: int, width: int) -> Dict[str, object]:
     }
 
 
-@contextlib.contextmanager
-def _force_vector_paths():
-    """Run the vector paths regardless of the production thresholds.
-
-    The backend regimes measure the vectorized paths *themselves*; the
-    production thresholds (``VECTOR_RESTORE_MIN``/``VECTOR_SWAP_MIN``)
-    encode where those paths win and would otherwise route the smaller
-    bench sizes to the scalar fallback, silently measuring dict vs.
-    dict.
-    """
-    saved = (vector_backend.VECTOR_RESTORE_MIN, vector_backend.VECTOR_SWAP_MIN)
-    vector_backend.VECTOR_RESTORE_MIN = 1
-    vector_backend.VECTOR_SWAP_MIN = 1
-    try:
-        yield
-    finally:
-        vector_backend.VECTOR_RESTORE_MIN, vector_backend.VECTOR_SWAP_MIN = saved
-
-
-def _backend_restore(width: int, repeats: int) -> Dict[str, object]:
-    """Dict vs. vector backend on the snapshot restore path.
-
-    ``build_seconds`` rebuilds the snapshot's content from scratch — the
-    honest stand-in for relation extraction — so ``restore_ratio`` is
-    "cold rehydration cost as a fraction of recomputation cost", the
-    number the store's snapshot rehydration pitch rests on.  (The
-    engine-level ratio against *real* relation extraction is measured
-    in ``bench_campaign_throughput.py``; there JSON decode dominates
-    rehydration, see the honest negatives in ``repro/bdd/vector.py``.)
-    """
-    names = [f"a{i}" for i in range(width)] + [f"b{i}" for i in range(width)]
-    gc.collect()
-    started = time.perf_counter()
-    source = BDDManager(names)
-    root = _comparator(source, width)
-    build_seconds = time.perf_counter() - started
-    payload = source.snapshot([root], declares=source.variables)
-    nodes = len(payload["levels"])
-
-    def cold(backend):
-        best, manager = None, None
-        for _ in range(repeats):
-            gc.collect()
-            m = create_manager(backend=backend)
-            t0 = time.perf_counter()
-            m.restore(payload)
-            elapsed = time.perf_counter() - t0
-            if best is None or elapsed < best:
-                best, manager = elapsed, m
-        return best, manager
-
-    def warm(manager):
-        best = None
-        for _ in range(repeats):
-            gc.collect()
-            t0 = time.perf_counter()
-            manager.restore(payload)
-            elapsed = time.perf_counter() - t0
-            best = elapsed if best is None or elapsed < best else best
-        return best
-
-    with _force_vector_paths():
-        dict_cold, dict_mgr = cold("dict")
-        vector_cold, vector_mgr = cold("vector")
-        dict_warm = warm(dict_mgr)
-        vector_warm = warm(vector_mgr)
-    return {
-        "numpy": numpy_available(),
-        "snapshot_nodes": nodes,
-        "build_seconds": round(build_seconds, 4),
-        "cold_dict_ms": round(dict_cold * 1000, 3),
-        "cold_vector_ms": round(vector_cold * 1000, 3),
-        "warm_dict_ms": round(dict_warm * 1000, 3),
-        "warm_vector_ms": round(vector_warm * 1000, 3),
-        "cold_speedup": round(dict_cold / max(vector_cold, 1e-9), 3),
-        "warm_speedup": round(dict_warm / max(vector_warm, 1e-9), 3),
-        "restore_ratio": round(vector_cold / max(build_seconds, 1e-9), 4),
-        "vector_stats": dict(vector_mgr._vector_stats),
-    }
-
-
-def _backend_swap(width: int, swaps: int) -> Dict[str, object]:
-    """Dict vs. vector backend on the fat-boundary level swap.
-
-    This measures the vectorized swap *planner* (forced on — the
-    production default disables it at every size), so the recorded
-    speedup is the honest negative the module docstring of
-    ``repro/bdd/vector.py`` describes, not what a production swap pays
-    (production swaps take the scalar plan on both backends).
-    """
-    names = [f"a{i}" for i in range(width)] + [f"b{i}" for i in range(width)]
-    boundary = width - 1
-    times = {"dict": [], "vector": []}
-    stats = {}
-    with _force_vector_paths():
-        for _ in range(swaps):
-            for backend in ("dict", "vector"):
-                gc.collect()
-                m = create_manager(names, backend=backend)
-                _comparator(m, width)
-                started = time.perf_counter()
-                _swap_levels(m, boundary)
-                times[backend].append(time.perf_counter() - started)
-                if backend == "vector":
-                    stats = dict(getattr(m, "_vector_stats", {}))
-    dict_best = min(times["dict"])
-    vector_best = min(times["vector"])
-    return {
-        "numpy": numpy_available(),
-        "dict_ms": round(dict_best * 1000, 3),
-        "vector_ms": round(vector_best * 1000, 3),
-        "speedup": round(dict_best / max(vector_best, 1e-9), 3),
-        "vector_stats": stats,
-    }
-
-
 def _geomean(values: Iterable[float]) -> float:
     values = list(values)
     return math.exp(sum(math.log(v) for v in values) / len(values))
@@ -791,9 +669,9 @@ def _write_json(payload: Dict[str, object]) -> None:
     JSON_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _payload(tier: str, regimes, swap, arena, backends=None) -> Dict[str, object]:
+def _payload(tier: str, regimes, swap, arena) -> Dict[str, object]:
     speedups = [entry["speedup"] for entry in regimes.values()]
-    payload = {
+    return {
         "tier": tier,
         "op_throughput": regimes,
         "aggregate_speedup_geomean": round(_geomean(speedups), 3),
@@ -801,9 +679,6 @@ def _payload(tier: str, regimes, swap, arena, backends=None) -> Dict[str, object
         "swap_latency": swap,
         "arena": arena,
     }
-    if backends is not None:
-        payload["backends"] = backends
-    return payload
 
 
 # ======================================================================
@@ -817,24 +692,15 @@ def test_kernel_bench_smoke(benchmark):
         regimes = _run_regimes(SMOKE_ITERATIONS, repeats=SMOKE_REPEATS)
         swap = _swap_latency(width=10, swaps=2)
         arena = _arena_sessions(sessions=4, width=10)
-        backends = {
-            "restore": _backend_restore(width=10, repeats=2),
-            "swap": _backend_swap(width=10, swaps=2),
-        }
-        return regimes, swap, arena, backends
+        return regimes, swap, arena
 
-    regimes, swap, arena, backends = benchmark.pedantic(run, rounds=1, iterations=1)
-    payload = _payload("smoke", regimes, swap, arena, backends)
+    regimes, swap, arena = benchmark.pedantic(run, rounds=1, iterations=1)
+    payload = _payload("smoke", regimes, swap, arena)
     _write_json(payload)
     # Smoke bars are correctness-of-harness, not performance claims.
     assert swap["kernel_ms"] > 0 and swap["legacy_ms"] > 0
     assert arena["capacity_last"] <= arena["capacity_max"]
     assert arena["reclaimed_total"] > 0
-    if backends["restore"]["numpy"]:
-        # The vector leg actually vectorized (no silent fallback) and
-        # rehydration stays well under recomputation cost.
-        assert backends["restore"]["vector_stats"]["bulk_restores"] >= 1
-        assert backends["restore"]["restore_ratio"] <= 0.6
     record_paper_comparison(
         benchmark,
         experiment="array kernel vs object-graph kernel (smoke)",
@@ -853,14 +719,10 @@ def test_kernel_op_throughput_and_swap(benchmark):
         regimes = _run_regimes(FULL_ITERATIONS, repeats=FULL_REPEATS)
         swap = _swap_latency(width=14, swaps=3)
         arena = _arena_sessions(sessions=8, width=12)
-        backends = {
-            "restore": _backend_restore(width=14, repeats=3),
-            "swap": _backend_swap(width=12, swaps=3),
-        }
-        return regimes, swap, arena, backends
+        return regimes, swap, arena
 
-    regimes, swap, arena, backends = benchmark.pedantic(run, rounds=1, iterations=1)
-    payload = _payload("full", regimes, swap, arena, backends)
+    regimes, swap, arena = benchmark.pedantic(run, rounds=1, iterations=1)
+    payload = _payload("full", regimes, swap, arena)
     _write_json(payload)
 
     # The arena stays flat across sessions (free-list reuse works)...
@@ -879,19 +741,6 @@ def test_kernel_op_throughput_and_swap(benchmark):
     assert regimes["cold_apply"]["speedup"] >= 0.72, regimes["cold_apply"]
     assert swap["speedup"] >= 1.5, swap
     assert payload["aggregate_speedup_geomean"] >= 1.15, payload
-    if backends["restore"]["numpy"]:
-        # Snapshot rehydration on the vector backend: genuinely bulk
-        # (no silent fallback); floors are set under the measured
-        # numbers (warm 1.17x, cold 0.97x at 49k nodes — cold parity is
-        # the recorded honest ceiling: every new node still pays the
-        # C-dict insert; see repro/bdd/vector.py and ROADMAP).
-        assert backends["restore"]["vector_stats"]["bulk_restores"] >= 1
-        assert backends["restore"]["warm_speedup"] >= 0.9, backends["restore"]
-        assert backends["restore"]["cold_speedup"] >= 0.75, backends["restore"]
-        # The forced-on vector swap planner records its honest negative
-        # (0.25-0.32x planning; whole-swap ~0.75x) — a *collapse* of the
-        # recorded shape still fails.
-        assert backends["swap"]["speedup"] >= 0.4, backends["swap"]
     record_paper_comparison(
         benchmark,
         experiment="array kernel vs object-graph kernel (full)",
@@ -910,10 +759,6 @@ if __name__ == "__main__":
     regimes = _run_regimes(FULL_ITERATIONS, repeats=FULL_REPEATS)
     swap = _swap_latency(width=14, swaps=3)
     arena = _arena_sessions(sessions=8, width=12)
-    backends = {
-        "restore": _backend_restore(width=14, repeats=3),
-        "swap": _backend_swap(width=12, swaps=3),
-    }
-    payload = _payload("full", regimes, swap, arena, backends)
+    payload = _payload("full", regimes, swap, arena)
     _write_json(payload)
     print(json.dumps(payload, indent=2, sort_keys=True))

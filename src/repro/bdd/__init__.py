@@ -6,28 +6,15 @@ cofactoring, the smoothing operator, relational products, composition
 and counting queries, plus static variable-ordering helpers and dynamic
 reordering (sifting) in :mod:`repro.bdd.reorder`.
 
-Representation: an array-backed integer-handle kernel
-(:mod:`repro.bdd.kernel` — struct-of-arrays node storage, one iterative
-ITE core, mark-and-sweep arena GC) beneath the
+Representation: one array-backed integer-handle kernel
+(:mod:`repro.bdd.kernel` — struct-of-arrays node storage, per-level
+unique subtables mapping ``(lo, hi)`` to a handle, one iterative ITE
+core, mark-and-sweep arena GC) beneath the
 :class:`~repro.bdd.manager.BDDManager` facade; consumers see immutable
 :class:`~repro.bdd.node.BDD` wrappers (``BDDNode`` is the same class).
-
-Two interchangeable kernel backends implement that facade:
-
-* ``dict`` — the pure-Python baseline (per-level dict subtables);
-* ``vector`` — :class:`~repro.bdd.vector.VectorBDDManager`, which keeps
-  the dict table authoritative but routes large snapshot restores and
-  level-swap planning through numpy batch kernels.  Handle-identical to
-  ``dict`` by construction; falls back to the scalar paths for small
-  batches or when numpy is absent.
-
-Construct managers through :func:`create_manager` so the backend can be
-chosen per call site, per policy, or fleet-wide via the
-``REPRO_KERNEL_BACKEND`` environment variable.
+There is no backend choice: every caller constructs ``BDDManager(...)``
+directly.
 """
-
-import os
-from typing import Optional
 
 from .kernel import BDDKernel
 from .manager import BDDManager, BDDOrderError
@@ -61,73 +48,14 @@ from .reorder import (
     swap_adjacent,
 )
 
-#: Kernel backend names accepted by :func:`create_manager`.
-KERNEL_DICT = "dict"
-KERNEL_VECTOR = "vector"
-KERNEL_BACKENDS = (KERNEL_DICT, KERNEL_VECTOR)
-
-#: Environment toggle: set to ``vector`` to flip every default-backend
-#: ``create_manager`` call fleet-wide (used by the CI vector leg).
-KERNEL_BACKEND_ENV = "REPRO_KERNEL_BACKEND"
-
-
-def default_kernel_backend() -> str:
-    """The backend used when no explicit choice is made.
-
-    Reads :data:`KERNEL_BACKEND_ENV` on every call (not at import time)
-    so tests and CI legs can flip it with ``monkeypatch.setenv``.
-    Unknown values raise rather than silently running the baseline.
-    """
-    value = os.environ.get(KERNEL_BACKEND_ENV, "").strip().lower()
-    if not value:
-        return KERNEL_DICT
-    if value not in KERNEL_BACKENDS:
-        raise ValueError(
-            f"{KERNEL_BACKEND_ENV}={value!r} is not a kernel backend; "
-            f"valid: {KERNEL_BACKENDS}"
-        )
-    return value
-
-
-def create_manager(
-    variables=None,
-    cache_limit: Optional[int] = None,
-    backend: Optional[str] = None,
-) -> BDDManager:
-    """Construct a :class:`BDDManager` with the requested kernel backend.
-
-    ``backend=None`` defers to :func:`default_kernel_backend`.  The
-    ``vector`` backend degrades gracefully: without numpy the returned
-    manager still works (every batch path falls back to the scalar
-    loops it inherits), so selecting it is always safe.
-    """
-    if backend is None:
-        backend = default_kernel_backend()
-    if backend == KERNEL_DICT:
-        return BDDManager(variables=variables, cache_limit=cache_limit)
-    if backend == KERNEL_VECTOR:
-        from .vector import VectorBDDManager
-
-        return VectorBDDManager(variables=variables, cache_limit=cache_limit)
-    raise ValueError(
-        f"unknown kernel backend {backend!r}; valid: {KERNEL_BACKENDS}"
-    )
-
-
 __all__ = [
     "BDD",
     "BDDKernel",
     "BDDManager",
     "BDDNode",
     "BDDOrderError",
-    "KERNEL_BACKENDS",
-    "KERNEL_BACKEND_ENV",
-    "KERNEL_DICT",
-    "KERNEL_VECTOR",
     "SiftResult",
     "TERMINAL_LEVEL",
-    "create_manager",
-    "default_kernel_backend",
     "bit_names",
     "converge_sift",
     "sift_to_order",

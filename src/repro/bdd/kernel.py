@@ -157,9 +157,7 @@ class BDDKernel:
         self._table: Dict[int, Dict[Tuple[int, int], int]] = {}
         #: Reclaimed handles awaiting reuse (LIFO).
         self._free: List[int] = []
-        #: Per-level index: level -> bucket of live handles at that level.
-        #: The bucket type is supplied by the subclass via _new_bucket
-        #: (the manager's buckets double as mapping views for tests).
+        #: Per-level index: level -> set of live handles at that level.
         self._level_index: Dict[int, set] = {}
         # Operation caches (int-tuple keys only).
         self._ite_cache: Dict[Tuple[int, int, int], int] = {}
@@ -224,10 +222,6 @@ class BDDKernel:
     # ------------------------------------------------------------------
     # Subclass hooks
     # ------------------------------------------------------------------
-    def _new_bucket(self, handles: Iterable[int] = ()) -> set:
-        """A fresh per-level index bucket (a set of handles)."""
-        return set(handles)
-
     def _external_roots(self) -> List[int]:
         """Handles external code can still name (GC roots).
 
@@ -262,7 +256,7 @@ class BDDKernel:
             sub[key] = h
             bucket = self._level_index.get(lvl)
             if bucket is None:
-                bucket = self._level_index[lvl] = self._new_bucket()
+                bucket = self._level_index[lvl] = set()
             bucket.add(h)
         return h
 
@@ -384,7 +378,7 @@ class BDDKernel:
                     sub[k2] = r
                     bucket = self._level_index.get(top)
                     if bucket is None:
-                        bucket = self._level_index[top] = self._new_bucket()
+                        bucket = self._level_index[top] = set()
                     bucket.add(r)
             else:
                 # Single-probe cons: with the free-list empty the next
@@ -398,7 +392,7 @@ class BDDKernel:
                     high.append(r1)
                     bucket = self._level_index.get(top)
                     if bucket is None:
-                        bucket = self._level_index[top] = self._new_bucket()
+                        bucket = self._level_index[top] = set()
                     bucket.add(r)
         cache[key] = r
         if key[1] == 0 and key[2] == 1:
@@ -568,7 +562,7 @@ class BDDKernel:
                         sub[k2] = r
                         bucket = lidx.get(top)
                         if bucket is None:
-                            bucket = lidx[top] = self._new_bucket()
+                            bucket = lidx[top] = set()
                         bucket.add(r)
                 else:
                     # Single-probe cons (see _ite3's reduce tail).
@@ -580,7 +574,7 @@ class BDDKernel:
                         high.append(hi)
                         bucket = lidx.get(top)
                         if bucket is None:
-                            bucket = lidx[top] = self._new_bucket()
+                            bucket = lidx[top] = set()
                         bucket.add(r)
             cache[key] = r
             if key[1] == 0 and key[2] == 1:
@@ -683,7 +677,7 @@ class BDDKernel:
                     sub[k2] = r
                     bucket = self._level_index.get(top)
                     if bucket is None:
-                        bucket = self._level_index[top] = self._new_bucket()
+                        bucket = self._level_index[top] = set()
                     bucket.add(r)
             else:
                 # Single-probe cons: with the free-list empty the next
@@ -697,7 +691,7 @@ class BDDKernel:
                     high.append(r1)
                     bucket = self._level_index.get(top)
                     if bucket is None:
-                        bucket = self._level_index[top] = self._new_bucket()
+                        bucket = self._level_index[top] = set()
                     bucket.add(r)
         cache[key] = r
         if self._cache_limit is not None and len(cache) > self._cache_limit:
@@ -779,7 +773,7 @@ class BDDKernel:
                     sub[k2] = r
                     bucket = self._level_index.get(top)
                     if bucket is None:
-                        bucket = self._level_index[top] = self._new_bucket()
+                        bucket = self._level_index[top] = set()
                     bucket.add(r)
             else:
                 # Single-probe cons: with the free-list empty the next
@@ -793,7 +787,7 @@ class BDDKernel:
                     high.append(r1)
                     bucket = self._level_index.get(top)
                     if bucket is None:
-                        bucket = self._level_index[top] = self._new_bucket()
+                        bucket = self._level_index[top] = set()
                     bucket.add(r)
         cache[key] = r
         if self._cache_limit is not None and len(cache) > self._cache_limit:
@@ -894,7 +888,7 @@ class BDDKernel:
                     sub[k2] = r
                     bucket = self._level_index.get(top)
                     if bucket is None:
-                        bucket = self._level_index[top] = self._new_bucket()
+                        bucket = self._level_index[top] = set()
                     bucket.add(r)
             else:
                 # Single-probe cons: with the free-list empty the next
@@ -908,7 +902,7 @@ class BDDKernel:
                     high.append(r1)
                     bucket = self._level_index.get(top)
                     if bucket is None:
-                        bucket = self._level_index[top] = self._new_bucket()
+                        bucket = self._level_index[top] = set()
                     bucket.add(r)
         cache[key] = r
         if self._cache_limit is not None and len(cache) > self._cache_limit:
@@ -1049,7 +1043,7 @@ class BDDKernel:
                         sub[k2] = r
                         bucket = lidx.get(top)
                         if bucket is None:
-                            bucket = lidx[top] = self._new_bucket()
+                            bucket = lidx[top] = set()
                         bucket.add(r)
                 else:
                     # Single-probe cons (see _ite3's reduce tail).
@@ -1061,7 +1055,7 @@ class BDDKernel:
                         high.append(hi)
                         bucket = lidx.get(top)
                         if bucket is None:
-                            bucket = lidx[top] = self._new_bucket()
+                            bucket = lidx[top] = set()
                         bucket.add(r)
             cache[key] = r
             if bounded and len(cache) > limit:
@@ -1609,10 +1603,8 @@ class BDDKernel:
     ) -> List[int]:
         """Validate and hash-cons the snapshot's node records, in order.
 
-        The restore hot loop, factored out so alternative backends can
-        replace it wholesale (the vectorized backend rebuilds the node
-        column with numpy bulk operations); ``mapped_levels`` has
-        already been translated through the level map.  Returns the
+        The restore hot loop; ``mapped_levels`` has already been
+        translated through the level map.  Returns the
         handle of every snapshot id — ``[0, 1]`` for the terminals
         followed by one consed handle per node record — enforcing the
         structural invariants (backward child references, no redundant
@@ -1661,7 +1653,7 @@ class BDDKernel:
                     sub[key] = h
                     bucket = lidx.get(lvl)
                     if bucket is None:
-                        bucket = lidx[lvl] = self._new_bucket()
+                        bucket = lidx[lvl] = set()
                     bucket.add(h)
                 append(h)
         except (TypeError, KeyError) as exc:
@@ -1714,14 +1706,13 @@ class BDDKernel:
             or high[:n] != self._high
         ):
             raise ValueError("arena image does not extend this arena")
-        new_bucket = self._new_bucket
         self._level = level.copy()
         self._low = low.copy()
         self._high = high.copy()
         self._free = image["free"].copy()
         self._table = {lvl: sub.copy() for lvl, sub in image["table"].items()}
         self._level_index = {
-            lvl: new_bucket(bucket) for lvl, bucket in image["index"].items()
+            lvl: set(bucket) for lvl, bucket in image["index"].items()
         }
 
     # ------------------------------------------------------------------
@@ -1737,11 +1728,8 @@ class BDDKernel:
         child just move down one level, while each rebuild record
         ``(n, f00, f01, f10, f11)`` carries the four grandchildren of
         the Shannon expansion the swap re-wires the node with.  Read-only
-        over the *pre-swap* structure, which is what lets the vectorized
-        backend replace the per-node loop with bulk gathers
-        (:meth:`repro.bdd.vector.VectorBDDManager._plan_swap`); the
-        mutation half of the swap lives in
-        :func:`repro.bdd.reorder._swap_levels`.
+        over the *pre-swap* structure; the mutation half of the swap
+        lives in :func:`repro.bdd.reorder._swap_levels`.
         """
         lv = self._level
         lo_a = self._low

@@ -53,93 +53,6 @@ class BDDOrderError(ValueError):
     """Raised when a variable is used before being declared."""
 
 
-class _LevelBucket(set):
-    """One level's live handles, doubling as a node_id -> node mapping.
-
-    The kernel treats a bucket as a plain set of handles (C-speed
-    ``add``/``discard`` on the hot allocation path); the mapping facade
-    — ``keys`` / ``items`` / ``__getitem__`` returning interned
-    wrappers — serves the diagnostic views (``nodes_at_level``, the
-    level-index invariant tests), where ``node_id == handle`` makes the
-    set elements the keys.
-    """
-
-    __slots__ = ("_manager",)
-
-    def __init__(self, manager: "BDDManager", handles: Iterable[int] = ()) -> None:
-        set.__init__(self, handles)
-        self._manager = manager
-
-    def keys(self) -> set:
-        return set(self)
-
-    def __getitem__(self, handle: int) -> BDD:
-        if handle in self:
-            return self._manager._wrap(handle)
-        raise KeyError(handle)
-
-    def get(self, handle: int, default=None):
-        if handle in self:
-            return self._manager._wrap(handle)
-        return default
-
-    def items(self) -> List[Tuple[int, BDD]]:
-        wrap = self._manager._wrap
-        return [(handle, wrap(handle)) for handle in self]
-
-    def values(self) -> List[BDD]:
-        wrap = self._manager._wrap
-        return [wrap(handle) for handle in self]
-
-
-class _UniqueTableView:
-    """Read-only object view of the kernel's int-keyed unique table.
-
-    The kernel splits the table into per-level subtables (``level ->
-    {(low, high) -> handle}``); this view re-exposes it flat, keyed by
-    the classic ``(level, low, high)`` handle triples (exactly the old
-    object-graph keys, since ``node_id == handle``), with values
-    materialised as interned wrappers.  Diagnostics and tests read
-    this; the kernel itself works on the underlying dicts.
-    """
-
-    __slots__ = ("_manager",)
-
-    def __init__(self, manager: "BDDManager") -> None:
-        self._manager = manager
-
-    def __len__(self) -> int:
-        return self._manager._live
-
-    def __iter__(self):
-        for level, sub in self._manager._table.items():
-            for low, high in sub:
-                yield (level, low, high)
-
-    def __contains__(self, key) -> bool:
-        sub = self._manager._table.get(key[0])
-        return sub is not None and (key[1], key[2]) in sub
-
-    def keys(self) -> List[Tuple[int, int, int]]:
-        return list(self)
-
-    def values(self) -> List[BDD]:
-        wrap = self._manager._wrap
-        return [
-            wrap(handle)
-            for sub in self._manager._table.values()
-            for handle in sub.values()
-        ]
-
-    def items(self) -> List[Tuple[Tuple[int, int, int], BDD]]:
-        wrap = self._manager._wrap
-        return [
-            ((level, low, high), wrap(handle))
-            for level, sub in self._manager._table.items()
-            for (low, high), handle in sub.items()
-        ]
-
-
 class BDDManager(BDDKernel):
     """Owner of a variable order, unique table and operation caches.
 
@@ -194,7 +107,6 @@ class BDDManager(BDDKernel):
         one._h = 1
         self.zero = zero
         self.one = one
-        self._unique_view: Optional[_UniqueTableView] = None
         #: Session-scoped artifact cache for layers above the kernel
         #: (e.g. the relational backend's extracted beta relations).
         #: Entries hold wrappers, so they double as GC roots; the cache
@@ -214,18 +126,6 @@ class BDDManager(BDDKernel):
     # ------------------------------------------------------------------
     # Kernel hooks & wrapper interning
     # ------------------------------------------------------------------
-    def _new_bucket(self, handles: Iterable[int] = ()) -> _LevelBucket:
-        if handles:
-            return _LevelBucket(self, handles)
-        # Empty-bucket fast path: the allocation tails create a bucket
-        # the first time a level is populated, and ``set.__new__``
-        # already yields an initialised empty set — skipping the
-        # __init__ dispatch keeps first-node-per-level cheap on cold
-        # managers.
-        bucket = set.__new__(_LevelBucket)
-        bucket._manager = self
-        return bucket
-
     def _external_roots(self) -> List[int]:
         # Materialising items() pins the mapping for the duration of the
         # walk; dead refs are simply skipped (purged by collect()).
@@ -257,14 +157,6 @@ class BDDManager(BDDKernel):
         self._recent_index = index
         ring[index] = wrapper
         return wrapper
-
-    @property
-    def _unique(self) -> _UniqueTableView:
-        """Object view of the unique table (diagnostics and tests)."""
-        view = self._unique_view
-        if view is None:
-            view = self._unique_view = _UniqueTableView(self)
-        return view
 
     def collect(self, roots: Optional[Iterable[object]] = None) -> int:
         """Mark-and-sweep the arena; ``roots`` may be wrappers or handles."""

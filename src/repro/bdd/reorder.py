@@ -107,10 +107,7 @@ def _swap_levels(manager: BDDManager, level: int) -> bool:
     y_nodes: List[int] = list(y_bucket) if y_bucket else []
 
     # Plan the rebuilds against the *old* structure before any
-    # relabelling.  The planning pass is a manager hook so backends can
-    # replace the per-node loop (the vectorized backend classifies both
-    # levels with numpy bulk gathers); the mutation below is identical
-    # for every backend.
+    # relabelling.
     independent, rebuilds = manager._plan_swap(y_level, x_nodes)
 
     # Per-level subtables make the bulk moves free: a node that only
@@ -120,9 +117,9 @@ def _swap_levels(manager: BDDManager, level: int) -> bool:
     x_sub = table.get(level) or {}
     y_sub = table.get(y_level) or {}
     if x_bucket is None:
-        x_bucket = manager._new_bucket()
+        x_bucket = set()
     if y_bucket is None:
-        y_bucket = manager._new_bucket()
+        y_bucket = set()
     for n, _f00, _f01, _f10, _f11 in rebuilds:
         del x_sub[(lo_a[n], hi_a[n])]
         x_bucket.discard(n)

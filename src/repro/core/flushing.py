@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..bdd import BDDManager, create_manager, find_distinguishing_assignment
+from ..bdd import BDDManager, find_distinguishing_assignment
 from ..logic import BitVec
 from ..strings import NORMAL
 from .architectures import Architecture
@@ -101,7 +101,7 @@ def verify_by_flushing(
     instruction *before* being flushed.  The architectural observations
     of the two paths must be identical ROBDDs.
     """
-    manager = manager if manager is not None else create_manager()
+    manager = manager if manager is not None else BDDManager()
     observation = observation if observation is not None else architecture.observation_spec()
     started = time.perf_counter()
 

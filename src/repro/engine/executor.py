@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..bdd import BDDManager, create_manager, find_distinguishing_assignment
+from ..bdd import BDDManager, find_distinguishing_assignment
 from ..isa import vsm as vsm_isa
 from ..logic import BitVec
 from ..strings import (
@@ -44,7 +44,6 @@ from ..relational.policy import (
     BETA_RELATIONAL,
     RelationalPolicy,
     effective_beta_backend,
-    effective_kernel_backend,
 )
 from .. import telemetry
 from . import codehash
@@ -316,11 +315,7 @@ def run_beta(
     """
     from ..relational.beta import supports_state_injection
 
-    manager = (
-        manager
-        if manager is not None
-        else create_manager(backend=effective_kernel_backend(relational))
-    )
+    manager = manager if manager is not None else BDDManager()
     observation = observation if observation is not None else architecture.observation_spec()
     models = None
     if effective_beta_backend(relational) == BETA_RELATIONAL:
@@ -584,7 +579,7 @@ def _run_beta_relational(
             report = _run_beta_compose(
                 architecture,
                 siminfo,
-                create_manager(backend=effective_kernel_backend(relational)),
+                BDDManager(),
                 impl_kwargs,
                 observation,
                 relational,
@@ -754,11 +749,7 @@ def run_events(
         SymbolicUnpipelinedVSMWithEvents,
     )
 
-    manager = (
-        manager
-        if manager is not None
-        else create_manager(backend=effective_kernel_backend(relational))
-    )
+    manager = manager if manager is not None else BDDManager()
     observation = observation if observation is not None else vsm_observables()
     impl_kwargs = impl_kwargs or {}
     event_set = set(event_slots)
@@ -1128,9 +1119,7 @@ def execute_scenario(
     (see :func:`run_beta`); the other drivers ignore them.
     """
     if scenario.needs_manager() and manager is None:
-        manager = create_manager(
-            backend=effective_kernel_backend(scenario.relational)
-        )
+        manager = BDDManager()
     cache_before = manager.cache_statistics() if manager is not None else None
 
     started = time.perf_counter()

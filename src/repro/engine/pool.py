@@ -39,34 +39,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..bdd import BDDManager, create_manager
+from ..bdd import BDDManager
 from ..relational.beta import RelationTemplates
-
-
-def _signature_backend(signature: Optional[Tuple]) -> Optional[str]:
-    """The kernel backend a pool signature requests.
-
-    :meth:`Scenario.order_signature` appends a ``("kernel", <backend>)``
-    element exactly when the scenario's policy pins a backend
-    explicitly; an untagged signature (like no signature at all) yields
-    ``None``, deferring to the process default — the
-    ``REPRO_KERNEL_BACKEND`` toggle — at construction time.  Keeping
-    the env default out of the signature keeps content addresses
-    (store fingerprints, committed witness keys) stable across
-    toggles, which is sound because backends produce byte-identical
-    results by construction.  Scanned rather than positional because
-    the signature layout varies by scenario kind.
-    """
-    if signature is None:
-        return None
-    for element in signature:
-        if (
-            isinstance(element, tuple)
-            and len(element) == 2
-            and element[0] == "kernel"
-        ):
-            return element[1]
-    return None
 
 
 class ManagerPool:
@@ -106,10 +80,7 @@ class ManagerPool:
         self._acquisitions += 1
         manager = self._managers.get(signature)
         if manager is None:
-            manager = create_manager(
-                cache_limit=self.cache_limit,
-                backend=_signature_backend(signature),
-            )
+            manager = BDDManager(cache_limit=self.cache_limit)
             self._managers[signature] = manager
             manager.add_reorder_hook(self._make_reorder_hook(signature))
         else:
@@ -120,7 +91,7 @@ class ManagerPool:
         """Attach (or with ``None`` detach) a persistent snapshot store."""
         self.snapshot_store = store
 
-    def private_manager(self, signature: Optional[Tuple] = None) -> BDDManager:
+    def private_manager(self) -> BDDManager:
         """A fresh manager outside the pool, under the pool's cache limit.
 
         Scenarios that must not share table state — thresholded
@@ -128,13 +99,9 @@ class ManagerPool:
         size against a policy threshold and would otherwise depend on
         campaign history — run here; keeping the constructor on the
         pool keeps every manager the engine hands out configured in one
-        place.  ``signature`` (the scenario's order signature, when the
-        caller has one) carries the kernel-backend request.
+        place.
         """
-        return create_manager(
-            cache_limit=self.cache_limit,
-            backend=_signature_backend(signature),
-        )
+        return BDDManager(cache_limit=self.cache_limit)
 
     def _make_reorder_hook(self, signature: Tuple):
         def evict(manager: BDDManager) -> None:
@@ -153,11 +120,6 @@ class ManagerPool:
         arena = manager.arena_statistics()
         for key in self._retired_arena:
             self._retired_arena[key] += arena.get(key, 0)
-        # Backend-specific monotonic counters (the vector backend's
-        # ``vector_*`` batch-path totals) survive retirement too.
-        for key, value in arena.items():
-            if key.startswith("vector_") and isinstance(value, (int, float)):
-                self._retired_arena[key] = self._retired_arena.get(key, 0) + value
 
     def clear_caches(self) -> None:
         """Drop the operation caches of every pooled manager."""
@@ -228,11 +190,6 @@ class ManagerPool:
             arena["allocated_total"] += stats["allocated_total"]
             arena["gc_runs"] += stats["gc_runs"]
             arena["gc_reclaimed"] += stats["gc_reclaimed"]
-            # Vector-backend batch counters, when any pooled manager
-            # exposes them (telemetry mirrors them as pool.arena.* gauges).
-            for key, value in stats.items():
-                if key.startswith("vector_") and isinstance(value, (int, float)):
-                    arena[key] = arena.get(key, 0) + value
         cache = {
             "hits": self._retired_cache["hits"],
             "misses": self._retired_cache["misses"],

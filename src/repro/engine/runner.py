@@ -257,7 +257,7 @@ def _execute_pooled(
             # scenarios may share pooled managers; the pool retires each
             # manager at its first swap (reorder_evictions), which is what
             # keeps the next acquisition bit-identical to a fresh run.
-            manager = pool.private_manager(scenario.order_signature())
+            manager = pool.private_manager()
         else:
             manager = pool.acquire(scenario.order_signature())
         try:

@@ -304,28 +304,8 @@ class Scenario:
         of the first, and its results — including counterexample
         assignments — are bit-identical to a fresh-manager run.
         """
-        # The kernel backend never changes declared variables or verdict
-        # bytes (handle-identical by construction), but pooled managers
-        # are long-lived objects of one concrete class — the pool must
-        # never hand a dict-backend manager to a scenario whose policy
-        # demands vector batch paths, so an *explicit policy* backend
-        # joins the key.  The ``REPRO_KERNEL_BACKEND`` process default
-        # deliberately does not: it is an execution detail with
-        # guaranteed-identical bytes (the backend-differential suite
-        # asserts it), and folding it in would make every content
-        # address — store fingerprints, the committed fuzz-corpus
-        # witness keys — drift under an env toggle.  Untagged
-        # signatures resolve the backend at manager construction time
-        # (see ``engine.pool._signature_backend``), so the toggle still
-        # runs everything on the requested backend.
-        kernel = (
-            self.relational.kernel_backend
-            if self.relational is not None
-            else None
-        )
-        kernel_tag = (("kernel", kernel),) if kernel is not None else ()
         if self.kind == SUPERSCALAR:
-            return ("concrete",) + kernel_tag
+            return ("concrete",)
         base = (
             self.design,
             self.kind,
@@ -333,7 +313,7 @@ class Scenario:
             self.reset_cycles,
             self.event_slots,
             self.symbolic_initial_state,
-        ) + kernel_tag
+        )
         if self.kind == BETA:
             # The two beta backends declare different variable families
             # in different orders (the relational backend pre-declares a

@@ -68,11 +68,6 @@ class RelationalPolicy:
     beta_backend: str = BETA_RELATIONAL
     #: Per-bit product strategy of the relational beta backend.
     beta_product: str = BETA_PRODUCT_COFACTOR
-    #: Kernel backend of the BDD managers this job runs on: ``dict``
-    #: (pure-Python baseline), ``vector`` (numpy batch paths), or
-    #: ``None`` to defer to :func:`repro.bdd.default_kernel_backend`
-    #: (which honours the ``REPRO_KERNEL_BACKEND`` env toggle).
-    kernel_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.max_cluster_size < 1:
@@ -94,14 +89,6 @@ class RelationalPolicy:
                 f"unknown beta product strategy {self.beta_product!r}; "
                 f"valid: {BETA_PRODUCTS}"
             )
-        if self.kernel_backend is not None:
-            from ..bdd import KERNEL_BACKENDS
-
-            if self.kernel_backend not in KERNEL_BACKENDS:
-                raise ValueError(
-                    f"unknown kernel backend {self.kernel_backend!r}; "
-                    f"valid: {KERNEL_BACKENDS}"
-                )
 
     @property
     def reorders(self) -> bool:
@@ -128,7 +115,6 @@ class RelationalPolicy:
             "reorder_threshold": self.reorder_threshold,
             "beta_backend": self.beta_backend,
             "beta_product": self.beta_product,
-            "kernel_backend": self.kernel_backend,
         }
 
     @classmethod
@@ -141,7 +127,6 @@ class RelationalPolicy:
             reorder_threshold=payload.get("reorder_threshold", 10000),
             beta_backend=payload.get("beta_backend", BETA_RELATIONAL),
             beta_product=payload.get("beta_product", BETA_PRODUCT_COFACTOR),
-            kernel_backend=payload.get("kernel_backend"),
         )
 
 
@@ -162,16 +147,3 @@ def effective_beta_backend(policy: Optional["RelationalPolicy"]) -> str:
     """
     return policy.beta_backend if policy is not None else BETA_RELATIONAL
 
-
-def effective_kernel_backend(policy: Optional["RelationalPolicy"]) -> str:
-    """The kernel backend a (possibly absent) policy selects.
-
-    An explicit ``kernel_backend`` on the policy wins; otherwise — and
-    for policy-free scenarios — the process default applies, so the
-    ``REPRO_KERNEL_BACKEND`` env toggle flips whole campaigns at once.
-    """
-    from ..bdd import default_kernel_backend
-
-    if policy is not None and policy.kernel_backend is not None:
-        return policy.kernel_backend
-    return default_kernel_backend()

@@ -26,30 +26,9 @@ import random
 
 import pytest
 
-from repro.bdd import BDDManager, converge_sift, create_manager, sift_variable, swap_adjacent
-from repro.bdd.vector import numpy_available
+from repro.bdd import BDDManager, converge_sift, sift_variable, swap_adjacent
 
 SEED = 20260730
-
-#: Run every test in this module on both kernel backends.  The vector
-#: leg is skipped when numpy is absent (its batch paths then fall back
-#: to the scalar loops anyway, which the dict leg already covers).
-KERNEL_BACKENDS_UNDER_TEST = [
-    "dict",
-    pytest.param(
-        "vector",
-        marks=pytest.mark.skipif(
-            not numpy_available(), reason="numpy not installed"
-        ),
-    ),
-]
-
-
-@pytest.fixture(autouse=True, params=KERNEL_BACKENDS_UNDER_TEST, ids=str)
-def kernel_backend(request, monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", request.param)
-    return request.param
-
 
 
 def random_function(manager, rng, names, depth=4):
@@ -96,7 +75,7 @@ class TestMarkAndSweep:
 
     def test_sweep_keeps_exactly_the_held_roots(self):
         rng = random.Random(SEED)
-        manager = create_manager([f"v{i}" for i in range(8)])
+        manager = BDDManager([f"v{i}" for i in range(8)])
         names = list(manager.variables)
         kept = [random_function(manager, rng, names, depth=5) for _ in range(4)]
         dropped = [random_function(manager, rng, names, depth=5) for _ in range(4)]
@@ -113,7 +92,7 @@ class TestMarkAndSweep:
 
     def test_sweep_respects_explicit_roots(self):
         rng = random.Random(SEED + 1)
-        manager = create_manager([f"v{i}" for i in range(6)])
+        manager = BDDManager([f"v{i}" for i in range(6)])
         names = list(manager.variables)
         root = random_function(manager, rng, names, depth=5)
         handle = root.node_id
@@ -125,8 +104,8 @@ class TestMarkAndSweep:
     def test_collect_is_semantics_transparent(self):
         """Interleaved GC never changes any constructed function."""
         rng = random.Random(SEED + 2)
-        plain = create_manager([f"v{i}" for i in range(7)])
-        swept = create_manager([f"v{i}" for i in range(7)])
+        plain = BDDManager([f"v{i}" for i in range(7)])
+        swept = BDDManager([f"v{i}" for i in range(7)])
         names = [f"v{i}" for i in range(7)]
         plain_roots, swept_roots = [], []
         for round_index in range(12):
@@ -147,7 +126,7 @@ class TestFreeListReuse:
 
     def test_reclaimed_handles_leave_every_structure(self):
         rng = random.Random(SEED + 3)
-        manager = create_manager([f"v{i}" for i in range(8)])
+        manager = BDDManager([f"v{i}" for i in range(8)])
         names = list(manager.variables)
         keep = random_function(manager, rng, names, depth=5)
         for _ in range(3):
@@ -171,7 +150,7 @@ class TestFreeListReuse:
 
     def test_reuse_rearms_the_slot_with_fresh_contents(self):
         rng = random.Random(SEED + 4)
-        manager = create_manager([f"v{i}" for i in range(8)])
+        manager = BDDManager([f"v{i}" for i in range(8)])
         names = list(manager.variables)
         garbage = random_function(manager, rng, names, depth=5)
         del garbage
@@ -200,7 +179,7 @@ class TestFreeListReuse:
 
     def test_canonicity_across_collect_cycles(self):
         """Rebuilding a collected function finds a fresh, correct node."""
-        manager = create_manager(["a", "b", "c"])
+        manager = BDDManager(["a", "b", "c"])
 
         def build():
             return manager.apply_or(
@@ -225,8 +204,9 @@ class TestIndexAfterGC:
 
     def assert_index_exact(self, manager):
         partition = {}
-        for (level, _lo, _hi), node in manager._unique.items():
-            partition.setdefault(level, set()).add(node.node_id)
+        for level, sub in manager._table.items():
+            if sub:
+                partition.setdefault(level, set()).update(sub.values())
         indexed = {
             level: set(bucket)
             for level, bucket in manager._level_index.items()
@@ -238,7 +218,7 @@ class TestIndexAfterGC:
 
     def test_random_op_gc_swap_sift_sequences(self):
         rng = random.Random(SEED + 5)
-        manager = create_manager([f"x{i}" for i in range(self.NUM_VARS)])
+        manager = BDDManager([f"x{i}" for i in range(self.NUM_VARS)])
         names = list(manager.variables)
         roots = [random_function(manager, rng, names, depth=5) for _ in range(3)]
         for _ in range(18):
@@ -325,7 +305,7 @@ class TestArenaSnapshots:
 
     def build(self, seed=SEED + 10):
         rng = random.Random(seed)
-        manager = create_manager([f"v{i}" for i in range(10)])
+        manager = BDDManager([f"v{i}" for i in range(10)])
         names = list(manager.variables)
         roots = [random_function(manager, rng, names, depth=5) for _ in range(4)]
         return manager, roots
@@ -352,7 +332,7 @@ class TestArenaSnapshots:
             json.dumps(manager.snapshot(roots, declares=manager.variables))
         )
         # Target declares two extra variables above, shifting every level.
-        target = create_manager(["extra0", "extra1"])
+        target = BDDManager(["extra0", "extra1"])
         restored = target.restore(payload)
         names = [f"v{i}" for i in range(10)]
         for original, copy in zip(roots, restored):
@@ -363,7 +343,7 @@ class TestArenaSnapshots:
         manager, _ = self.build()
         payload = manager.snapshot([manager.zero, manager.one])
         assert payload["roots"] == [0, 1]
-        target = create_manager()
+        target = BDDManager()
         zero, one = target.restore(payload)
         assert zero is target.zero and one is target.one
 
@@ -398,7 +378,7 @@ class TestArenaSnapshots:
         cases.append(unknown_var)
         for case in cases:
             with pytest.raises(SnapshotError):
-                create_manager().restore(case)
+                BDDManager().restore(case)
 
     def test_failed_restore_leaves_no_stray_declarations(self):
         """A declares/level_names mismatch is refused before mutation."""
@@ -407,7 +387,7 @@ class TestArenaSnapshots:
         manager, roots = self.build()
         payload = json.loads(json.dumps(manager.snapshot(roots)))
         payload["declares"] = ["bogus0", "bogus1"]  # covers none of the names
-        target = create_manager()
+        target = BDDManager()
         with pytest.raises(SnapshotError):
             target.restore(payload)
         assert target.variables == (), "failed restore declared stray variables"
@@ -417,7 +397,7 @@ class TestArenaSnapshots:
 
         manager, roots = self.build()
         payload = json.loads(json.dumps(manager.snapshot(roots)))
-        target = create_manager([f"v{i}" for i in reversed(range(10))])
+        target = BDDManager([f"v{i}" for i in reversed(range(10))])
         with pytest.raises(SnapshotError):
             target.restore(payload)
 
@@ -458,7 +438,7 @@ class TestArenaImages:
 
     def build(self, seed):
         rng = random.Random(seed)
-        manager = create_manager([f"v{i}" for i in range(9)])
+        manager = BDDManager([f"v{i}" for i in range(9)])
         names = list(manager.variables)
         roots = [random_function(manager, rng, names, depth=5) for _ in range(4)]
         # Some garbage, then a sweep: the free-list is part of the image.
@@ -472,7 +452,7 @@ class TestArenaImages:
     def test_adopted_image_equals_the_source(self, seed):
         source, roots = self.build(SEED + 40 + seed)
         assert source._free or seed, "the seeds should exercise a free-list"
-        clone = create_manager()
+        clone = BDDManager()
         adopted = clone.adopt_image(source.arena_image(), [r.node_id for r in roots])
         assert arena_of(clone) == arena_of(source)
         assert [f.node_id for f in adopted] == [f.node_id for f in roots]
@@ -495,24 +475,24 @@ class TestArenaImages:
         second = json.loads(json.dumps(source.snapshot(roots[2:])))
         # Template chain: first restore onto a fresh manager, image, then
         # the second restore on top, image again.
-        seeder = create_manager()
+        seeder = BDDManager()
         seeder.restore(first)
         image_one = seeder.arena_image()
         handles_two = [f.node_id for f in seeder.restore(second)]
         image_two = seeder.arena_image()
 
-        replayed = create_manager()
+        replayed = BDDManager()
         replayed.restore(first)
         expected_two = [f.node_id for f in replayed.restore(second)]
 
-        cloned = create_manager()
+        cloned = BDDManager()
         cloned.adopt_image(image_one)
         cloned.adopt_image(image_two)
         assert arena_of(cloned) == arena_of(replayed)
         assert handles_two == expected_two
 
         # Mixed path: a restore on top of an adopted image.
-        mixed = create_manager()
+        mixed = BDDManager()
         mixed.adopt_image(image_one)
         assert [f.node_id for f in mixed.restore(second)] == expected_two
         assert arena_of(mixed) == arena_of(replayed)
@@ -521,7 +501,7 @@ class TestArenaImages:
         source, roots = self.build(SEED + 60)
         image = source.arena_image()
         digest = image_digest(image)
-        clone = create_manager()
+        clone = BDDManager()
         adopted = clone.adopt_image(image, [r.node_id for r in roots])
         rng = random.Random(SEED + 61)
         names = list(clone.variables)
@@ -537,21 +517,21 @@ class TestArenaImages:
         sift_variable(source, "v3", roots=roots)
         assert image_digest(image) == digest
         # And the image still seeds a faithful clone.
-        again = create_manager()
+        again = BDDManager()
         again.adopt_image(image)
         assert image_digest(again.arena_image()) == digest
 
     def test_an_image_that_does_not_extend_the_arena_is_refused(self):
         source, roots = self.build(SEED + 70)
         image = source.arena_image()
-        other = create_manager(["w0", "w1"])
+        other = BDDManager(["w0", "w1"])
         other.apply_and(other.var("w0"), other.var("w1"))
         before = arena_of(other)
         with pytest.raises(ValueError):
             other.adopt_image(image)
         assert arena_of(other) == before
         # Same variable names, different nodes: refused by the arrays.
-        diverged = create_manager(list(source.variables))
+        diverged = BDDManager(list(source.variables))
         diverged.apply_xor(diverged.var("v7"), diverged.var("v8"))
         before = arena_of(diverged)
         if before["level"] != image["level"][: len(before["level"])]:

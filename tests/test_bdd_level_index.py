@@ -15,40 +15,26 @@ All randomness is seeded; the suite is deterministic.
 
 import random
 
-import pytest
-
-from repro.bdd import BDDManager, converge_sift, create_manager, sift_to_order, sift_variable, swap_adjacent
-from repro.bdd.vector import numpy_available
+from repro.bdd import BDDManager, converge_sift, sift_to_order, sift_variable, swap_adjacent
 from repro.bdd.reorder import _Sifter
 
 SEED = 20260730
 
-#: Run every test in this module on both kernel backends.  The vector
-#: leg is skipped when numpy is absent (its batch paths then fall back
-#: to the scalar loops anyway, which the dict leg already covers).
-KERNEL_BACKENDS_UNDER_TEST = [
-    "dict",
-    pytest.param(
-        "vector",
-        marks=pytest.mark.skipif(
-            not numpy_available(), reason="numpy not installed"
-        ),
-    ),
-]
-
-
-@pytest.fixture(autouse=True, params=KERNEL_BACKENDS_UNDER_TEST, ids=str)
-def kernel_backend(request, monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", request.param)
-    return request.param
-
-
 
 def recomputed_partition(manager):
-    """The ground truth: live nodes grouped by level via a full table scan."""
+    """The ground truth: live nodes grouped by level via a full table scan.
+
+    Reads the unique subtables (``level -> {(low, high): handle}``), not
+    the per-level index under test, and checks each subtable key against
+    the node's own arena record.
+    """
     partition = {}
-    for node in manager._unique.values():
-        partition.setdefault(node.level, {})[node.node_id] = node
+    for table_level, sub in manager._table.items():
+        for (low, high), handle in sub.items():
+            node = manager._wrap(handle)
+            assert node.level == table_level
+            assert (node.low.node_id, node.high.node_id) == (low, high)
+            partition.setdefault(node.level, {})[node.node_id] = node
     return partition
 
 
@@ -56,15 +42,18 @@ def assert_index_exact(manager):
     """The per-level index equals the recomputed partition, bit for bit."""
     truth = recomputed_partition(manager)
     indexed = {
-        level: dict(bucket)
+        level: set(bucket)
         for level, bucket in manager._level_index.items()
         if bucket
     }
     assert indexed.keys() == truth.keys()
     for level, bucket in truth.items():
-        assert indexed[level].keys() == bucket.keys(), f"level {level}"
+        assert indexed[level] == bucket.keys(), f"level {level}"
+        # The public view hands out the interned wrappers.
+        served = {node.node_id: node for node in manager.nodes_at_level(level)}
+        assert served.keys() == bucket.keys(), f"level {level}"
         for node_id, node in bucket.items():
-            assert indexed[level][node_id] is node
+            assert served[node_id] is node
     # And the public views agree with the private structure.
     population = manager.level_population()
     assert population == {level: len(bucket) for level, bucket in truth.items()}
@@ -95,7 +84,7 @@ class TestIndexTracksOperations:
 
     def test_apply_and_quantify_sequences(self):
         rng = random.Random(SEED)
-        manager = create_manager([f"v{i}" for i in range(8)])
+        manager = BDDManager([f"v{i}" for i in range(8)])
         names = list(manager.variables)
         functions = []
         for round_index in range(12):
@@ -112,7 +101,7 @@ class TestIndexTracksOperations:
             assert_index_exact(manager)
 
     def test_declare_adds_no_phantom_buckets(self):
-        manager = create_manager(["a", "b"])
+        manager = BDDManager(["a", "b"])
         manager.var("a")
         manager.declare("c")  # declared but never used in a node
         assert_index_exact(manager)
@@ -125,7 +114,7 @@ class TestIndexTracksReordering:
     NUM_VARS = 7
 
     def build(self, rng):
-        manager = create_manager([f"x{i}" for i in range(self.NUM_VARS)])
+        manager = BDDManager([f"x{i}" for i in range(self.NUM_VARS)])
         names = list(manager.variables)
         roots = [random_function(manager, rng, names, depth=5) for _ in range(3)]
         return manager, names, roots
@@ -193,7 +182,7 @@ class TestIndexTracksReordering:
         assert_index_exact(manager)
         if dropped:
             total_indexed = sum(manager.level_population().values())
-            assert total_indexed == len(manager._unique)
+            assert total_indexed == sum(len(sub) for sub in manager._table.values())
 
 
 class TestSwapCostIsLocal:
@@ -205,7 +194,7 @@ class TestSwapCostIsLocal:
     """
 
     def test_untouched_levels_keep_their_buckets(self):
-        manager = create_manager([f"y{i}" for i in range(6)])
+        manager = BDDManager([f"y{i}" for i in range(6)])
         rng = random.Random(SEED + 6)
         names = list(manager.variables)
         for _ in range(5):

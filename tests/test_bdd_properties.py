@@ -14,7 +14,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bdd import BDDManager, create_manager
+from repro.bdd import BDDManager
 
 VARIABLES = ("a", "b", "c", "d")
 
@@ -264,7 +264,7 @@ def _ids(functions):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_compose_all_matches_per_function_compose(seed):
-    manager = create_manager(_shuffled(seed))
+    manager = BDDManager(_shuffled(seed))
     rng = random.Random(f"compose_all:{seed}")
     pool = _random_pool(manager, rng)
     constants, functions = _mixed_substitution(manager, rng, pool)
@@ -281,7 +281,7 @@ def test_compose_all_matches_per_function_compose(seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_compose_all_memo_is_shared_across_calls(seed):
-    manager = create_manager(_shuffled(seed))
+    manager = BDDManager(_shuffled(seed))
     rng = random.Random(f"compose_all_memo:{seed}")
     pool = _random_pool(manager, rng)
     constants, functions = _mixed_substitution(manager, rng, pool)
@@ -296,7 +296,7 @@ def test_compose_all_memo_is_shared_across_calls(seed):
 
 
 def test_compose_all_with_empty_substitution_is_identity():
-    manager = create_manager(_shuffled(0))
+    manager = BDDManager(_shuffled(0))
     pool = _random_pool(manager, random.Random("compose_all:empty"))
     assert _ids(manager.compose_all(pool, {})) == _ids(pool)
     assert manager.compose_all([], {"x0": manager.one}) == []

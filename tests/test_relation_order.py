@@ -17,7 +17,7 @@ import zlib
 
 import pytest
 
-from repro.bdd import BDDManager, create_manager
+from repro.bdd import BDDManager
 from repro.bdd.kernel import SnapshotError, pack_snapshot, unpack_snapshot
 from repro.campaigns import FUZZ_ALPHA0_SPEC
 from repro.core import Alpha0Architecture, VSMArchitecture
@@ -143,9 +143,7 @@ def test_relation_sizes_stay_under_their_ceilings(design):
         if design == "vsm"
         else Alpha0Architecture(options=FUZZ_ALPHA0_SPEC.options())
     )
-    # create_manager follows the process default, so each kernel leg of
-    # the suite measures its own backend.
-    manager, steppers = extract(architecture, create_manager())
+    manager, steppers = extract(architecture, BDDManager())
     for prefix, stepper in steppers.items():
         blob = _serialize_stepper_payload(manager, _stepper_payload(stepper), prefix)
         assert blob["nodes"] <= NODE_CEILINGS[(design, prefix)], (prefix, blob["nodes"])

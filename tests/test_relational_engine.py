@@ -33,6 +33,10 @@ class TestPolicyOnScenario:
         assert rebuilt == scenario
         assert rebuilt.relational.reorder == "converge"
         assert rebuilt.relational.max_cluster_size == 4
+        # Older payloads still carry the retired kernel-backend knob.
+        legacy = scenario.to_dict()
+        legacy["relational"] = dict(legacy["relational"], kernel_backend=None)
+        assert Scenario.from_dict(legacy) == scenario
 
     def test_dict_payload_accepted_directly(self):
         scenario = Scenario(
