@@ -153,7 +153,7 @@ def measure_cold_warm(campaign, store_root) -> dict:
 
 
 def measure_parallel(
-    campaign, reference_verdicts: str, workers: int, heavy: bool, store_root
+    campaign, reference_verdicts: str, workers: int, store_root
 ) -> dict:
     """Serial vs affinity-sharded parallel wall-clock, warm snapshots.
 
@@ -178,7 +178,7 @@ def measure_parallel(
         campaign, parallel=True, max_workers=workers
     )
     affinity_seconds = time.perf_counter() - started
-    record = {
+    return {
         "workers": workers,
         "cpu_count": os.cpu_count(),
         "serial_seconds": round(serial_seconds, 3),
@@ -191,21 +191,6 @@ def measure_parallel(
             serial.verdict_json() == affinity.verdict_json() == reference_verdicts
         ),
     }
-    if heavy:
-        clear_results()
-        started = time.perf_counter()
-        blind = CampaignRunner(store_path=store_root).run(
-            campaign, parallel=True, max_workers=workers, sharding="blind"
-        )
-        blind_seconds = time.perf_counter() - started
-        record["blind_seconds"] = round(blind_seconds, 3)
-        record["affinity_vs_blind"] = round(
-            blind_seconds / max(affinity_seconds, 1e-9), 3
-        )
-        record["verdicts_identical"] = record["verdicts_identical"] and (
-            blind.verdict_json() == reference_verdicts
-        )
-    return record
 
 
 def measure_edit_one_model(
@@ -267,7 +252,6 @@ def _canonical_relation(blob: dict) -> dict:
     names = {level: name for level, name in arena["level_names"]}
     return {
         "layout": blob["layout"],
-        "supports": blob["supports"],
         "levels": [names[level] for level in arena["levels"]],
         "lows": arena["lows"],
         "highs": arena["highs"],
@@ -362,7 +346,6 @@ def run_tier(tier: str, store_root=None) -> dict:
             campaign,
             reference,
             workers=PARALLEL_WORKERS if heavy else 2,
-            heavy=heavy,
             store_root=store_root,
         )
         snapshot = measure_snapshot_rehydration(

@@ -734,44 +734,6 @@ class BDDManager(BDDKernel):
             stack.append(high[h])
         return tuple(self._name_of[lvl] for lvl in sorted(levels))
 
-    def supports(self, functions: Iterable[BDD]) -> List[Tuple[str, ...]]:
-        """:meth:`support` of each of ``functions``, in one shared walk.
-
-        Supports are bitmasks over levels, memoised per node across all
-        the roots, so a cone the functions share is walked once rather
-        than once per function.
-        """
-        level = self._level
-        low = self._low
-        high = self._high
-        names = self._name_of
-        masks: Dict[int, int] = {0: 0, 1: 0}
-        result: List[Tuple[str, ...]] = []
-        for f in functions:
-            stack = [f._h]
-            while stack:
-                n = stack[-1]
-                if n in masks:
-                    stack.pop()
-                    continue
-                lo = low[n]
-                hi = high[n]
-                if lo not in masks:
-                    stack.append(lo)
-                elif hi not in masks:
-                    stack.append(hi)
-                else:
-                    masks[n] = masks[lo] | masks[hi] | (1 << level[n])
-                    stack.pop()
-            mask = masks[f._h]
-            support: List[str] = []
-            while mask:
-                lowest = mask & -mask
-                support.append(names[lowest.bit_length() - 1])
-                mask ^= lowest
-            result.append(tuple(support))
-        return result
-
     def count_nodes(self, f: BDD) -> int:
         """Number of distinct nodes in ``f`` (including terminals reached)."""
         low = self._low

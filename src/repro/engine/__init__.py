@@ -35,12 +35,7 @@ from . import codehash
 from .executor import execute_scenario, run_beta, run_events, run_superscalar
 from .pool import ManagerPool
 from .report import CampaignReport, ScenarioOutcome
-from .runner import (
-    SHARDING_AFFINITY,
-    SHARDING_BLIND,
-    CampaignRunner,
-    run_campaign,
-)
+from .runner import CampaignRunner, run_campaign
 from .store import CODE_SALT, ResultStore, content_fingerprint
 from .scenario import (
     ALPHA0,
@@ -80,8 +75,6 @@ __all__ = [
     "RelationalPolicy",
     "ResultStore",
     "SupervisionPolicy",
-    "SHARDING_AFFINITY",
-    "SHARDING_BLIND",
     "SUPERSCALAR",
     "Scenario",
     "ScenarioOutcome",

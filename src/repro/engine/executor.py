@@ -486,8 +486,7 @@ def _run_beta_relational(
     # and its condensation options; the implementation additionally
     # depends on the injected-bug kwargs), per manager — and the pool
     # keys managers by order signature, so this is exactly the
-    # (model, policy-independent relation, order_signature) cache of a
-    # campaign session.
+    # (model, order_signature) cache of a campaign session.
     arch_sig = repr(architecture)
     kwargs_sig = repr(sorted((impl_kwargs or {}).items()))
     started = time.perf_counter()
@@ -497,7 +496,6 @@ def _run_beta_relational(
             specification,
             implementation,
             architecture.instruction_width,
-            relational,
             spec_key=("beta_spec_relation", arch_sig),
             impl_key=("beta_impl_relation", arch_sig, kwargs_sig),
             snapshot_store=snapshot_store,

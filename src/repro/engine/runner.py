@@ -24,11 +24,11 @@
   session caches stay warm for its whole shard), shards larger than a
   fair share are split into steal-granularity units, and workers pull
   units off one shared queue largest-first, which keeps tails short
-  without giving up warm-cache affinity.  The PR-1 blind chunking
-  remains selectable (``sharding="blind"``) as the differential
-  baseline.  Because pooled results are bit-identical to fresh-manager
-  results (see :mod:`repro.engine.pool`), every mode — serial,
-  affinity, blind, warm-store — carries the same verdicts, byte for
+  without giving up warm-cache affinity.  It is the only parallel
+  scheduler: every worker is supervised, traced and journalled as its
+  outcomes arrive.  Because pooled results are bit-identical to
+  fresh-manager results (see :mod:`repro.engine.pool`), every mode —
+  serial, parallel, warm-store — carries the same verdicts, byte for
   byte;
 * an optional **resilience layer** (:mod:`repro.resilience`) — a
   :class:`~repro.resilience.SupervisionPolicy` turns on bounded
@@ -69,19 +69,6 @@ from ..resilience import CampaignJournal, SupervisionPolicy, faults
 from ..telemetry import report as trace_report
 
 ScenarioLike = Union[Scenario, str]
-
-#: Sharding strategies of the parallel mode.
-SHARDING_AFFINITY = "affinity"
-SHARDING_BLIND = "blind"
-SHARDINGS = (SHARDING_AFFINITY, SHARDING_BLIND)
-
-#: Per-worker state of the blind parallel mode (set by the initializer).
-_WORKER_POOL: Optional[ManagerPool] = None
-_WORKER_STORE: Optional[ResultStore] = None
-_WORKER_MEMO: Dict[Tuple, ScenarioOutcome] = {}
-_WORKER_MEMOIZE: bool = True
-_WORKER_SUPERVISION: Optional[SupervisionPolicy] = None
-
 
 def _failed_outcome(
     scenario: Scenario, error: BaseException, trace: Optional[str] = None
@@ -461,34 +448,8 @@ def _merge_store_stats(stats_list: Sequence[Optional[Dict[str, object]]]) -> Dic
 
 
 # ----------------------------------------------------------------------
-# Blind parallel mode (PR 1): process pool, arbitrary chunking
+# Affinity-sharded work-stealing parallel mode
 # ----------------------------------------------------------------------
-def _init_worker(
-    cache_limit: Optional[int],
-    memoize: bool,
-    store_spec: Optional[Tuple[str, str, bool]],
-    fault_state: Optional[Dict[str, object]] = None,
-    supervision_state: Optional[Dict[str, object]] = None,
-) -> None:
-    """Initialise per-process state for the blind parallel mode."""
-    global _WORKER_POOL, _WORKER_MEMOIZE, _WORKER_STORE, _WORKER_SUPERVISION
-    # Blind workers have no closing hook to ship trace events through
-    # (multiprocessing.Pool.map gives back outcomes only), so tracing is
-    # explicitly disabled here — a forked worker must not silently
-    # accumulate events into an inherited parent tracer it can never
-    # deliver.  The affinity scheduler is the traced parallel mode.
-    telemetry.configure(None)
-    faults.configure_from_state(fault_state)
-    _WORKER_POOL = ManagerPool(cache_limit=cache_limit)
-    _WORKER_STORE = _store_from_spec(store_spec)
-    _WORKER_POOL.attach_store(_WORKER_STORE)
-    _WORKER_MEMOIZE = memoize
-    _WORKER_MEMO.clear()
-    _WORKER_SUPERVISION = (
-        SupervisionPolicy.from_dict(supervision_state) if supervision_state else None
-    )
-
-
 def _store_from_spec(
     store_spec: Optional[Tuple[str, str, bool]]
 ) -> Optional[ResultStore]:
@@ -498,24 +459,6 @@ def _store_from_spec(
     return ResultStore(store_spec[0], salt=store_spec[1], fsync=store_spec[2])
 
 
-def _execute_in_worker(scenario: Scenario) -> ScenarioOutcome:
-    """Blind-mode entry: run one scenario on this worker's own pool."""
-    global _WORKER_POOL
-    if _WORKER_POOL is None:  # pragma: no cover - initializer always runs
-        _WORKER_POOL = ManagerPool()
-    outcome, _ = _execute_pooled(
-        scenario,
-        _WORKER_POOL,
-        _WORKER_MEMO if _WORKER_MEMOIZE else None,
-        store=_WORKER_STORE,
-        supervision=_WORKER_SUPERVISION,
-    )
-    return outcome
-
-
-# ----------------------------------------------------------------------
-# Affinity-sharded work-stealing parallel mode
-# ----------------------------------------------------------------------
 def _affinity_units(
     scenarios: Sequence[Scenario], max_workers: int
 ) -> List[List[int]]:
@@ -523,12 +466,12 @@ def _affinity_units(
 
     Scenarios are sharded by ``order_signature`` — a worker that runs a
     whole shard re-derives every scenario after the first at warm
-    unique-table and session-cache speed, which blind chunking throws
-    away.  A shard bigger than a fair share (``ceil(n / workers)``) is
-    split into fair-share units so one giant signature cannot serialise
-    the campaign: the units sit adjacently in the queue, and only when
-    other workers run dry do they steal them (paying one warm-up each,
-    the classic stealing trade).  Units are ordered largest-first (LPT)
+    unique-table and session-cache speed, which arbitrary chunking
+    would throw away.  A shard bigger than a fair share
+    (``ceil(n / workers)``) is split into fair-share units so one giant
+    signature cannot serialise the campaign: the units sit adjacently in
+    the queue, and only when other workers run dry do they steal them
+    (paying one warm-up each, the classic stealing trade).  Units are ordered largest-first (LPT)
     so the long shards start immediately; the order is deterministic
     (stable sort over first-appearance grouping).
     """
@@ -711,7 +654,6 @@ class CampaignRunner:
         parallel: bool = False,
         max_workers: Optional[int] = None,
         mp_context: Optional[str] = None,
-        sharding: str = SHARDING_AFFINITY,
         supervision: Optional[SupervisionPolicy] = None,
         journal: Optional[Union[str, Path]] = None,
     ) -> CampaignReport:
@@ -720,10 +662,9 @@ class CampaignRunner:
         Serial mode shares this runner's manager pool, memo and store
         across the whole campaign.  Parallel mode distributes scenarios
         over worker processes, each owning an isolated
-        :class:`ManagerPool` (and its own handle on the shared store);
-        ``sharding`` selects the affinity-sharded work-stealing
-        scheduler (default) or the PR-1 blind chunking.  The resulting
-        verdicts are byte-identical to serial mode either way.
+        :class:`ManagerPool` (and its own handle on the shared store),
+        under the affinity-sharded work-stealing scheduler.  The
+        resulting verdicts are byte-identical to serial mode.
 
         ``supervision`` turns on bounded scenario retries with seeded
         backoff (and, in parallel mode, overrides the worker respawn /
@@ -735,8 +676,6 @@ class CampaignRunner:
         persistent store replays the finished verdicts byte-identically.
         A journal therefore requires the runner to have a store.
         """
-        if sharding not in SHARDINGS:
-            raise ValueError(f"unknown sharding {sharding!r}; valid: {SHARDINGS}")
         resolved = self.resolve(scenarios)
         if not resolved:
             return CampaignReport(outcomes=[], mode="serial")
@@ -777,7 +716,6 @@ class CampaignRunner:
                 "campaign.run",
                 scenarios=len(resolved),
                 parallel=parallel,
-                sharding=sharding if parallel else None,
             ):
                 if parallel:
                     (
@@ -786,11 +724,10 @@ class CampaignRunner:
                         store_stats,
                         worker_telemetry,
                         parallel_resilience,
-                    ) = self._run_parallel(
+                    ) = self._run_parallel_affinity(
                         resolved,
                         max_workers,
                         mp_context,
-                        sharding,
                         supervision,
                         journal_obj,
                         fingerprints,
@@ -821,12 +758,6 @@ class CampaignRunner:
                             store_before, self.store.statistics()
                         )
                     mode = "serial"
-            if journal_obj is not None:
-                # Catch-up marks (no-op where live marking already ran;
-                # blind sharding only reports outcomes at the end).
-                for index, outcome in enumerate(outcomes):
-                    if outcome is not None and outcome.error is None:
-                        journal_obj.mark(index, fingerprints[index])
         finally:
             if journal_obj is not None:
                 journal_obj.close()
@@ -887,7 +818,6 @@ class CampaignRunner:
         parallel: bool = False,
         max_workers: Optional[int] = None,
         mp_context: Optional[str] = None,
-        sharding: str = SHARDING_AFFINITY,
         supervision: Optional[SupervisionPolicy] = None,
     ) -> CampaignReport:
         """Execute a campaign in consecutive batches, draining the pool between.
@@ -929,7 +859,6 @@ class CampaignRunner:
                         parallel=parallel,
                         max_workers=max_workers,
                         mp_context=mp_context,
-                        sharding=sharding,
                         supervision=supervision,
                     )
                 )
@@ -995,7 +924,7 @@ class CampaignRunner:
         return section
 
     # ------------------------------------------------------------------
-    # Parallel modes
+    # Parallel mode
     # ------------------------------------------------------------------
     def _worker_count(
         self, scenarios: Sequence[Scenario], max_workers: Optional[int]
@@ -1008,95 +937,6 @@ class CampaignRunner:
         if self.store is None:
             return None
         return (str(self.store.root), self.store.salt, self.store.fsync)
-
-    def _run_parallel(
-        self,
-        scenarios: Sequence[Scenario],
-        max_workers: Optional[int],
-        mp_context: Optional[str],
-        sharding: str,
-        supervision: Optional[SupervisionPolicy] = None,
-        journal: Optional[CampaignJournal] = None,
-        fingerprints: Optional[List[str]] = None,
-    ) -> Tuple[
-        List[ScenarioOutcome],
-        Dict[str, object],
-        Dict[str, object],
-        Dict[str, object],
-        Dict[str, object],
-    ]:
-        if sharding == SHARDING_BLIND:
-            return self._run_parallel_blind(
-                scenarios, max_workers, mp_context, supervision
-            )
-        return self._run_parallel_affinity(
-            scenarios, max_workers, mp_context, supervision, journal, fingerprints
-        )
-
-    def _run_parallel_blind(
-        self,
-        scenarios: Sequence[Scenario],
-        max_workers: Optional[int],
-        mp_context: Optional[str],
-        supervision: Optional[SupervisionPolicy] = None,
-    ) -> Tuple[
-        List[ScenarioOutcome],
-        Dict[str, object],
-        Dict[str, object],
-        Dict[str, object],
-        Dict[str, object],
-    ]:
-        context = multiprocessing.get_context(mp_context)
-        workers = self._worker_count(scenarios, max_workers)
-        with context.Pool(
-            processes=workers,
-            initializer=_init_worker,
-            initargs=(
-                self.pool.cache_limit,
-                self.memoize,
-                self._store_spec(),
-                faults.config_state(),
-                supervision.to_dict() if supervision is not None else None,
-            ),
-        ) as pool:
-            outcomes = pool.map(_execute_in_worker, scenarios)
-        pool_stats = {
-            "managers": None,
-            "workers": workers,
-            "sharding": SHARDING_BLIND,
-            "note": "parallel mode: per-worker manager pools",
-        }
-        store_stats: Dict[str, object] = {}
-        if self.store is not None:
-            # The process pool gives no per-worker closing hook, so the
-            # result-record activity is aggregated from the outcomes
-            # themselves (snapshot traffic stays per-worker-internal).
-            results = {
-                "hits": 0,
-                "misses": 0,
-                "stale": 0,
-                "invalidated": 0,
-                "corrupt": 0,
-                "bytes_written": 0,
-            }
-            status_counters = {status: counter for counter, status in _LOOKUP_STATUSES}
-            for outcome in outcomes:
-                status = outcome.store.get("status")
-                if status == "hit":
-                    results["hits"] += 1
-                elif status in status_counters:
-                    results[status_counters[status]] += 1
-                    results["bytes_written"] += outcome.store.get("bytes_written", 0)
-            _derive_store_rates(results)
-            store_stats = {
-                "results": results,
-                "note": "blind sharding: aggregated from per-scenario records",
-            }
-        # Blind workers run untraced (no closing hook to ship events
-        # through, see _init_worker), so there is no worker telemetry —
-        # and no per-worker supervision record (the Pool gives no
-        # closing hook for that either; blind is the PR-1 baseline).
-        return list(outcomes), pool_stats, store_stats, {}, {}
 
     def _run_parallel_affinity(
         self,
@@ -1379,7 +1219,6 @@ class CampaignRunner:
         pool_stats = {
             "managers": None,
             "workers": workers,
-            "sharding": SHARDING_AFFINITY,
             "units": len(units),
             "note": "parallel mode: per-worker manager pools, affinity-sharded queue",
             "per_worker": [
@@ -1422,7 +1261,6 @@ def run_campaign(
     max_workers: Optional[int] = None,
     cache_limit: Optional[int] = None,
     store_path: Optional[Union[str, Path]] = None,
-    sharding: str = SHARDING_AFFINITY,
     supervision: Optional[SupervisionPolicy] = None,
     journal: Optional[Union[str, Path]] = None,
 ) -> CampaignReport:
@@ -1432,7 +1270,6 @@ def run_campaign(
         scenarios,
         parallel=parallel,
         max_workers=max_workers,
-        sharding=sharding,
         supervision=supervision,
         journal=journal,
     )

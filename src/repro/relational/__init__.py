@@ -12,16 +12,19 @@ conjunction.  It is layered:
   cluster ordering plus earliest-dead-point smoothing sets;
 * :mod:`repro.relational.image` — :class:`ImageComputer`, the scheduled
   relational product (with the monolithic baseline kept for
-  measurement), and :func:`smooth_conjunction`, the generic
-  build-then-smooth replacement;
+  measurement);
 * :mod:`repro.relational.models` — per-bit relation extraction from the
   symbolic processor models;
+* :mod:`repro.relational.beta` — the relational beta backend:
+  :class:`MachineStepper` extracts each machine's per-bit relation once
+  (no policy involved) and advances it by cofactoring and composing in
+  one shared-memo walk per machine per cycle;
 * :mod:`repro.relational.policy` — :class:`RelationalPolicy`, the pure-
   data knob bundle that campaign :class:`~repro.engine.scenario.Scenario`
   objects carry.
 
-Dynamic variable reordering, the other knob the policy controls, lives
-with the BDD substrate in :mod:`repro.bdd.reorder`.
+Dynamic variable reordering, one of the knobs the policy controls,
+lives with the BDD substrate in :mod:`repro.bdd.reorder`.
 """
 
 from .beta import (
@@ -32,13 +35,12 @@ from .beta import (
     extraction_cache_statistics,
     supports_state_injection,
 )
-from .image import ImageComputer, ImageStats, smooth_conjunction
+from .image import ImageComputer, ImageStats
 from .models import pipelined_vsm_relation, unpipelined_vsm_relation
 from .partition import Cluster, ConjunctivePartition
 from .policy import (
     BETA_BACKENDS,
     BETA_COMPOSE,
-    BETA_PRODUCTS,
     BETA_RELATIONAL,
     COMPOSE_BETA_POLICY,
     MONOLITHIC_POLICY,
@@ -53,7 +55,6 @@ from .schedule import QuantificationSchedule, ScheduleStep
 __all__ = [
     "BETA_BACKENDS",
     "BETA_COMPOSE",
-    "BETA_PRODUCTS",
     "BETA_RELATIONAL",
     "COMPOSE_BETA_POLICY",
     "Cluster",
@@ -75,7 +76,6 @@ __all__ = [
     "extract_steppers",
     "extraction_cache_statistics",
     "pipelined_vsm_relation",
-    "smooth_conjunction",
     "supports_state_injection",
     "unpipelined_vsm_relation",
 ]

@@ -38,11 +38,8 @@ child, so dead cones are never visited, and one memo is shared by all
 next-state bits, so a cone common to many bits is substituted once.
 Latch fields gated by a constant-0 validity guard (:meth:`state_guards`)
 are not computed at all: canonicity guarantees the observables cannot
-depend on them.  The literal
-:class:`~repro.relational.partition.ConjunctivePartition` +
-:class:`~repro.relational.schedule.QuantificationSchedule` product stays
-selectable per bit via ``RelationalPolicy.beta_product="schedule"`` for
-differential measurement.
+depend on them.  Neither extraction nor the advance takes a policy: a
+relation is a pure function of the model it was extracted from.
 
 The relation variables follow the same selector-above-data rule, in one
 fixed order (:func:`relation_declares`): the input word, the
@@ -85,8 +82,6 @@ from ..bdd.kernel import SnapshotError, pack_snapshot
 from ..logic import BitVec
 from ..strings import CONTROL
 from .. import telemetry
-from .image import smooth_conjunction
-from .policy import BETA_PRODUCT_SCHEDULE, RelationalPolicy
 
 #: Relation-variable prefixes (one family per machine role).
 SPEC_PREFIX = "beta.s."
@@ -191,8 +186,6 @@ class MachineStepper:
         input_names: Sequence[str],
         fetch_valid_name: Optional[str],
         next_functions: Dict[Tuple[str, int], BDDNode],
-        policy: RelationalPolicy,
-        supports: Optional[Dict[Tuple[str, int], Tuple[str, ...]]] = None,
     ) -> None:
         self.manager = manager
         self.model = model
@@ -202,7 +195,6 @@ class MachineStepper:
         self.input_names = list(input_names)
         self.fetch_valid_name = fetch_valid_name
         self.next_functions = next_functions
-        self.policy = policy
         self.guards = model.state_guards()
         widths = dict(self.layout)
         for guard in self.guards:
@@ -217,11 +209,6 @@ class MachineStepper:
             for guard, fields in self.guards.items()
             for field in fields
         }
-        if supports is None:
-            supports = dict(
-                zip(next_functions, manager.supports(next_functions.values()))
-            )
-        self.supports: Dict[Tuple[str, int], Tuple[str, ...]] = dict(supports)
         self._state_keys = _layout_keys(self.layout)
         #: The relation variables in binding order: input word,
         #: fetch-valid, then one per state bit in ``_state_keys`` order.
@@ -246,7 +233,6 @@ class MachineStepper:
         input_width: int,
         advance: Callable,
         with_fetch_valid: bool,
-        policy: Optional[RelationalPolicy] = None,
     ) -> "MachineStepper":
         """Derive the per-bit relation via the state-injection protocol.
 
@@ -255,7 +241,6 @@ class MachineStepper:
         window for the specification).  The model's latches are restored
         afterwards; callers typically ``reset`` it anyway.
         """
-        policy = policy if policy is not None else RelationalPolicy()
         layout = model.state_layout()
         datapath = model.datapath_fields()
         input_names = [f"{prefix}in[{bit}]" for bit in range(input_width)]
@@ -295,7 +280,6 @@ class MachineStepper:
             input_names,
             fetch_valid_name,
             next_functions,
-            policy,
         )
 
     # ------------------------------------------------------------------
@@ -358,26 +342,14 @@ class MachineStepper:
         values.extend(state[key] for key in self._state_keys)
         sources = dict(zip(self._binding_names, values))
         next_functions = self.next_functions
+        # One memo for the guard pass and the field pass: both
+        # substitute under the same bindings.
+        memo: Dict[int, int] = {}
 
-        if self.policy.beta_product == BETA_PRODUCT_SCHEDULE:
-            constants = {
-                name: bool(function.value)
-                for name, function in sources.items()
-                if function.is_terminal
-            }
-
-            def products(keys):
-                return [self._product(key, sources, constants) for key in keys]
-
-        else:
-            # One memo for the guard pass and the field pass: both
-            # substitute under the same bindings.
-            memo: Dict[int, int] = {}
-
-            def products(keys):
-                return manager.compose_all(
-                    [next_functions[key] for key in keys], sources, memo
-                )
+        def products(keys):
+            return manager.compose_all(
+                [next_functions[key] for key in keys], sources, memo
+            )
 
         # Guards first: a guard whose next value is the constant-0
         # function renders its gated fields unobservable, so their
@@ -405,39 +377,12 @@ class MachineStepper:
         self.gated_skips += gated
         return new_state, len(guard_next) + len(pending), gated
 
-    def _product(
-        self,
-        key: Tuple[str, int],
-        sources: Mapping[str, BDDNode],
-        constants: Mapping[str, bool],
-    ) -> BDDNode:
-        """``exists vars . F_key AND (vars == sources)``, schedule strategy.
-
-        Constant bindings are applied first by cofactoring; the
-        surviving ``var == source`` conjuncts are then smoothed by the
-        clustered, quantification-scheduled product.
-        """
-        manager = self.manager
-        function = self.next_functions[key]
-        support = self.supports[key]
-        fixed = {name: constants[name] for name in support if name in constants}
-        if fixed:
-            function = manager.restrict(function, fixed)
-            support = manager.support(function)
-        if not support:
-            return function
-        conjuncts = [function] + [
-            manager.apply_xnor(manager.var(name), sources[name]) for name in support
-        ]
-        return smooth_conjunction(manager, conjuncts, list(support), self.policy)
-
 
 def extract_steppers(
     manager: BDDManager,
     specification,
     implementation,
     instruction_width: int,
-    policy: Optional[RelationalPolicy] = None,
 ) -> Tuple[MachineStepper, MachineStepper]:
     """Extract the (specification, implementation) stepper pair.
 
@@ -453,7 +398,6 @@ def extract_steppers(
         instruction_width,
         lambda model, word, fetch_valid: model.execute_instruction(word),
         with_fetch_valid=False,
-        policy=policy,
     )
     impl_stepper = MachineStepper.extract(
         manager,
@@ -462,7 +406,6 @@ def extract_steppers(
         instruction_width,
         lambda model, word, fetch_valid: model.step(word, fetch_valid=fetch_valid),
         with_fetch_valid=True,
-        policy=policy,
     )
     return spec_stepper, impl_stepper
 
@@ -478,10 +421,10 @@ def _stepper_payload(stepper: MachineStepper) -> Dict[str, object]:
     """The model-independent part of an extracted relation.
 
     Everything here is a pure function of (manager, model class +
-    options, impl kwargs): the canonical per-bit next-state functions,
-    their supports and the declared variable names.  The payload holds
-    node wrappers, so the cached relation doubles as a GC root set and
-    survives arena collections for the life of the manager.
+    options, impl kwargs): the canonical per-bit next-state functions
+    and the declared variable names.  The payload holds node wrappers,
+    so the cached relation doubles as a GC root set and survives arena
+    collections for the life of the manager.
     """
     return {
         "layout": list(stepper.layout),
@@ -489,13 +432,11 @@ def _stepper_payload(stepper: MachineStepper) -> Dict[str, object]:
         "input_names": list(stepper.input_names),
         "fetch_valid_name": stepper.fetch_valid_name,
         "next_functions": dict(stepper.next_functions),
-        "supports": dict(stepper.supports),
     }
 
 
 def _stepper_from_payload(
-    manager: BDDManager, payload: Dict[str, object], model, prefix: str,
-    policy: RelationalPolicy,
+    manager: BDDManager, payload: Dict[str, object], model, prefix: str
 ) -> MachineStepper:
     """Re-bind a cached relation to a freshly constructed model.
 
@@ -513,8 +454,6 @@ def _stepper_from_payload(
         payload["input_names"],
         payload["fetch_valid_name"],
         payload["next_functions"],
-        policy,
-        supports=payload["supports"],
     )
 
 
@@ -553,13 +492,11 @@ def _serialize_stepper_payload(
 
     The per-bit next-state functions are serialised through the arena
     snapshot (root-projected parallel lists with name-mapped levels);
-    layout, datapath fields, input names and supports ride along as
-    plain lists.
+    layout, datapath fields and input names ride along as plain lists.
     """
     layout = [(field, width) for field, width in payload["layout"]]
     keys = [(field, bit) for field, width in layout for bit in range(width)]
     next_functions = payload["next_functions"]
-    supports = payload["supports"]
     arena = manager.snapshot(
         [next_functions[key] for key in keys],
         declares=_stepper_declares(payload, prefix),
@@ -573,9 +510,6 @@ def _serialize_stepper_payload(
         "datapath": list(payload["datapath"]),
         "input_names": list(payload["input_names"]),
         "fetch_valid_name": payload["fetch_valid_name"],
-        "supports": [
-            [field, bit, list(supports[(field, bit)])] for field, bit in keys
-        ],
         # Packed form: large relations are millions of ints, and parsing
         # them back from JSON decimals would eat into the rehydration win.
         "arena": pack_snapshot(arena),
@@ -602,25 +536,16 @@ def _deserialize_stepper_payload(
         datapath = list(blob["datapath"])
         input_names = list(blob["input_names"])
         fetch_valid_name = blob["fetch_valid_name"]
-        supports = {
-            (field, int(bit)): tuple(names)
-            for field, bit, names in blob["supports"]
-        }
         arena = blob["arena"]
     except (TypeError, ValueError, KeyError) as exc:
         raise SnapshotError(f"malformed relation snapshot: {exc!r}") from None
-    if set(supports) != set(keys):
-        raise SnapshotError("relation snapshot supports do not match its layout")
     # Cross-validate the blob's bookkeeping against the arena's recorded
     # declaration sequence: both are independently-stored copies of the
     # same fact (what extraction declares), so any single corrupted
     # field — an input name, the layout, the datapath list, the
     # fetch-valid flag — makes them disagree and the record is refused
     # *before* the manager is touched.  A blob from before the
-    # control-first order carries no datapath list at all.  The
-    # supports must stay inside that declared set, or the rehydrated
-    # stepper would later trip a BDDOrderError mid-scenario instead of
-    # falling back to extraction here.
+    # control-first order carries no datapath list at all.
     payload = {
         "layout": layout,
         "datapath": datapath,
@@ -635,19 +560,12 @@ def _deserialize_stepper_payload(
         raise SnapshotError(
             "relation snapshot bookkeeping disagrees with its arena declarations"
         )
-    declared = set(expected_declares)
-    for names in supports.values():
-        if not set(names) <= declared:
-            raise SnapshotError(
-                "relation snapshot supports mention undeclared variables"
-            )
     roots = manager.restore(arena)
     if len(roots) != len(keys):
         raise SnapshotError(
             f"relation snapshot carries {len(roots)} roots for {len(keys)} bits"
         )
     payload["next_functions"] = dict(zip(keys, roots))
-    payload["supports"] = supports
     return payload
 
 
@@ -771,7 +689,6 @@ def cached_extract_steppers(
     specification,
     implementation,
     instruction_width: int,
-    policy: Optional[RelationalPolicy],
     spec_key: object,
     impl_key: object,
     snapshot_store=None,
@@ -785,12 +702,11 @@ def cached_extract_steppers(
     the default 267-state-bit Alpha0 condensation).  Keys must identify
     the model construction exactly: the executor derives them from the
     architecture (name + condensation options) and, for the
-    implementation, the injected-bug kwargs.  The policy is *not* part
-    of the key because extraction is policy-independent (only
-    :meth:`MachineStepper.advance` consults it); acquired relations are
-    re-bound to the fresh model instances under the current policy.
-    Each role (specification first, then implementation) is served by
-    the first tier that has it:
+    implementation, the injected-bug kwargs.  No policy is part of the
+    key: extraction takes none, so a relation is the same under every
+    policy.  Acquired relations are re-bound to the fresh model
+    instances.  Each role (specification first, then implementation)
+    is served by the first tier that has it:
 
     1. **Session cache** (``manager.session_cache``): a repeated
        scenario on a pooled manager — or a bug-sweep variant, which
@@ -827,7 +743,6 @@ def cached_extract_steppers(
     attached it carries a per-role ``snapshot`` sub-record (status
     template/restored/saved/invalid, seconds, nodes, bytes).
     """
-    policy = policy if policy is not None else RelationalPolicy()
     cache = manager.session_cache
     stats = cache.setdefault(_EXTRACTION_STATS_KEY, {"hits": 0, "misses": 0})
     info: Dict[str, object] = {}
@@ -840,7 +755,7 @@ def cached_extract_steppers(
         if payload is not None:
             stats["hits"] += 1
             info[role] = "hit"
-            return _stepper_from_payload(manager, payload, model, prefix, policy)
+            return _stepper_from_payload(manager, payload, model, prefix)
         chain = _relation_chain(manager) if templates is not None else None
         if chain is not None:
             template = templates.get(chain + (key,))
@@ -864,9 +779,7 @@ def cached_extract_steppers(
                         "seconds": round(time.perf_counter() - started, 4),
                         "nodes": template.nodes,
                     }
-                    return _stepper_from_payload(
-                        manager, payload, model, prefix, policy
-                    )
+                    return _stepper_from_payload(manager, payload, model, prefix)
         if snapshot_store is not None:
             fingerprint = snapshot_store.fingerprint_for(key)
             blob = snapshot_store.load_snapshot(fingerprint, dependencies)
@@ -902,9 +815,7 @@ def cached_extract_steppers(
                             chain + (key,), base, manager, payload, blob.get("nodes", 0)
                         )
                         cache[_CHAIN_KEY] = (chain + (key,), manager.arena_shape())
-                    return _stepper_from_payload(
-                        manager, payload, model, prefix, policy
-                    )
+                    return _stepper_from_payload(manager, payload, model, prefix)
         stats["misses"] += 1
         info[role] = "miss"
         if templates is not None:
@@ -919,7 +830,6 @@ def cached_extract_steppers(
                 instruction_width,
                 advance,
                 with_fetch_valid=with_fetch_valid,
-                policy=policy,
             )
         payload = _stepper_payload(stepper)
         cache[key] = payload

@@ -19,9 +19,9 @@ baseline; the property tests pin the pointwise equality down and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from ..bdd import BDDManager, BDDNode
+from ..bdd import BDDNode
 from .. import telemetry
 from .partition import ConjunctivePartition
 from .policy import RelationalPolicy
@@ -185,29 +185,3 @@ class ImageComputer:
             "policy": self.policy.to_dict(),
         }
 
-
-def smooth_conjunction(
-    manager: BDDManager,
-    conjuncts: Sequence[BDDNode],
-    names: Sequence[str],
-    policy: Optional[RelationalPolicy] = None,
-) -> BDDNode:
-    """``exists(names, AND(conjuncts))`` with early quantification.
-
-    The generic build-then-smooth replacement: conjuncts are clustered
-    and combined with ``and_exists`` along a quantification schedule, so
-    each name in ``names`` is smoothed out at its earliest dead point.
-    Canonically identical to the naive
-    ``manager.exists(names, manager.conjoin(conjuncts))``.
-    """
-    if not conjuncts:
-        return manager.exists(names, manager.one) if names else manager.one
-    policy = policy if policy is not None else RelationalPolicy()
-    partition = ConjunctivePartition.from_policy(manager, conjuncts, policy)
-    schedule = QuantificationSchedule.build(partition, quantify=names)
-    # Names no conjunct mentions (schedule.pre_quantify) need no work:
-    # quantifying an absent variable is the identity.
-    current = manager.one
-    for step in schedule.steps:
-        current = manager.and_exists(step.quantify, current, step.cluster.function)
-    return current

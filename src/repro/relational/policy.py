@@ -2,15 +2,19 @@
 
 A :class:`RelationalPolicy` is hashable pure data, so it can live on a
 :class:`~repro.engine.scenario.Scenario`, take part in memoisation keys
-and cross process boundaries.  It bundles the two families of knobs the
-subsystem exposes:
+and cross process boundaries.  It bundles the three families of knobs
+the subsystem exposes:
 
 * **partitioning** — whether image computation runs over a conjunctively
   partitioned transition relation with early quantification (the fast
   path) or over the monolithic conjunction (the classical
   build-then-smooth baseline), plus the greedy clustering bounds;
 * **reordering** — whether, and how aggressively, the BDD manager's
-  variable order is re-sifted during a verification run.
+  variable order is re-sifted during a verification run;
+* **beta backend** — whether BETA scenarios run on the relational
+  formulation or on the classical compose path.
+
+Beta-relation extraction and the relational advance take no policy.
 """
 
 from __future__ import annotations
@@ -32,17 +36,6 @@ REORDER_MODES = (REORDER_NONE, REORDER_SIFT, REORDER_CONVERGE)
 BETA_RELATIONAL = "relational"
 BETA_COMPOSE = "compose"
 BETA_BACKENDS = (BETA_RELATIONAL, BETA_COMPOSE)
-
-#: Product strategies for the relational beta backend's per-bit advance.
-#: ``cofactor`` applies constant bindings by restriction and the rest by
-#: simultaneous composition (the compose normal form of the relational
-#: product — fastest); ``schedule`` builds the literal binding-conjunct
-#: product through :class:`~repro.relational.partition.ConjunctivePartition`
-#: and :class:`~repro.relational.schedule.QuantificationSchedule`
-#: (canonically identical; kept measurable for differential testing).
-BETA_PRODUCT_COFACTOR = "cofactor"
-BETA_PRODUCT_SCHEDULE = "schedule"
-BETA_PRODUCTS = (BETA_PRODUCT_COFACTOR, BETA_PRODUCT_SCHEDULE)
 
 
 @dataclass(frozen=True)
@@ -66,8 +59,6 @@ class RelationalPolicy:
     #: (default) or the classical compose path (the differential
     #: reference).  Ignored by the events and superscalar drivers.
     beta_backend: str = BETA_RELATIONAL
-    #: Per-bit product strategy of the relational beta backend.
-    beta_product: str = BETA_PRODUCT_COFACTOR
 
     def __post_init__(self) -> None:
         if self.max_cluster_size < 1:
@@ -83,11 +74,6 @@ class RelationalPolicy:
         if self.beta_backend not in BETA_BACKENDS:
             raise ValueError(
                 f"unknown beta backend {self.beta_backend!r}; valid: {BETA_BACKENDS}"
-            )
-        if self.beta_product not in BETA_PRODUCTS:
-            raise ValueError(
-                f"unknown beta product strategy {self.beta_product!r}; "
-                f"valid: {BETA_PRODUCTS}"
             )
 
     @property
@@ -114,7 +100,6 @@ class RelationalPolicy:
             "reorder": self.reorder,
             "reorder_threshold": self.reorder_threshold,
             "beta_backend": self.beta_backend,
-            "beta_product": self.beta_product,
         }
 
     @classmethod
@@ -126,7 +111,6 @@ class RelationalPolicy:
             reorder=payload.get("reorder", REORDER_NONE),
             reorder_threshold=payload.get("reorder_threshold", 10000),
             beta_backend=payload.get("beta_backend", BETA_RELATIONAL),
-            beta_product=payload.get("beta_product", BETA_PRODUCT_COFACTOR),
         )
 
 

@@ -214,7 +214,7 @@ def test_pick_assignment_in_order_rejects_an_order_missing_support():
 
 
 # ----------------------------------------------------------------------
-# supports: every root's support from one shared walk
+# compose_all: one substitution walk over many roots
 # ----------------------------------------------------------------------
 def _random_pool(manager, rng, steps=30):
     """Random functions over ``WIDE_VARIABLES``; later ones share cones."""
@@ -227,23 +227,6 @@ def _random_pool(manager, rng, steps=30):
     return pool
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_supports_match_per_function_support(seed):
-    manager = BDDManager(_shuffled(seed))
-    rng = random.Random(f"supports:{seed}")
-    pool = _random_pool(manager, rng)
-    # The roots share cones and repeat, so the memo is hit across roots.
-    roots = rng.sample(pool, len(pool)) + pool[-5:]
-    assert manager.supports(roots) == [manager.support(f) for f in roots]
-
-
-def test_supports_of_no_function_is_empty():
-    assert BDDManager(VARIABLES).supports([]) == []
-
-
-# ----------------------------------------------------------------------
-# compose_all: one substitution walk over many roots
-# ----------------------------------------------------------------------
 def _mixed_substitution(manager, rng, pool):
     """Each variable unbound, or bound to a constant, a function or itself."""
     constants, functions = {}, {}

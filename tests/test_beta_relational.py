@@ -5,7 +5,7 @@
 * **Extraction fidelity** — advancing a machine through its extracted
   per-bit beta-correspondence relation yields observables that are
   *node identical* (same canonical ROBDD objects on one manager) to
-  functional simulation, for every product strategy;
+  functional simulation;
 * **Guard soundness** — zeroing latch fields whose validity guard is
   the constant-0 function never changes an observable formula;
 * **Protocol completeness** — the four bundled symbolic processor
@@ -91,14 +91,14 @@ def functional_samples(architecture, siminfo, manager, observation):
 
 
 def relational_samples(
-    architecture, siminfo, manager, observation, plan, policy=None, strip_guards=False
+    architecture, siminfo, manager, observation, plan, strip_guards=False
 ):
     """The backend's stepping, replayed manually on the same manager."""
     from repro.strings import pipelined_filter, sample_cycles
 
     specification, implementation = architecture.make_models(manager)
     spec_stepper, impl_stepper = extract_steppers(
-        manager, specification, implementation, architecture.instruction_width, policy
+        manager, specification, implementation, architecture.instruction_width
     )
     if strip_guards:
         for stepper in (spec_stepper, impl_stepper):
@@ -180,21 +180,6 @@ class TestExtractionFidelity:
         )
         spec_rel, impl_rel, _ = relational_samples(
             SMALL_ALPHA0, siminfo, manager, observation, plan
-        )
-        assert_node_identical(spec_ref, spec_rel)
-        assert_node_identical(impl_ref, impl_rel)
-
-    def test_schedule_product_is_node_identical_too(self):
-        architecture = VSMArchitecture()
-        siminfo = SimulationInfo(reset_cycles=1, slots=(NORMAL,))
-        observation = architecture.observation_spec()
-        manager = BDDManager()
-        spec_ref, impl_ref, plan = functional_samples(
-            architecture, siminfo, manager, observation
-        )
-        policy = RelationalPolicy(beta_product="schedule")
-        spec_rel, impl_rel, _ = relational_samples(
-            architecture, siminfo, manager, observation, plan, policy
         )
         assert_node_identical(spec_ref, spec_rel)
         assert_node_identical(impl_ref, impl_rel)

@@ -253,7 +253,6 @@ class TestMixedCampaign:
     ):
         report = CampaignRunner().run(campaign, parallel=True, max_workers=3)
         assert report.mode == "parallel"
-        assert report.pool.get("sharding") == "affinity"
         assert report.pool.get("workers") == 3
         assert report.pool.get("units") >= 3
         assert report.verdict_json().encode("utf-8") == (
@@ -261,19 +260,6 @@ class TestMixedCampaign:
         )
         # Every worker reported its closing statistics record.
         assert len(report.pool.get("per_worker", [])) == 3
-
-    def test_blind_sharding_stays_selectable_and_identical(
-        self, campaign, serial_report
-    ):
-        report = CampaignRunner().run(
-            campaign, parallel=True, max_workers=2, sharding="blind"
-        )
-        assert report.pool.get("sharding") == "blind"
-        assert report.verdict_json() == serial_report.verdict_json()
-
-    def test_unknown_sharding_rejected(self, campaign):
-        with pytest.raises(ValueError):
-            CampaignRunner().run(campaign, parallel=True, sharding="nope")
 
     def test_report_serialises_to_json(self, serial_report):
         payload = json.loads(serial_report.to_json())

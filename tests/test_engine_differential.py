@@ -26,7 +26,7 @@ import random
 import pytest
 
 from repro.engine import Alpha0Spec, Scenario, execute_scenario
-from repro.relational import BETA_COMPOSE, BETA_RELATIONAL, RelationalPolicy
+from repro.relational import BETA_COMPOSE, RelationalPolicy
 from repro.isa import alpha0 as alpha0_isa
 from repro.isa import vsm as vsm_isa
 from repro.processors import (
@@ -315,21 +315,6 @@ class TestBetaBackendDifferential:
         relational, compose = run_both_backends(slots=(NORMAL,))
         assert "backend" not in relational.verdict()
         assert relational.backend != compose.backend
-
-    def test_schedule_product_strategy_matches(self):
-        """The literal partition+schedule product is verdict-identical."""
-        base = dict(slots=(NORMAL, CONTROL))
-        scheduled = execute_scenario(
-            Scenario(
-                name="backend-diff",
-                relational=RelationalPolicy(
-                    beta_backend=BETA_RELATIONAL, beta_product="schedule"
-                ),
-                **base,
-            )
-        )
-        plain = execute_scenario(Scenario(name="backend-diff", **base))
-        assert verdict_bytes(scheduled) == verdict_bytes(plain)
 
 
 # ----------------------------------------------------------------------

@@ -121,7 +121,6 @@ class TestRelationSnapshots:
             "layout": blob["layout"],
             "input_names": blob["input_names"],
             "fetch_valid_name": blob["fetch_valid_name"],
-            "supports": blob["supports"],
             "declares": arena["declares"],
             "levels": [names[level] for level in arena["levels"]],
             "lows": arena["lows"],

@@ -322,6 +322,21 @@ class TestRunBatched:
         assert batched.verdict_json() == plain.verdict_json()
         assert batched.pool["batches"] == 3  # ceil(12 / 4)
 
+    def test_parallel_verdicts_match_plain_run(self):
+        scenarios = generate_scenarios(5, 30, classes=FAST_CLASSES)
+        plain = CampaignRunner().run(scenarios)
+        batched = CampaignRunner().run_batched(
+            scenarios, batch_size=4, parallel=True, max_workers=2
+        )
+        assert batched.mode == "parallel"
+        assert batched.verdict_json().encode("utf-8") == (
+            plain.verdict_json().encode("utf-8")
+        )
+        assert batched.pool["batches"] == 3
+        assert len(batched.pool["per_batch"]) == 3
+        for record in batched.pool["per_batch"]:
+            assert len(record["per_worker"]) == record["workers"]
+
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError, match="batch_size"):
             CampaignRunner().run_batched([], batch_size=0)

@@ -190,9 +190,6 @@ def layout_order_blobs(architecture):
             "layout": [[field, width] for field, width in stepper.layout],
             "input_names": stepper.input_names,
             "fetch_valid_name": stepper.fetch_valid_name,
-            "supports": [
-                [field, bit, list(stepper.supports[(field, bit)])] for field, bit in keys
-            ],
             "arena": pack_snapshot(arena),
         }
         blobs[prefix] = json.loads(json.dumps(blob))

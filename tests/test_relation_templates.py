@@ -136,7 +136,6 @@ class TestEligibility:
             specification,
             implementation,
             architecture.instruction_width,
-            None,
             spec_key=self.SPEC_KEY,
             impl_key=self.IMPL_KEY,
             snapshot_store=store,

@@ -33,9 +33,12 @@ class TestPolicyOnScenario:
         assert rebuilt == scenario
         assert rebuilt.relational.reorder == "converge"
         assert rebuilt.relational.max_cluster_size == 4
-        # Older payloads still carry the retired kernel-backend knob.
+        # Older payloads still carry the retired kernel-backend and
+        # beta-product knobs.
         legacy = scenario.to_dict()
         legacy["relational"] = dict(legacy["relational"], kernel_backend=None)
+        assert Scenario.from_dict(legacy) == scenario
+        legacy["relational"] = dict(legacy["relational"], beta_product="schedule")
         assert Scenario.from_dict(legacy) == scenario
 
     def test_dict_payload_accepted_directly(self):

@@ -18,7 +18,6 @@ from repro.relational import (
     QuantificationSchedule,
     RelationalPolicy,
     TransitionRelation,
-    smooth_conjunction,
 )
 
 SEEDS = [0, 1, 2, 3, 4, 5, 6, 7]
@@ -145,27 +144,6 @@ def test_schedule_quantifies_each_variable_exactly_once():
         for other in schedule.steps[index + 1 :]:
             later |= other.cluster.support
         assert not (set(step.quantify) & later)
-
-
-@pytest.mark.parametrize("seed", SEEDS[:4])
-def test_smooth_conjunction_matches_naive(seed):
-    manager, machine = machine_for_seed(seed)
-    conjuncts = [machine.next_state[name] for name in machine.state_names]
-    names = list(machine.input_names)
-    expected = manager.exists(names, manager.conjoin(conjuncts))
-    assert smooth_conjunction(manager, conjuncts, names) is expected
-    # Monolithic policy degenerates to one cluster but stays identical.
-    assert (
-        smooth_conjunction(
-            manager, conjuncts, names, RelationalPolicy(partition=False)
-        )
-        is expected
-    )
-
-
-def test_smooth_conjunction_empty():
-    manager = BDDManager(["a", "b"])
-    assert smooth_conjunction(manager, [], ["a"]) is manager.one
 
 
 def test_image_stats_report_peak_and_strategy():
