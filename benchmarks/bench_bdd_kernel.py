@@ -27,8 +27,10 @@ Measured regimes (each engine-derived):
                       (allocation-heavy regime).
 
 plus the **fat-level swap latency** on the comparator's exponential
-boundary levels, and an **arena/GC** session loop the object-graph
-kernel cannot run at all (it has no collector — its table only grows).
+boundary levels, an **arena/GC** session loop the object-graph kernel
+cannot run at all (it has no collector — its table only grows), and
+the kernel's **memory footprint**: traced bytes per live node on a
+fixed linear build, which both tiers hold under a ceiling.
 
 Results are written to ``BENCH_kernel.json`` next to this file (CI
 uploads it as an artifact): per-regime ops/sec for both kernels, the
@@ -60,6 +62,7 @@ import json
 import math
 import pathlib
 import time
+import tracemalloc
 from typing import Dict, Iterable
 
 import pytest
@@ -660,6 +663,55 @@ def _arena_sessions(sessions: int, width: int) -> Dict[str, object]:
     }
 
 
+#: Traced bytes per live node of :func:`_node_footprint` on CPython
+#: 3.11, and the factor both tiers allow above it.
+BYTES_PER_NODE = 273
+BYTES_PER_NODE_SLACK = 1.15
+
+
+def _node_footprint(width: int = 200) -> Dict[str, object]:
+    """Traced bytes per live node of the kernel on a fixed linear build.
+
+    Three ``width``-bit ripple adders (a+b, b+c, a+c) over interleaved
+    ``a/b/c`` variables, every sum and carry kept, built under
+    ``tracemalloc``.  The bytes still traced at the end (node arrays,
+    unique subtables, operation caches, the kept wrappers) are divided
+    by the live node count.
+    """
+    names = [f"{v}{i}" for i in range(width) for v in "abc"]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        m = BDDManager(names)
+        kept = []
+        for x, y in (("a", "b"), ("b", "c"), ("a", "c")):
+            carry = m.zero
+            for i in range(width):
+                xi = m.var(f"{x}{i}")
+                yi = m.var(f"{y}{i}")
+                half = m.apply_xor(xi, yi)
+                kept.append(m.apply_xor(half, carry))
+                carry = m.apply_or(m.apply_and(xi, yi), m.apply_and(half, carry))
+                kept.append(carry)
+        traced = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    live = m.size()
+    return {
+        "width": width,
+        "live_nodes": live,
+        "traced_bytes": traced,
+        "bytes_per_node": round(traced / live, 1),
+    }
+
+
+def _assert_footprint(footprint: Dict[str, object]) -> None:
+    assert footprint["bytes_per_node"] <= BYTES_PER_NODE * BYTES_PER_NODE_SLACK, (
+        footprint
+    )
+
+
 def _geomean(values: Iterable[float]) -> float:
     values = list(values)
     return math.exp(sum(math.log(v) for v in values) / len(values))
@@ -669,7 +721,7 @@ def _write_json(payload: Dict[str, object]) -> None:
     JSON_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _payload(tier: str, regimes, swap, arena) -> Dict[str, object]:
+def _payload(tier: str, regimes, swap, arena, footprint) -> Dict[str, object]:
     speedups = [entry["speedup"] for entry in regimes.values()]
     return {
         "tier": tier,
@@ -678,6 +730,7 @@ def _payload(tier: str, regimes, swap, arena) -> Dict[str, object]:
         "best_regime_speedup": round(max(speedups), 3),
         "swap_latency": swap,
         "arena": arena,
+        "footprint": footprint,
     }
 
 
@@ -692,15 +745,17 @@ def test_kernel_bench_smoke(benchmark):
         regimes = _run_regimes(SMOKE_ITERATIONS, repeats=SMOKE_REPEATS)
         swap = _swap_latency(width=10, swaps=2)
         arena = _arena_sessions(sessions=4, width=10)
-        return regimes, swap, arena
+        return regimes, swap, arena, _node_footprint()
 
-    regimes, swap, arena = benchmark.pedantic(run, rounds=1, iterations=1)
-    payload = _payload("smoke", regimes, swap, arena)
+    regimes, swap, arena, footprint = benchmark.pedantic(run, rounds=1, iterations=1)
+    payload = _payload("smoke", regimes, swap, arena, footprint)
     _write_json(payload)
-    # Smoke bars are correctness-of-harness, not performance claims.
+    # Smoke bars are correctness-of-harness, not performance claims,
+    # except the memory footprint, which is deterministic.
     assert swap["kernel_ms"] > 0 and swap["legacy_ms"] > 0
     assert arena["capacity_last"] <= arena["capacity_max"]
     assert arena["reclaimed_total"] > 0
+    _assert_footprint(footprint)
     record_paper_comparison(
         benchmark,
         experiment="array kernel vs object-graph kernel (smoke)",
@@ -719,11 +774,12 @@ def test_kernel_op_throughput_and_swap(benchmark):
         regimes = _run_regimes(FULL_ITERATIONS, repeats=FULL_REPEATS)
         swap = _swap_latency(width=14, swaps=3)
         arena = _arena_sessions(sessions=8, width=12)
-        return regimes, swap, arena
+        return regimes, swap, arena, _node_footprint()
 
-    regimes, swap, arena = benchmark.pedantic(run, rounds=1, iterations=1)
-    payload = _payload("full", regimes, swap, arena)
+    regimes, swap, arena, footprint = benchmark.pedantic(run, rounds=1, iterations=1)
+    payload = _payload("full", regimes, swap, arena, footprint)
     _write_json(payload)
+    _assert_footprint(footprint)
 
     # The arena stays flat across sessions (free-list reuse works)...
     assert arena["capacity_last"] <= arena["capacity_first"] * 1.05
@@ -759,6 +815,6 @@ if __name__ == "__main__":
     regimes = _run_regimes(FULL_ITERATIONS, repeats=FULL_REPEATS)
     swap = _swap_latency(width=14, swaps=3)
     arena = _arena_sessions(sessions=8, width=12)
-    payload = _payload("full", regimes, swap, arena)
+    payload = _payload("full", regimes, swap, arena, _node_footprint())
     _write_json(payload)
     print(json.dumps(payload, indent=2, sort_keys=True))

@@ -8,7 +8,11 @@ they live in parallel Python lists — ``_level[h]``, ``_low[h]``,
 0 is the constant-0 terminal, handle 1 the constant-1 terminal,
 decision nodes start at 2.  The unique table maps ``(level, low,
 high)`` int-triples to handles, which is what keeps the diagrams
-reduced and canonical: equal functions have equal handles.
+reduced and canonical: equal functions have equal handles.  It is
+split into per-level subtables, and those subtables are the only
+per-level node index: the live nodes at a level are exactly one
+subtable's values, so reordering and population queries read them
+directly and allocation keeps no second copy.
 
 Three properties distinguish this kernel from the object-graph one it
 replaced:
@@ -17,11 +21,13 @@ replaced:
   into :meth:`BDDKernel._ite3` (or its specialised AND/OR/XOR
   siblings), with CUDD's standard-triple normalisation (``ite(f,f,h) =
   ite(f,1,h)``, commutative AND/OR argument ordering, negation pairs
-  cached both ways) ahead of every cache lookup.  Small expansions run
-  in a bounded-depth recursive fast path (one cheap Python frame per
-  expanded node — the cold-model-construction regime); an expansion
-  deeper than the budget is routed, whole, to the explicit-stack form,
-  so 3000-level diagrams never touch the native recursion limit.
+  cached both ways) ahead of every cache lookup.  Expansions with at
+  most :data:`ITE_FAST_DEPTH` levels below their top variable run in a
+  bounded-depth recursive fast path (one cheap Python frame per
+  expanded node); an expansion deeper than the budget is routed,
+  whole, to the explicit-stack form, so 3000-level diagrams never
+  touch the native recursion limit.  One budget bounds every nested
+  fast-path call, XOR's inline negations included.
   Restriction, composition, quantification and the relational product
   are explicit-stack walkers over the same arrays that bottom out in
   the core.
@@ -35,10 +41,10 @@ replaced:
   (:meth:`BDDKernel.collect`): roots are every handle external code can
   still name (the manager's weakly-interned wrappers, see
   :mod:`repro.bdd.node`) plus any handles the caller passes; unmarked
-  nodes leave the unique table and per-level index and their handles go
-  onto a free-list for reuse, so the arena stops growing across
-  reorder sessions and long campaigns.  Collection only runs at safe
-  points (explicit calls, sifting sweeps) — never inside an operation.
+  nodes leave the unique table and their handles go onto a free-list
+  for reuse, so the arena stops growing across reorder sessions and
+  long campaigns.  Collection only runs at safe points (explicit
+  calls, sifting sweeps) — never inside an operation.
 """
 
 from __future__ import annotations
@@ -63,8 +69,10 @@ OP_XNOR = 7
 SNAPSHOT_FORMAT = 1
 
 #: Recursion budget of the ITE/AND/OR/XOR fast paths (see
-#: :meth:`BDDKernel._ite3`).
-ITE_FAST_DEPTH = 24
+#: :meth:`BDDKernel._ite3`).  Deep enough that the beta advance's
+#: substitutions, which sit 20-160 levels above the bottom of the
+#: manager, recurse instead of going to the explicit stack.
+ITE_FAST_DEPTH = 128
 
 
 #: Array typecode used for packed snapshots; the on-disk format tag
@@ -137,7 +145,9 @@ class BDDKernel:
     Knows nothing about variable *names* or wrapper objects — that is
     :class:`~repro.bdd.manager.BDDManager`'s job (which subclasses this
     kernel so the hot loops read the arrays without indirection).  All
-    methods here take and return integer handles.
+    methods here take and return integer handles.  A live node is
+    recorded in two places only: its slot in the parallel arrays and
+    its ``(low, high)`` key in the subtable of its level.
     """
 
     def __init__(self, cache_limit: Optional[int] = None) -> None:
@@ -150,15 +160,15 @@ class BDDKernel:
         self._high: List[int] = [0, 1]
         self._mark: List[int] = [0, 0]
         #: Unique table, split into per-level subtables (CUDD-style):
-        #: level -> {(low, high) -> handle}.  The split is what makes an
+        #: level -> {(low, high) -> handle}.  The subtables are also the
+        #: per-level node index: ``_table[level].values()`` is exactly
+        #: the live handles at that level.  The split is what makes an
         #: adjacent level swap cheap: nodes that only change *level*
         #: keep their subtable keys and move as a whole dict, so a swap
         #: re-keys only the rebuilt nodes.
         self._table: Dict[int, Dict[Tuple[int, int], int]] = {}
         #: Reclaimed handles awaiting reuse (LIFO).
         self._free: List[int] = []
-        #: Per-level index: level -> set of live handles at that level.
-        self._level_index: Dict[int, set] = {}
         # Operation caches (int-tuple keys only).
         self._ite_cache: Dict[Tuple[int, int, int], int] = {}
         self._op_cache: Dict[Tuple[int, int, int], int] = {}
@@ -254,10 +264,6 @@ class BDDKernel:
                 self._low.append(lo)
                 self._high.append(hi)
             sub[key] = h
-            bucket = self._level_index.get(lvl)
-            if bucket is None:
-                bucket = self._level_index[lvl] = set()
-            bucket.add(h)
         return h
 
     # ------------------------------------------------------------------
@@ -268,7 +274,7 @@ class BDDKernel:
     #: frame per expanded node, no per-node task tuples — while any
     #: subproblem still unresolved past the budget falls over to the
     #: explicit stack, which is recursion-limit-proof.  The budget
-    #: bounds native stack use at a few dozen frames regardless of
+    #: bounds Python stack use at about a hundred frames regardless of
     #: diagram depth.
     ITE_FAST_DEPTH = ITE_FAST_DEPTH
 
@@ -376,10 +382,6 @@ class BDDKernel:
                     low[r] = r0
                     high[r] = r1
                     sub[k2] = r
-                    bucket = self._level_index.get(top)
-                    if bucket is None:
-                        bucket = self._level_index[top] = set()
-                    bucket.add(r)
             else:
                 # Single-probe cons: with the free-list empty the next
                 # handle is known up front, so probe and insert in one
@@ -390,10 +392,6 @@ class BDDKernel:
                     level.append(top)
                     low.append(r0)
                     high.append(r1)
-                    bucket = self._level_index.get(top)
-                    if bucket is None:
-                        bucket = self._level_index[top] = set()
-                    bucket.add(r)
         cache[key] = r
         if key[1] == 0 and key[2] == 1:
             cache[(r, 0, 1)] = key[0]
@@ -420,7 +418,6 @@ class BDDKernel:
         high = self._high
         table = self._table
         free = self._free
-        lidx = self._level_index
         limit = self._cache_limit
         hits = 0
         misses = 0
@@ -560,10 +557,6 @@ class BDDKernel:
                         low[r] = lo
                         high[r] = hi
                         sub[k2] = r
-                        bucket = lidx.get(top)
-                        if bucket is None:
-                            bucket = lidx[top] = set()
-                        bucket.add(r)
                 else:
                     # Single-probe cons (see _ite3's reduce tail).
                     n = len(level)
@@ -572,10 +565,6 @@ class BDDKernel:
                         level.append(top)
                         low.append(lo)
                         high.append(hi)
-                        bucket = lidx.get(top)
-                        if bucket is None:
-                            bucket = lidx[top] = set()
-                        bucket.add(r)
             cache[key] = r
             if key[1] == 0 and key[2] == 1:
                 # r = NOT key[0]; negation is an involution, so the
@@ -675,10 +664,6 @@ class BDDKernel:
                     low[r] = r0
                     high[r] = r1
                     sub[k2] = r
-                    bucket = self._level_index.get(top)
-                    if bucket is None:
-                        bucket = self._level_index[top] = set()
-                    bucket.add(r)
             else:
                 # Single-probe cons: with the free-list empty the next
                 # handle is known up front, so probe and insert in one
@@ -689,10 +674,6 @@ class BDDKernel:
                     level.append(top)
                     low.append(r0)
                     high.append(r1)
-                    bucket = self._level_index.get(top)
-                    if bucket is None:
-                        bucket = self._level_index[top] = set()
-                    bucket.add(r)
         cache[key] = r
         if self._cache_limit is not None and len(cache) > self._cache_limit:
             self._drop_cache(cache)
@@ -771,10 +752,6 @@ class BDDKernel:
                     low[r] = r0
                     high[r] = r1
                     sub[k2] = r
-                    bucket = self._level_index.get(top)
-                    if bucket is None:
-                        bucket = self._level_index[top] = set()
-                    bucket.add(r)
             else:
                 # Single-probe cons: with the free-list empty the next
                 # handle is known up front, so probe and insert in one
@@ -785,10 +762,6 @@ class BDDKernel:
                     level.append(top)
                     low.append(r0)
                     high.append(r1)
-                    bucket = self._level_index.get(top)
-                    if bucket is None:
-                        bucket = self._level_index[top] = set()
-                    bucket.add(r)
         cache[key] = r
         if self._cache_limit is not None and len(cache) > self._cache_limit:
             self._drop_cache(cache)
@@ -815,11 +788,11 @@ class BDDKernel:
             if g < 2:  # f != g, both terminal
                 return 0 if xnor else 1
             if f == (0 if xnor else 1):
-                return self._ite3(g, 0, 1)
+                return self._ite3(g, 0, 1, depth)
             return g
         if g < 2:
             if g == (0 if xnor else 1):
-                return self._ite3(f, 0, 1)
+                return self._ite3(f, 0, 1, depth)
             return f
         if g < f:
             f, g = g, f
@@ -835,7 +808,7 @@ class BDDKernel:
         lg = level[g]
         top = lf if lf < lg else lg
         if not depth or self._depth_hint - top > depth:
-            return self._xor_stack(f, g, key, op, xnor)
+            return self._xor_stack(f, g, key, op, xnor, depth)
         self._cache_misses += 1
         low = self._low
         high = self._high
@@ -856,17 +829,17 @@ class BDDKernel:
         if f0 == g0:
             r0 = one_result
         elif f0 < 2:
-            r0 = self._ite3(g0, 0, 1) if f0 == neg else g0
+            r0 = self._ite3(g0, 0, 1, depth) if f0 == neg else g0
         elif g0 < 2:
-            r0 = self._ite3(f0, 0, 1) if g0 == neg else f0
+            r0 = self._ite3(f0, 0, 1, depth) if g0 == neg else f0
         else:
             r0 = self._xor2(f0, g0, xnor, depth)
         if f1 == g1:
             r1 = one_result
         elif f1 < 2:
-            r1 = self._ite3(g1, 0, 1) if f1 == neg else g1
+            r1 = self._ite3(g1, 0, 1, depth) if f1 == neg else g1
         elif g1 < 2:
-            r1 = self._ite3(f1, 0, 1) if g1 == neg else f1
+            r1 = self._ite3(f1, 0, 1, depth) if g1 == neg else f1
         else:
             r1 = self._xor2(f1, g1, xnor, depth)
         # --- reduce, hash-cons and memoise ----------------------------
@@ -886,10 +859,6 @@ class BDDKernel:
                     low[r] = r0
                     high[r] = r1
                     sub[k2] = r
-                    bucket = self._level_index.get(top)
-                    if bucket is None:
-                        bucket = self._level_index[top] = set()
-                    bucket.add(r)
             else:
                 # Single-probe cons: with the free-list empty the next
                 # handle is known up front, so probe and insert in one
@@ -900,22 +869,26 @@ class BDDKernel:
                     level.append(top)
                     low.append(r0)
                     high.append(r1)
-                    bucket = self._level_index.get(top)
-                    if bucket is None:
-                        bucket = self._level_index[top] = set()
-                    bucket.add(r)
         cache[key] = r
         if self._cache_limit is not None and len(cache) > self._cache_limit:
             self._drop_cache(cache)
         return r
 
     def _xor_stack(
-        self, f: int, g: int, key: Tuple[int, int, int], op: int, xnor: bool
+        self,
+        f: int,
+        g: int,
+        key: Tuple[int, int, int],
+        op: int,
+        xnor: bool,
+        depth: int,
     ) -> int:
         """Explicit-stack expansion of a known XOR/XNOR cache miss.
 
-        Recursion-limit-proof continuation of :meth:`_xor_rec`; see
-        :meth:`_ite_stack` for the task-tag scheme.
+        Recursion-limit-proof continuation of :meth:`_xor2`; see
+        :meth:`_ite_stack` for the task-tag scheme.  ``depth`` is the
+        caller's remaining fast-path budget, handed to the inline
+        negations so that the whole XOR stays within one budget.
         """
         one_result = 1 if xnor else 0
         cache = self._op_cache
@@ -924,7 +897,6 @@ class BDDKernel:
         high = self._high
         table = self._table
         free = self._free
-        lidx = self._level_index
         limit = self._cache_limit
         bounded = limit is not None
         neg_terminal = 0 if xnor else 1
@@ -963,12 +935,12 @@ class BDDKernel:
                     r0 = one_result
                 elif f0 < 2:
                     if f0 == neg_terminal:
-                        r0 = self._ite3(g0, 0, 1)
+                        r0 = self._ite3(g0, 0, 1, depth)
                     else:
                         r0 = g0
                 elif g0 < 2:
                     if g0 == neg_terminal:
-                        r0 = self._ite3(f0, 0, 1)
+                        r0 = self._ite3(f0, 0, 1, depth)
                     else:
                         r0 = f0
                 else:
@@ -984,12 +956,12 @@ class BDDKernel:
                     r1 = one_result
                 elif f1 < 2:
                     if f1 == neg_terminal:
-                        r1 = self._ite3(g1, 0, 1)
+                        r1 = self._ite3(g1, 0, 1, depth)
                     else:
                         r1 = g1
                 elif g1 < 2:
                     if g1 == neg_terminal:
-                        r1 = self._ite3(f1, 0, 1)
+                        r1 = self._ite3(f1, 0, 1, depth)
                     else:
                         r1 = f1
                 else:
@@ -1041,10 +1013,6 @@ class BDDKernel:
                         low[r] = lo
                         high[r] = hi
                         sub[k2] = r
-                        bucket = lidx.get(top)
-                        if bucket is None:
-                            bucket = lidx[top] = set()
-                        bucket.add(r)
                 else:
                     # Single-probe cons (see _ite3's reduce tail).
                     n = len(level)
@@ -1053,10 +1021,6 @@ class BDDKernel:
                         level.append(top)
                         low.append(lo)
                         high.append(hi)
-                        bucket = lidx.get(top)
-                        if bucket is None:
-                            bucket = lidx[top] = set()
-                        bucket.add(r)
             cache[key] = r
             if bounded and len(cache) > limit:
                 self._drop_cache(cache)
@@ -1616,7 +1580,6 @@ class BDDKernel:
         high = self._high
         table = self._table
         free = self._free
-        lidx = self._level_index
         handles: List[int] = [0, 1]
         append = handles.append
         try:
@@ -1651,10 +1614,6 @@ class BDDKernel:
                         low.append(lo)
                         high.append(hi)
                     sub[key] = h
-                    bucket = lidx.get(lvl)
-                    if bucket is None:
-                        bucket = lidx[lvl] = set()
-                    bucket.add(h)
                 append(h)
         except (TypeError, KeyError) as exc:
             raise SnapshotError(f"malformed snapshot node {i}: {exc!r}") from None
@@ -1667,10 +1626,10 @@ class BDDKernel:
         """A private copy of the whole arena, for :meth:`adopt_image`.
 
         Unlike :meth:`snapshot` this is no serialisation: the node
-        arrays, the free-list, every per-level subtable and every
-        level-index bucket are copied at C speed (the copies share the
-        immutable key tuples and ints), so neither capturing nor
-        adopting an image does per-node Python work.  The image never
+        arrays, the free-list and every per-level subtable are copied
+        at C speed (the copies share the immutable key tuples and
+        ints), so neither capturing nor adopting an image does per-node
+        Python work.  The image never
         aliases the arena: later operations, collections or swaps on
         this kernel leave it untouched.
         """
@@ -1680,7 +1639,6 @@ class BDDKernel:
             "high": self._high.copy(),
             "free": self._free.copy(),
             "table": {lvl: sub.copy() for lvl, sub in self._table.items()},
-            "index": {lvl: set(bucket) for lvl, bucket in self._level_index.items()},
         }
 
     def adopt_image(self, image: Dict[str, object]) -> None:
@@ -1711,9 +1669,6 @@ class BDDKernel:
         self._high = high.copy()
         self._free = image["free"].copy()
         self._table = {lvl: sub.copy() for lvl, sub in image["table"].items()}
-        self._level_index = {
-            lvl: set(bucket) for lvl, bucket in image["index"].items()
-        }
 
     # ------------------------------------------------------------------
     # Reorder support
@@ -1763,11 +1718,11 @@ class BDDKernel:
 
         Live means reachable from a *root*: every handle external code
         can still name (the manager's interned wrappers) plus any extra
-        ``roots`` handles.  Dead nodes leave the unique table and the
-        per-level index and their handles join the free-list; the
-        operation caches are dropped (they may reference reclaimed
-        handles, which the free-list is about to re-issue).  Safe-point
-        only: never called from inside an operation.
+        ``roots`` handles.  Dead nodes leave their unique subtable and
+        their handles join the free-list; the operation caches are
+        dropped (they may reference reclaimed handles, which the
+        free-list is about to re-issue).  Safe-point only: never called
+        from inside an operation.
         """
         table = self._table
         live = len(self._level) - 2 - len(self._free)
@@ -1811,14 +1766,10 @@ class BDDKernel:
         ]
         if not dead:
             return 0
-        lidx = self._level_index
         free = self._free
         level = self._level
         for lvl, key, n in dead:
             del table[lvl][key]
-            bucket = lidx.get(lvl)
-            if bucket is not None:
-                bucket.discard(n)
             # Poison the slot so stale reads fail loudly; the handle is
             # only re-armed by the allocator.
             level[n] = -1

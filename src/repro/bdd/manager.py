@@ -385,23 +385,20 @@ class BDDManager(BDDKernel):
     def nodes_at_level(self, level: int) -> List[BDD]:
         """Live non-terminal nodes currently testing the variable at ``level``.
 
-        Served from the per-level index in O(population) — no unique-table
-        scan — which is what makes engine-scale sifting affordable: an
-        adjacent level swap reads exactly the two levels it touches.
+        Served from the level's unique subtable in O(population) — no
+        scan of the other levels — which is what makes engine-scale
+        sifting affordable: an adjacent level swap reads exactly the two
+        subtables it touches.
         """
-        bucket = self._level_index.get(level)
-        if not bucket:
+        sub = self._table.get(level)
+        if not sub:
             return []
         wrap = self._wrap
-        return [wrap(handle) for handle in bucket]
+        return [wrap(handle) for handle in sub.values()]
 
     def level_population(self) -> Dict[int, int]:
-        """Node count per level (only levels with at least one node)."""
-        return {
-            level: len(bucket)
-            for level, bucket in self._level_index.items()
-            if bucket
-        }
+        """Node count per level: the sizes of the non-empty subtables."""
+        return {level: len(sub) for level, sub in self._table.items() if sub}
 
     # ------------------------------------------------------------------
     # Dynamic reordering support (see repro.bdd.reorder)

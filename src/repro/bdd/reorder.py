@@ -76,13 +76,13 @@ def live_size(manager: BDDManager, roots: Sequence[BDD]) -> int:
 def _swap_levels(manager: BDDManager, level: int) -> bool:
     """Swap the variables at ``level``/``level + 1`` in place.
 
-    The two levels' handle sets come from the manager's own per-level
-    index (maintained on allocation, GC sweep and swap), so the cost of
-    a swap is proportional to the two levels' populations — never to
-    the whole unique table.  Returns whether any node was *rebuilt*: a
-    swap that only relabelled levels (no ``x`` node depended on ``y``)
-    cannot change any size metric, which lets sifting skip the per-swap
-    size traversal on the — typically dominant — non-interacting steps.
+    The two levels' handles are the values of their unique subtables,
+    so the cost of a swap is proportional to the two levels'
+    populations — never to the whole unique table.  Returns whether
+    any node was *rebuilt*: a swap that only relabelled levels (no
+    ``x`` node depended on ``y``) cannot change any size metric, which
+    lets sifting skip the per-swap size traversal on the — typically
+    dominant — non-interacting steps.
 
     Let ``x`` be the variable at ``level`` and ``y`` the one below it:
 
@@ -99,45 +99,29 @@ def _swap_levels(manager: BDDManager, level: int) -> bool:
     lv = manager._level
     lo_a = manager._low
     hi_a = manager._high
-    lidx = manager._level_index
     y_level = level + 1
-    x_bucket = lidx.get(level)
-    y_bucket = lidx.get(y_level)
-    x_nodes: List[int] = list(x_bucket) if x_bucket else []
-    y_nodes: List[int] = list(y_bucket) if y_bucket else []
+    x_sub = table.get(level) or {}
+    y_sub = table.get(y_level) or {}
 
     # Plan the rebuilds against the *old* structure before any
     # relabelling.
-    independent, rebuilds = manager._plan_swap(y_level, x_nodes)
+    independent, rebuilds = manager._plan_swap(y_level, list(x_sub.values()))
 
     # Per-level subtables make the bulk moves free: a node that only
     # changes *level* keeps its (low, high) key, so the whole y
     # subtable — and the independent slice of the x subtable — move as
     # dicts; only the rebuilt nodes are re-keyed individually.
-    x_sub = table.get(level) or {}
-    y_sub = table.get(y_level) or {}
-    if x_bucket is None:
-        x_bucket = set()
-    if y_bucket is None:
-        y_bucket = set()
     for n, _f00, _f01, _f10, _f11 in rebuilds:
         del x_sub[(lo_a[n], hi_a[n])]
-        x_bucket.discard(n)
     # Relabelling writes one level word per node; map over the bound
     # __setitem__ keeps the loop in C for fat levels.
     # y moves up: structure unchanged, only the level word changes.
-    list(map(lv.__setitem__, y_nodes, itertools.repeat(level)))
+    list(map(lv.__setitem__, y_sub.values(), itertools.repeat(level)))
     # x-nodes independent of y move down unchanged (they are exactly
-    # what is left of the old x subtable and the old x index bucket).
+    # what is left of the old x subtable).
     list(map(lv.__setitem__, independent, itertools.repeat(y_level)))
     table[level] = y_sub
     table[y_level] = x_sub
-    # The index buckets swap wholesale too; nodes the rebuild loop
-    # hash-conses at ``level + 1`` are appended to ``x_bucket`` (now
-    # indexing that level) incrementally by the allocator.
-    lidx[level] = y_bucket
-    lidx[y_level] = x_bucket
-    x_bucket_new = y_bucket
     # Dependent x-nodes are rebuilt in place; their new children at
     # ``level + 1`` test x and are hash-consed against the re-keyed
     # table.  No rebuilt node can collide with a moved y node: both
@@ -150,7 +134,6 @@ def _swap_levels(manager: BDDManager, level: int) -> bool:
         lo_a[n] = new_low
         hi_a[n] = new_high
         y_sub[(new_low, new_high)] = n
-        x_bucket_new.add(n)
 
     # Exchange the variable names and levels.
     names = manager._name_of
@@ -165,8 +148,8 @@ def _swap_levels(manager: BDDManager, level: int) -> bool:
 def swap_adjacent(manager: BDDManager, level: int) -> None:
     """Exchange the variables at ``level`` and ``level + 1`` in place.
 
-    The standalone reordering primitive, served entirely from the
-    manager's per-level node index.  All affected unique-table entries
+    The standalone reordering primitive, served entirely from the two
+    levels' unique subtables.  All affected unique-table entries
     are re-keyed, the operation caches are dropped and the manager's
     reorder hooks fire.
     """
@@ -205,10 +188,10 @@ class SiftResult:
 class _Sifter:
     """Size metric, swap accounting and session cleanup for sifting.
 
-    The per-level handle sets live on the manager itself
-    (:meth:`BDDManager.nodes_at_level`), updated by every allocation,
-    swap and sweep, so the sifter never scans the unique table — not
-    at construction and not per swap.
+    The per-level handle sets are the manager's unique subtables
+    (:meth:`BDDManager.nodes_at_level`), which every allocation, swap
+    and sweep keeps exact, so the sifter never scans the whole unique
+    table — not at construction and not per swap.
 
     Excursions rebuild nodes, and every rebuild can orphan the node it
     replaced; left alone that garbage compounds across sifted variables.
@@ -288,7 +271,7 @@ class _Sifter:
 
         ``max_excursion`` bounds how many levels the variable travels in
         each direction (Rudell's bounded-distance sifting): the per-swap
-        cost is small thanks to the manager's per-level index, but the
+        cost is small thanks to the per-level subtables, but the
         size *metric* costs a live-node traversal per swap, so the
         excursion length is the remaining time knob for sifting inside
         fast verification runs.  ``None`` keeps the classic full

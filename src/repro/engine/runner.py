@@ -830,13 +830,17 @@ class CampaignRunner:
         memo and the persistent store carry over.  Because pooled results
         are bit-identical to fresh-manager results, the concatenated
         verdicts are byte-identical to one unbatched :meth:`run` of the
-        same list (see ``tests/test_campaign_engine.py``).
+        same list (see ``tests/test_campaign_engine.py``).  The report
+        carries the same ``resilience`` and ``telemetry`` sections as
+        :meth:`run`, built over the whole batched campaign.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         resolved = self.resolve(scenarios)
         if not resolved:
             return CampaignReport(outcomes=[], mode="serial")
+        tracer = telemetry.get_tracer()
+        trace_start = tracer.event_count() if tracer is not None else 0
         started = time.perf_counter()
         pool_before = self.pool.statistics()
         store_before = self.store.statistics() if self.store is not None else None
@@ -887,7 +891,7 @@ class CampaignRunner:
             )
             mode = "serial"
         pool_stats["batches"] = len(reports)
-        return CampaignReport(
+        report = CampaignReport(
             outcomes=outcomes,
             mode=mode,
             pool=pool_stats,
@@ -895,6 +899,32 @@ class CampaignRunner:
             total_seconds=time.perf_counter() - started,
             store=store_stats,
         )
+        # Each batch's sections cover that batch only; fold their
+        # counters into one campaign total.
+        sup_stats = _fresh_sup_stats()
+        workers: Dict[str, int] = {}
+        for batch in reports:
+            _merge_sup_stats(sup_stats, batch.resilience)
+            for name, value in (batch.resilience.get("workers") or {}).items():
+                workers[name] = workers.get(name, 0) + value
+        report.resilience = self._resilience_section(
+            supervision, sup_stats, {"workers": workers}, None, 0
+        )
+        if tracer is not None:
+            batch_workers = [
+                batch.telemetry["workers"]
+                for batch in reports
+                if batch.telemetry.get("workers")
+            ]
+            report.telemetry = self._telemetry_section(
+                tracer,
+                trace_start,
+                pool_stats,
+                store_stats,
+                {"per_batch": batch_workers} if batch_workers else {},
+            )
+            tracer.flush()
+        return report
 
     def _telemetry_section(
         self,

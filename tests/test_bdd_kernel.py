@@ -6,13 +6,13 @@ into a free-list, and serves every operation from one iterative ITE
 core.  These tests pin the properties the rest of the repo builds on:
 
 * free-list reuse never *resurrects* a reclaimed handle — once swept, a
-  handle is gone from the table, the per-level index and the wrapper
+  handle is gone from the table, the per-level view and the wrapper
   interning, and comes back only via the allocator with fresh contents;
 * mark-and-sweep keeps exactly the nodes reachable from the live roots
   (the wrappers external code still holds, plus explicit roots);
-* the per-level index equals a recomputed partition of the unique table
-  after arbitrary interleavings of operations, GC, level swaps and
-  sifting;
+* the per-level subtables equal a partition of the live arena recomputed
+  from the node arrays after arbitrary interleavings of operations, GC,
+  level swaps and sifting;
 * verdicts are GC-transparent: a verification run on a manager that
   aggressively collects between operations is byte-identical to the
   stored golden counterexamples.
@@ -23,10 +23,12 @@ All randomness is seeded; the suite is deterministic.
 import json
 import pathlib
 import random
+import sys
 
 import pytest
 
 from repro.bdd import BDDManager, converge_sift, sift_variable, swap_adjacent
+from repro.bdd.kernel import ITE_FAST_DEPTH, BDDKernel
 
 SEED = 20260730
 
@@ -138,7 +140,9 @@ class TestFreeListReuse:
         assert reclaimed == len(garbage_handles) > 0
         table_handles = table_handle_set(manager)
         index_handles = {
-            h for bucket in manager._level_index.values() for h in bucket
+            node.node_id
+            for level in range(manager.num_vars())
+            for node in manager.nodes_at_level(level)
         }
         for handle in garbage_handles:
             assert handle in manager._free
@@ -203,14 +207,21 @@ class TestIndexAfterGC:
     NUM_VARS = 7
 
     def assert_index_exact(self, manager):
+        # Ground truth from the node arrays: every handle >= 2 not on
+        # the free-list is live and filed under its own subtable key.
+        free = set(manager._free)
         partition = {}
-        for level, sub in manager._table.items():
-            if sub:
-                partition.setdefault(level, set()).update(sub.values())
+        for handle in range(2, len(manager._level)):
+            if handle in free:
+                continue
+            level = manager._level[handle]
+            key = (manager._low[handle], manager._high[handle])
+            assert manager._table[level].get(key) == handle
+            partition.setdefault(level, set()).add(handle)
         indexed = {
-            level: set(bucket)
-            for level, bucket in manager._level_index.items()
-            if bucket
+            level: set(sub.values())
+            for level, sub in manager._table.items()
+            if sub
         }
         assert indexed == partition
         population = manager.level_population()
@@ -403,7 +414,7 @@ class TestArenaSnapshots:
 
 
 def image_digest(image):
-    """Order-free SHA-256 of an arena image (arrays, tables, index, names)."""
+    """Order-free SHA-256 of an arena image (arrays, tables, names)."""
     import hashlib
 
     canonical = {
@@ -414,7 +425,6 @@ def image_digest(image):
         "table": sorted(
             (lvl, sorted(sub.items())) for lvl, sub in image["table"].items()
         ),
-        "index": sorted((lvl, sorted(bucket)) for lvl, bucket in image["index"].items()),
         "names": image.get("names"),
     }
     return hashlib.sha256(json.dumps(canonical).encode()).hexdigest()
@@ -428,7 +438,6 @@ def arena_of(manager):
         "high": list(manager._high),
         "free": list(manager._free),
         "table": {lvl: dict(sub) for lvl, sub in manager._table.items()},
-        "index": {lvl: set(bucket) for lvl, bucket in manager._level_index.items()},
         "names": list(manager.variables),
     }
 
@@ -538,3 +547,83 @@ class TestArenaImages:
             with pytest.raises(ValueError):
                 diverged.adopt_image(image)
             assert arena_of(diverged) == before
+
+
+def stack_depth():
+    """Number of Python frames on the stack below the caller's."""
+    depth = 0
+    frame = sys._getframe(1)
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+class TestFastPathBudget:
+    """One recursion budget bounds every nested fast-path call.
+
+    The diagrams are 3000 levels deep, far past the budget, so any
+    nested call that restarted at a full budget (XOR's inline negations
+    inside an XOR that already spent part of it) would stack two
+    budgets of frames.  The raw kernel keeps no depth hint, so nothing
+    but the budget routes its expansions to the explicit stack.
+    """
+
+    LEVELS = 3000
+    HEADROOM = ITE_FAST_DEPTH + 50
+
+    def build(self, factory):
+        """Parity, AND-of-odd-levels and OR-of-even-levels chains."""
+        kernel = factory()
+        mk = kernel._mk_int
+        parity, negated = 0, 1
+        conj, disj = 1, 0
+        for lvl in reversed(range(self.LEVELS)):
+            parity, negated = mk(lvl, parity, negated), mk(lvl, negated, parity)
+            if lvl % 2:
+                conj = mk(lvl, 0, conj)
+            else:
+                disj = mk(lvl, disj, 1)
+        return kernel, (parity, conj, disj)
+
+    @staticmethod
+    def operations(kernel, roots):
+        parity, conj, disj = roots
+        calls = [
+            lambda: kernel._ite3(parity, conj, disj),
+            lambda: kernel._and2(parity, disj),
+            lambda: kernel._or2(conj, parity),
+            lambda: kernel._xor2(parity, conj),
+            # A terminal-1 high (disj) or terminal-0 low (conj) cofactor
+            # makes XOR / XNOR negate the deep parity cofactor inline.
+            lambda: kernel._xor2(disj, parity),
+            lambda: kernel._xor2(conj, parity, xnor=True),
+            lambda: kernel._not_int(parity),
+        ]
+        results = []
+        for call in calls:
+            # Cold caches: no call may borrow another's cached subresults.
+            kernel.clear_caches()
+            results.append(call())
+        return results
+
+    @pytest.mark.parametrize(
+        "factory",
+        [BDDKernel, lambda: BDDManager([f"v{i}" for i in range(3000)])],
+        ids=["kernel", "manager"],
+    )
+    def test_deep_operations_fit_in_one_budget(self, factory):
+        shallow, roots = self.build(factory)
+        expected = self.operations(shallow, roots)
+        deep, deep_roots = self.build(factory)
+        assert deep_roots == roots
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(stack_depth() + self.HEADROOM)
+        try:
+            results = self.operations(deep, deep_roots)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert results == expected
+        assert deep._level == shallow._level
+        assert deep._low == shallow._low
+        assert deep._high == shallow._high

@@ -1,14 +1,16 @@
 """Property tests for the manager's per-level node index.
 
-The index (``BDDManager._level_index``, surfaced as ``nodes_at_level`` /
-``level_population``) is what makes engine-scale sifting affordable: a
-level swap reads exactly the two levels it touches instead of scanning
-the unique table.  That only holds if the index is *exactly* the level
-partition of the live node table after every mutation — allocation,
-reorder sweep and level swap.  These tests drive randomised operation
-sequences through every mutation source and re-derive the partition
-from the unique table after each burst; sifting additionally must
-preserve minterm counts and canonicity.
+The index is the unique table's per-level subtables
+(``BDDManager._table``, surfaced as ``nodes_at_level`` /
+``level_population``), and it is what makes engine-scale sifting
+affordable: a level swap reads exactly the two levels it touches
+instead of scanning the whole unique table.  That only holds if the
+subtables are *exactly* the level partition of the live arena after
+every mutation — allocation, reorder sweep and level swap.  These
+tests drive randomised operation sequences through every mutation
+source and re-derive the partition from the node arrays after each
+burst; sifting additionally must preserve minterm counts and
+canonicity.
 
 All randomness is seeded; the suite is deterministic.
 """
@@ -22,29 +24,36 @@ SEED = 20260730
 
 
 def recomputed_partition(manager):
-    """The ground truth: live nodes grouped by level via a full table scan.
+    """The ground truth: live nodes grouped by level via a full arena scan.
 
-    Reads the unique subtables (``level -> {(low, high): handle}``), not
-    the per-level index under test, and checks each subtable key against
-    the node's own arena record.
+    Reads the parallel node arrays, not the subtables under test: every
+    handle >= 2 that is not on the free-list is live.  Each live node
+    must be filed in the subtable of its level under its own ``(low,
+    high)`` key, and each subtable key must match its node's record.
     """
+    free = set(manager._free)
     partition = {}
+    for handle in range(2, len(manager._level)):
+        if handle in free:
+            continue
+        node = manager._wrap(handle)
+        key = (node.low.node_id, node.high.node_id)
+        assert manager._table[node.level].get(key) == handle
+        partition.setdefault(node.level, {})[handle] = node
     for table_level, sub in manager._table.items():
         for (low, high), handle in sub.items():
-            node = manager._wrap(handle)
-            assert node.level == table_level
+            node = partition[table_level][handle]
             assert (node.low.node_id, node.high.node_id) == (low, high)
-            partition.setdefault(node.level, {})[node.node_id] = node
     return partition
 
 
 def assert_index_exact(manager):
-    """The per-level index equals the recomputed partition, bit for bit."""
+    """The per-level subtables equal the recomputed partition, bit for bit."""
     truth = recomputed_partition(manager)
     indexed = {
-        level: set(bucket)
-        for level, bucket in manager._level_index.items()
-        if bucket
+        level: set(sub.values())
+        for level, sub in manager._table.items()
+        if sub
     }
     assert indexed.keys() == truth.keys()
     for level, bucket in truth.items():
@@ -182,14 +191,14 @@ class TestIndexTracksReordering:
         assert_index_exact(manager)
         if dropped:
             total_indexed = sum(manager.level_population().values())
-            assert total_indexed == sum(len(sub) for sub in manager._table.values())
+            assert total_indexed == len(manager._level) - 2 - len(manager._free)
 
 
 class TestSwapCostIsLocal:
     """The structural point of the index: a swap never scans the table.
 
     Build a table whose population is concentrated on levels *not* being
-    swapped and verify the swap leaves every foreign bucket object
+    swapped and verify the swap leaves every foreign subtable object
     untouched (identity), which a rebuild-by-scan could not guarantee.
     """
 
@@ -200,10 +209,10 @@ class TestSwapCostIsLocal:
         for _ in range(5):
             random_function(manager, rng, names, depth=5)
         before = {
-            level: manager._level_index.get(level)
+            level: manager._table.get(level)
             for level in range(2, 6)
         }
         swap_adjacent(manager, 0)
         for level in range(3, 6):
-            assert manager._level_index.get(level) is before[level]
+            assert manager._table.get(level) is before[level]
         assert_index_exact(manager)

@@ -337,6 +337,42 @@ class TestRunBatched:
         for record in batched.pool["per_batch"]:
             assert len(record["per_worker"]) == record["workers"]
 
+    def test_traced_supervised_report_is_complete(self):
+        """run_batched reports the same sections as run, verdicts equal."""
+        from repro import telemetry
+        from repro.resilience import FaultPlan, FaultSpec, SupervisionPolicy, faults
+
+        scenarios = generate_scenarios(5, 30, classes=FAST_CLASSES)
+        policy = SupervisionPolicy(max_attempts=2, backoff_base=0.0)
+        plan = FaultPlan(sites={"scenario.run": FaultSpec(kind="error", at=(0,))})
+        reports = []
+        try:
+            for batched in (False, True):
+                telemetry.enable()
+                runner = CampaignRunner()
+                with faults.active(plan):
+                    if batched:
+                        reports.append(
+                            runner.run_batched(scenarios, batch_size=4, supervision=policy)
+                        )
+                    else:
+                        reports.append(runner.run(scenarios, supervision=policy))
+                telemetry.disable()
+        finally:
+            telemetry.disable()
+        plain, batched = reports
+        assert batched.pool["batches"] == 3
+        assert batched.to_dict().keys() == plain.to_dict().keys()
+        for section in ("resilience", "telemetry"):
+            ours, theirs = getattr(batched, section), getattr(plain, section)
+            assert theirs and ours.keys() == theirs.keys(), section
+        # One injected failure, retried once, on either path.
+        assert batched.resilience["retries"] == plain.resilience["retries"] == 1
+        assert batched.telemetry["trace"].keys() == plain.telemetry["trace"].keys()
+        assert batched.verdict_json().encode("utf-8") == (
+            plain.verdict_json().encode("utf-8")
+        )
+
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError, match="batch_size"):
             CampaignRunner().run_batched([], batch_size=0)
