@@ -3,7 +3,7 @@ vs. the object-graph kernel it replaced.
 
 The PR-4 tentpole rewrote ``src/repro/bdd`` as a struct-of-arrays
 kernel (integer handles, one iterative ITE core with standard-triple
-normalisation and native XOR/XNOR, shared int-tuple-keyed op caches,
+normalisation and native XOR/XNOR, shared int-keyed op caches,
 mark-and-sweep arena GC with a free-list, array-native level swaps).
 This benchmark measures that representation change in isolation: a
 faithful, self-contained copy of the seed *object-graph* kernel (heap
@@ -664,8 +664,11 @@ def _arena_sessions(sessions: int, width: int) -> Dict[str, object]:
 
 
 #: Traced bytes per live node of :func:`_node_footprint` on CPython
-#: 3.11, and the factor both tiers allow above it.
-BYTES_PER_NODE = 273
+#: 3.11, and the factor both tiers allow above it.  With int-packed
+#: table and cache keys the build measures 221.9 bytes/node (272.6 with
+#: the tuple keys they replaced), so tuple keys coming back fail the
+#: ceiling of 1.15 x 222 = 255.
+BYTES_PER_NODE = 222
 BYTES_PER_NODE_SLACK = 1.15
 
 

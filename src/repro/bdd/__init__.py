@@ -8,8 +8,9 @@ reordering (sifting) in :mod:`repro.bdd.reorder`.
 
 Representation: one array-backed integer-handle kernel
 (:mod:`repro.bdd.kernel` — struct-of-arrays node storage, per-level
-unique subtables mapping ``(lo, hi)`` to a handle, one iterative ITE
-core, mark-and-sweep arena GC) beneath the
+unique subtables mapping the packed int ``lo << 32 | hi`` to a handle,
+int-packed cache keys that keep every table off the cyclic collector,
+one iterative ITE core, mark-and-sweep arena GC) beneath the
 :class:`~repro.bdd.manager.BDDManager` facade; consumers see immutable
 :class:`~repro.bdd.node.BDD` wrappers (``BDDNode`` is the same class).
 There is no backend choice: every caller constructs ``BDDManager(...)``

@@ -6,8 +6,8 @@ they live in parallel Python lists — ``_level[h]``, ``_low[h]``,
 ``_high[h]`` plus a ``_mark[h]`` word for the collector — and a node
 *is* its index ``h`` (the CUDD-style struct-of-arrays layout).  Handle
 0 is the constant-0 terminal, handle 1 the constant-1 terminal,
-decision nodes start at 2.  The unique table maps ``(level, low,
-high)`` int-triples to handles, which is what keeps the diagrams
+decision nodes start at 2.  The unique table maps a node's ``(level,
+low, high)`` record to its handle, which is what keeps the diagrams
 reduced and canonical: equal functions have equal handles.  It is
 split into per-level subtables, and those subtables are the only
 per-level node index: the live nodes at a level are exactly one
@@ -31,12 +31,18 @@ replaced:
   Restriction, composition, quantification and the relational product
   are explicit-stack walkers over the same arrays that bottom out in
   the core.
-* **Int-tuple-keyed shared memo caches.**  The ITE cache and the
-  operation cache (restrict/compose/quantify/and-exists, keyed by a
-  small opcode, the operand handles and an interned signature of the
-  variable set) carry the hit/miss/eviction accounting the campaign
-  engine reports; ``cache_limit`` bounds each cache by wholesale drop,
-  exactly as before.
+* **Int-packed keys, off the cyclic collector.**  Every unique-table
+  and cache key is one Python int with 32-bit handle fields (layouts in
+  :func:`unique_key`, :func:`ite_key`, :func:`op_key`,
+  :func:`xor_key` and :func:`and_exists_key`; the hot paths inline
+  them).  A dict holding only int keys and int values is never tracked
+  by CPython's cyclic collector, so the subtables and both caches cost
+  no collector time however large they grow, and an int key takes
+  about half the bytes of the tuple it replaced.  The ITE cache and the
+  operation cache (restrict/compose/quantify/and-exists/XOR, keyed by a
+  3-bit opcode, the operand handles and an interned 16-bit signature of
+  the variable set) carry the hit/miss/eviction accounting the campaign
+  engine reports; ``cache_limit`` bounds each cache by wholesale drop.
 * **Arena GC.**  Dead nodes are reclaimed by mark-and-sweep
   (:meth:`BDDKernel.collect`): roots are every handle external code can
   still name (the manager's weakly-interned wrappers, see
@@ -56,7 +62,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .node import TERMINAL_LEVEL
 
-#: Opcodes of the shared operation cache (first element of every key).
+#: Opcodes of the shared operation cache (the low 3 bits of every key).
 OP_EXISTS = 1
 OP_FORALL = 2
 OP_RESTRICT = 3
@@ -64,6 +70,49 @@ OP_COMPOSE = 4
 OP_ANDEX = 5
 OP_XOR = 6
 OP_XNOR = 7
+
+#: Handles are packed into 32-bit key fields, so every handle must stay
+#: below this bound.  :meth:`BDDKernel.restore` refuses a payload that
+#: could cross it; allocation needs no check, because a 2**32-slot
+#: arena would hold four 2**32-slot column lists (``_level``, ``_low``,
+#: ``_high``, ``_mark``) of 8-byte pointers — 128 GiB before a single
+#: int object or subtable entry — long before which the process is out
+#: of memory.
+HANDLE_LIMIT = 1 << 32
+
+
+# Packed key layouts.  One fixed layout per table, each injective while
+# handles stay below HANDLE_LIMIT and signatures below
+# BDDKernel.SIG_INTERN_LIMIT (16 bits).  The hot paths inline these
+# expressions; the functions are their single written definition.
+def unique_key(low: int, high: int) -> int:
+    """Unique-subtable key of a node with children ``low``/``high``."""
+    return low << 32 | high
+
+
+def ite_key(f: int, g: int, h: int) -> int:
+    """ITE-cache key of the normalised triple ``(f, g, h)``.
+
+    A negation ``ite(f, 0, 1)`` is the key ``f << 64 | 1``: its low 64
+    bits equal 1, which is how the stack gear spots one.
+    """
+    return f << 64 | g << 32 | h
+
+
+def op_key(op: int, n: int, sig: int) -> int:
+    """Op-cache key of a restrict/compose/quantify result for node ``n``."""
+    return (n << 16 | sig) << 3 | op
+
+
+def xor_key(op: int, f: int, g: int) -> int:
+    """Op-cache key of ``f XOR g`` (``op`` is OP_XOR or OP_XNOR)."""
+    return (f << 32 | g) << 19 | op
+
+
+def and_exists_key(a: int, b: int, sig: int) -> int:
+    """Op-cache key of the relational product of ``a`` and ``b``."""
+    return ((a << 32 | b) << 16 | sig) << 3 | OP_ANDEX
+
 
 #: Version tag embedded in :meth:`BDDKernel.snapshot` payloads.
 SNAPSHOT_FORMAT = 1
@@ -147,7 +196,9 @@ class BDDKernel:
     kernel so the hot loops read the arrays without indirection).  All
     methods here take and return integer handles.  A live node is
     recorded in two places only: its slot in the parallel arrays and
-    its ``(low, high)`` key in the subtable of its level.
+    its :func:`unique_key` in the subtable of its level.  The subtables
+    and both caches hold ints only, so the cyclic collector never
+    tracks them.
     """
 
     def __init__(self, cache_limit: Optional[int] = None) -> None:
@@ -160,18 +211,18 @@ class BDDKernel:
         self._high: List[int] = [0, 1]
         self._mark: List[int] = [0, 0]
         #: Unique table, split into per-level subtables (CUDD-style):
-        #: level -> {(low, high) -> handle}.  The subtables are also the
-        #: per-level node index: ``_table[level].values()`` is exactly
-        #: the live handles at that level.  The split is what makes an
-        #: adjacent level swap cheap: nodes that only change *level*
-        #: keep their subtable keys and move as a whole dict, so a swap
-        #: re-keys only the rebuilt nodes.
-        self._table: Dict[int, Dict[Tuple[int, int], int]] = {}
+        #: level -> {unique_key(low, high) -> handle}.  The subtables
+        #: are also the per-level node index: ``_table[level].values()``
+        #: is exactly the live handles at that level.  The split is what
+        #: makes an adjacent level swap cheap: nodes that only change
+        #: *level* keep their subtable keys and move as a whole dict, so
+        #: a swap re-keys only the rebuilt nodes.
+        self._table: Dict[int, Dict[int, int]] = {}
         #: Reclaimed handles awaiting reuse (LIFO).
         self._free: List[int] = []
-        # Operation caches (int-tuple keys only).
-        self._ite_cache: Dict[Tuple[int, int, int], int] = {}
-        self._op_cache: Dict[Tuple[int, int, int], int] = {}
+        # Operation caches (packed int keys, see ite_key/op_key).
+        self._ite_cache: Dict[int, int] = {}
+        self._op_cache: Dict[int, int] = {}
         self._sig_intern: Dict[object, int] = {}
         self._cache_limit = cache_limit
         self._cache_hits = 0
@@ -249,7 +300,7 @@ class BDDKernel:
         sub = self._table.get(lvl)
         if sub is None:
             sub = self._table[lvl] = {}
-        key = (lo, hi)
+        key = lo << 32 | hi
         h = sub.get(key)
         if h is None:
             free = self._free
@@ -301,9 +352,12 @@ class BDDKernel:
         # (pooled) managers most calls end right here.
         if f < 2:
             return g if f else h
+        # Two independent tests, not if/elif: ``ite(f, f, f)`` must
+        # reduce to ``f`` here, as the recursive gear's caller-side
+        # ``g0 == h0`` test reduces it, instead of caching (f, 1, f).
         if f == g:
             g = 1
-        elif f == h:
+        if f == h:
             h = 0
         if g == h:
             return g
@@ -315,7 +369,7 @@ class BDDKernel:
         elif g == 1 and h < f:
             f, h = h, f
         cache = self._ite_cache
-        key = (f, g, h)
+        key = f << 64 | g << 32 | h
         r = cache.get(key)
         if r is not None:
             self._cache_hits += 1
@@ -372,7 +426,7 @@ class BDDKernel:
             sub = self._table.get(top)
             if sub is None:
                 sub = self._table[top] = {}
-            k2 = (r0, r1)
+            k2 = r0 << 32 | r1
             free = self._free
             if free:
                 r = sub.get(k2)
@@ -393,13 +447,13 @@ class BDDKernel:
                     low.append(r0)
                     high.append(r1)
         cache[key] = r
-        if key[1] == 0 and key[2] == 1:
-            cache[(r, 0, 1)] = key[0]
+        if g == 0 and h == 1:
+            cache[r << 64 | 1] = f
         if self._cache_limit is not None and len(cache) > self._cache_limit:
             self._drop_cache(cache)
         return r
 
-    def _ite_stack(self, f: int, g: int, h: int, key: Tuple[int, int, int]) -> int:
+    def _ite_stack(self, f: int, g: int, h: int, key: int) -> int:
         """Explicit-stack expansion of a known, normalised ITE cache miss.
 
         No recursion on BDD structure, so 3000-level diagrams are as
@@ -407,10 +461,14 @@ class BDDKernel:
         reduce step.  Cofactor triples are *resolved inline*: a child
         that is trivial or already cached contributes its result without
         a stack round-trip, and a child that is not carries its
-        normalised triple and cache key in its task so nothing is looked
-        up twice.  Task tags: 4 = expand a known cache miss; 1/2/3 =
-        reduce with both / only-high / only-low results still on the
-        result stack.
+        normalised triple and cache key in its task.  A task is probed
+        once more when it is expanded, and only that probe is counted
+        for it: the same triple may have been pushed twice and reduced
+        in between, and the recursive gear would hit on the second
+        copy.  So both gears report the same hits, misses and
+        allocations for one build.  Task tags: 4 = expand a cache miss;
+        1/2/3 = reduce with both / only-high / only-low results still on
+        the result stack.
         """
         cache = self._ite_cache
         level = self._level
@@ -432,8 +490,17 @@ class BDDKernel:
             t = pop()
             tag = t[0]
             if tag == 4:
-                misses += 1
                 tag, f, g, h, key = t
+                # Re-probe: a copy of this triple pushed earlier may
+                # have been reduced meanwhile.  Counting here, once per
+                # expanded task, books every probe exactly as the
+                # recursive gear does.
+                r = cache.get(key)
+                if r is not None:
+                    hits += 1
+                    rpush(r)
+                    continue
+                misses += 1
                 lf = level[f]
                 lg = level[g]
                 top = lf if lf < lg else lg
@@ -462,7 +529,7 @@ class BDDKernel:
                 else:
                     if f0 == g0:
                         g0 = 1
-                    elif f0 == h0:
+                    if f0 == h0:
                         h0 = 0
                     if g0 == h0:
                         r0 = g0
@@ -475,12 +542,12 @@ class BDDKernel:
                             else:
                                 if g0 < f0:
                                     f0, g0 = g0, f0
-                                k0 = (f0, g0, 0)
+                                k0 = (f0 << 32 | g0) << 32
                                 r0 = cache.get(k0)
                         else:
                             if g0 == 1 and h0 < f0:
                                 f0, h0 = h0, f0
-                            k0 = (f0, g0, h0)
+                            k0 = f0 << 64 | g0 << 32 | h0
                             r0 = cache.get(k0)
                         if r0 is not None and k0 is not None:
                             # Trivial reductions (k0 is None) are not
@@ -493,7 +560,7 @@ class BDDKernel:
                 else:
                     if f1 == g1:
                         g1 = 1
-                    elif f1 == h1:
+                    if f1 == h1:
                         h1 = 0
                     if g1 == h1:
                         r1 = g1
@@ -506,12 +573,12 @@ class BDDKernel:
                             else:
                                 if g1 < f1:
                                     f1, g1 = g1, f1
-                                k1 = (f1, g1, 0)
+                                k1 = (f1 << 32 | g1) << 32
                                 r1 = cache.get(k1)
                         else:
                             if g1 == 1 and h1 < f1:
                                 f1, h1 = h1, f1
-                            k1 = (f1, g1, h1)
+                            k1 = f1 << 64 | g1 << 32 | h1
                             r1 = cache.get(k1)
                         if r1 is not None and k1 is not None:
                             hits += 1
@@ -548,7 +615,7 @@ class BDDKernel:
                 sub = table.get(top)
                 if sub is None:
                     sub = table[top] = {}
-                k2 = (lo, hi)
+                k2 = lo << 32 | hi
                 if free:
                     r = sub.get(k2)
                     if r is None:
@@ -566,10 +633,11 @@ class BDDKernel:
                         low.append(lo)
                         high.append(hi)
             cache[key] = r
-            if key[1] == 0 and key[2] == 1:
-                # r = NOT key[0]; negation is an involution, so the
-                # reverse lookup is free to memoise as well.
-                cache[(r, 0, 1)] = key[0]
+            if key & 0xFFFFFFFFFFFFFFFF == 1:
+                # A negation key (g = 0, h = 1): r = NOT f, and negation
+                # is an involution, so the reverse lookup is free to
+                # memoise as well.
+                cache[r << 64 | 1] = key >> 64
             if bounded and len(cache) > limit:
                 self._drop_cache(cache)
             rpush(r)
@@ -606,7 +674,7 @@ class BDDKernel:
         if g < f:
             f, g = g, f
         cache = self._ite_cache
-        key = (f, g, 0)
+        key = (f << 32 | g) << 32
         r = cache.get(key)
         if r is not None:
             self._cache_hits += 1
@@ -654,7 +722,7 @@ class BDDKernel:
             sub = self._table.get(top)
             if sub is None:
                 sub = self._table[top] = {}
-            k2 = (r0, r1)
+            k2 = r0 << 32 | r1
             free = self._free
             if free:
                 r = sub.get(k2)
@@ -694,7 +762,7 @@ class BDDKernel:
         if g < f:
             f, g = g, f
         cache = self._ite_cache
-        key = (f, 1, g)
+        key = f << 64 | 1 << 32 | g
         r = cache.get(key)
         if r is not None:
             self._cache_hits += 1
@@ -742,7 +810,7 @@ class BDDKernel:
             sub = self._table.get(top)
             if sub is None:
                 sub = self._table[top] = {}
-            k2 = (r0, r1)
+            k2 = r0 << 32 | r1
             free = self._free
             if free:
                 r = sub.get(k2)
@@ -778,8 +846,8 @@ class BDDKernel:
         verifier's ``vector_equal`` compare loops are XOR/XNOR-heavy, so
         the core descends on both operands directly and only negates the
         small terminal-adjacent cofactors.  Commutative pairs are
-        ordered by handle; results memoised under ``(OP_XOR/OP_XNOR, f,
-        g)`` in the shared op cache.
+        ordered by handle; results memoised under :func:`xor_key` in the
+        shared op cache.
         """
         one_result = 1 if xnor else 0
         if f == g:
@@ -798,7 +866,7 @@ class BDDKernel:
             f, g = g, f
         op = OP_XNOR if xnor else OP_XOR
         cache = self._op_cache
-        key = (op, f, g)
+        key = (f << 32 | g) << 19 | op
         r = cache.get(key)
         if r is not None:
             self._cache_hits += 1
@@ -849,7 +917,7 @@ class BDDKernel:
             sub = self._table.get(top)
             if sub is None:
                 sub = self._table[top] = {}
-            k2 = (r0, r1)
+            k2 = r0 << 32 | r1
             free = self._free
             if free:
                 r = sub.get(k2)
@@ -878,7 +946,7 @@ class BDDKernel:
         self,
         f: int,
         g: int,
-        key: Tuple[int, int, int],
+        key: int,
         op: int,
         xnor: bool,
         depth: int,
@@ -914,8 +982,14 @@ class BDDKernel:
             t = pop()
             tag = t[0]
             if tag == 4:
-                misses += 1
                 tag, f, g, key = t
+                # Re-probe at expansion, as in _ite_stack.
+                r = cache.get(key)
+                if r is not None:
+                    hits += 1
+                    rpush(r)
+                    continue
+                misses += 1
                 lf = level[f]
                 lg = level[g]
                 top = lf if lf < lg else lg
@@ -946,7 +1020,7 @@ class BDDKernel:
                 else:
                     if g0 < f0:
                         f0, g0 = g0, f0
-                    k0 = (op, f0, g0)
+                    k0 = (f0 << 32 | g0) << 19 | op
                     r0 = cache.get(k0)
                     if r0 is not None:
                         hits += 1
@@ -967,7 +1041,7 @@ class BDDKernel:
                 else:
                     if g1 < f1:
                         f1, g1 = g1, f1
-                    k1 = (op, f1, g1)
+                    k1 = (f1 << 32 | g1) << 19 | op
                     r1 = cache.get(k1)
                     if r1 is not None:
                         hits += 1
@@ -1004,7 +1078,7 @@ class BDDKernel:
                 sub = table.get(top)
                 if sub is None:
                     sub = table[top] = {}
-                k2 = (lo, hi)
+                k2 = lo << 32 | hi
                 if free:
                     r = sub.get(k2)
                     if r is None:
@@ -1064,7 +1138,7 @@ class BDDKernel:
         """Cofactor ``f`` by ``{level: 0/1}`` literal bindings.
 
         Post-order explicit stack; results are memoised in the shared op
-        cache under ``(OP_RESTRICT, handle, sig)``.  Nodes entirely
+        cache under :func:`op_key` of ``OP_RESTRICT``.  Nodes entirely
         below the deepest restricted level are returned unchanged (the
         cone cannot mention a restricted variable), which is what makes
         cofactor-specialised relational products cheap.
@@ -1075,6 +1149,8 @@ class BDDKernel:
         shared = self._op_cache
         limit = self._cache_limit
         max_level = max(by_level)
+        # op_key(OP_RESTRICT, n, sig) is n << 19 | tail.
+        tail = sig << 3 | OP_RESTRICT
         memo: Dict[int, int] = {}
         stack = [f]
         spush = stack.append
@@ -1089,7 +1165,7 @@ class BDDKernel:
                 memo[n] = n
                 stack.pop()
                 continue
-            r = shared.get((OP_RESTRICT, n, sig))
+            r = shared.get(n << 19 | tail)
             if r is not None:
                 hits += 1
                 memo[n] = r
@@ -1116,7 +1192,7 @@ class BDDKernel:
                 r = lo if lo == hi else self._mk_int(ln, lo, hi)
             misses += 1
             memo[n] = r
-            shared[(OP_RESTRICT, n, sig)] = r
+            shared[n << 19 | tail] = r
             if limit is not None and len(shared) > limit:
                 self._drop_cache(shared)
             stack.pop()
@@ -1141,6 +1217,8 @@ class BDDKernel:
         shared = self._op_cache
         limit = self._cache_limit
         max_level = max(by_level)
+        # op_key(OP_COMPOSE, n, sig) is n << 19 | tail.
+        tail = sig << 3 | OP_COMPOSE
         memo: Dict[int, int] = {}
         stack = [f]
         spush = stack.append
@@ -1155,7 +1233,7 @@ class BDDKernel:
                 memo[n] = n
                 stack.pop()
                 continue
-            r = shared.get((OP_COMPOSE, n, sig))
+            r = shared.get(n << 19 | tail)
             if r is not None:
                 hits += 1
                 memo[n] = r
@@ -1176,7 +1254,7 @@ class BDDKernel:
             misses += 1
             r = self._ite3(replacement, hi, lo)
             memo[n] = r
-            shared[(OP_COMPOSE, n, sig)] = r
+            shared[n << 19 | tail] = r
             if limit is not None and len(shared) > limit:
                 self._drop_cache(shared)
             stack.pop()
@@ -1261,6 +1339,8 @@ class BDDKernel:
         limit = self._cache_limit
         exists = op == OP_EXISTS
         max_level = max(levels)
+        # op_key(op, n, sig) is n << 19 | tail.
+        tail = sig << 3 | op
         memo: Dict[int, int] = {}
         hits = 0
         misses = 0
@@ -1275,7 +1355,7 @@ class BDDKernel:
                 memo[n] = n
                 stack.pop()
                 continue
-            r = shared.get((op, n, sig))
+            r = shared.get(n << 19 | tail)
             if r is not None:
                 hits += 1
                 memo[n] = r
@@ -1299,7 +1379,7 @@ class BDDKernel:
             else:
                 r = lo if lo == hi else self._mk_int(ln, lo, hi)
             memo[n] = r
-            shared[(op, n, sig)] = r
+            shared[n << 19 | tail] = r
             if limit is not None and len(shared) > limit:
                 self._drop_cache(shared)
             stack.pop()
@@ -1317,9 +1397,9 @@ class BDDKernel:
         quantified level the low product short-circuits the high one
         when it is already the constant 1.  Operand pairs are ordered by
         handle (AND commutes) and memoised in the shared op cache under
-        ``(OP_ANDEX, a, b, sig)`` — the signature stands in for the
-        level set, so repeated image steps with one relation share
-        results across calls.
+        :func:`and_exists_key` — the signature stands in for the level
+        set, so repeated image steps with one relation share results
+        across calls.  The walk's local memo uses the same packed key.
         """
         level = self._level
         low = self._low
@@ -1327,7 +1407,9 @@ class BDDKernel:
         shared = self._op_cache
         limit = self._cache_limit
         max_level = max(levels)
-        memo: Dict[Tuple[int, int], int] = {}
+        # and_exists_key(a, b, sig) is (a << 32 | b) << 19 | tail.
+        tail = sig << 3 | OP_ANDEX
+        memo: Dict[int, int] = {}
         hits = 0
         misses = 0
         # Task tags: 0 expand, 1 reduce-mk, 2 after-low (quantified),
@@ -1354,10 +1436,10 @@ class BDDKernel:
                     a, b = b, a
                 elif b != 1 and b < a:
                     a, b = b, a
-                key = (a, b)
+                key = (a << 32 | b) << 19 | tail
                 r = memo.get(key)
                 if r is None:
-                    r = shared.get((OP_ANDEX, a, b, sig))
+                    r = shared.get(key)
                     if r is not None:
                         hits += 1
                         memo[key] = r
@@ -1372,7 +1454,7 @@ class BDDKernel:
                     misses += 1
                     r = self._and2(a, b)
                     memo[key] = r
-                    shared[(OP_ANDEX, a, b, sig)] = r
+                    shared[key] = r
                     if limit is not None and len(shared) > limit:
                         self._drop_cache(shared)
                     rpush(r)
@@ -1401,7 +1483,7 @@ class BDDKernel:
                 misses += 1
                 key = t[2]
                 memo[key] = r
-                shared[(OP_ANDEX, key[0], key[1], sig)] = r
+                shared[key] = r
                 if limit is not None and len(shared) > limit:
                     self._drop_cache(shared)
                 rpush(r)
@@ -1412,7 +1494,7 @@ class BDDKernel:
                     # Early exit: OR with 1 — skip the high product.
                     misses += 1
                     memo[key] = 1
-                    shared[(OP_ANDEX, key[0], key[1], sig)] = 1
+                    shared[key] = 1
                     if limit is not None and len(shared) > limit:
                         self._drop_cache(shared)
                     rpush(1)
@@ -1426,7 +1508,7 @@ class BDDKernel:
                 r = self._or2(lo, hi)
                 key = t[1]
                 memo[key] = r
-                shared[(OP_ANDEX, key[0], key[1], sig)] = r
+                shared[key] = r
                 if limit is not None and len(shared) > limit:
                     self._drop_cache(shared)
                 rpush(r)
@@ -1505,7 +1587,9 @@ class BDDKernel:
         Every structural invariant is validated before a node is built:
         truncated arrays, forward child references, redundant nodes and
         non-monotone levels all raise :class:`SnapshotError` — a corrupt
-        snapshot can fail, never rebuild the wrong function.
+        snapshot can fail, never rebuild the wrong function.  So does a
+        payload with enough nodes to push handles past
+        :data:`HANDLE_LIMIT`.
         """
         if payload.get("format") != SNAPSHOT_FORMAT:
             raise SnapshotError(
@@ -1521,6 +1605,12 @@ class BDDKernel:
             raise SnapshotError(f"malformed snapshot payload: {exc!r}") from None
         if not (len(levels) == len(lows) == len(highs)):
             raise SnapshotError("snapshot arrays disagree in length (truncated?)")
+        if len(self._level) + len(levels) > HANDLE_LIMIT:
+            # Each record may take a fresh slot, and handles must fit
+            # the 32-bit fields of the packed keys.
+            raise SnapshotError(
+                f"snapshot of {len(levels)} nodes would push handles past 2**32"
+            )
         # Hoist the per-level validation out of the loop: every level a
         # node may carry is either a level_map value or a member of the
         # recorded level set, both checkable once.  The loop then only
@@ -1600,7 +1690,7 @@ class BDDKernel:
                 sub = table.get(lvl)
                 if sub is None:
                     sub = table[lvl] = {}
-                key = (lo, hi)
+                key = lo << 32 | hi
                 h = sub.get(key)
                 if h is None:
                     if free:
@@ -1627,11 +1717,11 @@ class BDDKernel:
 
         Unlike :meth:`snapshot` this is no serialisation: the node
         arrays, the free-list and every per-level subtable are copied
-        at C speed (the copies share the immutable key tuples and
-        ints), so neither capturing nor adopting an image does per-node
-        Python work.  The image never
-        aliases the arena: later operations, collections or swaps on
-        this kernel leave it untouched.
+        at C speed (the copies share the immutable int keys and
+        handles, and stay untracked by the cyclic collector), so neither
+        capturing nor adopting an image does per-node Python work.  The
+        image never aliases the arena: later operations, collections or
+        swaps on this kernel leave it untouched.
         """
         return {
             "level": self._level.copy(),

@@ -42,6 +42,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from .kernel import unique_key
 from .manager import BDDManager
 from .node import BDD
 
@@ -108,11 +109,11 @@ def _swap_levels(manager: BDDManager, level: int) -> bool:
     independent, rebuilds = manager._plan_swap(y_level, list(x_sub.values()))
 
     # Per-level subtables make the bulk moves free: a node that only
-    # changes *level* keeps its (low, high) key, so the whole y
+    # changes *level* keeps its unique_key(low, high), so the whole y
     # subtable — and the independent slice of the x subtable — move as
     # dicts; only the rebuilt nodes are re-keyed individually.
     for n, _f00, _f01, _f10, _f11 in rebuilds:
-        del x_sub[(lo_a[n], hi_a[n])]
+        del x_sub[unique_key(lo_a[n], hi_a[n])]
     # Relabelling writes one level word per node; map over the bound
     # __setitem__ keeps the loop in C for fat levels.
     # y moves up: structure unchanged, only the level word changes.
@@ -133,7 +134,7 @@ def _swap_levels(manager: BDDManager, level: int) -> bool:
         new_high = mk(y_level, f01, f11)
         lo_a[n] = new_low
         hi_a[n] = new_high
-        y_sub[(new_low, new_high)] = n
+        y_sub[unique_key(new_low, new_high)] = n
 
     # Exchange the variable names and levels.
     names = manager._name_of

@@ -28,7 +28,7 @@ import sys
 import pytest
 
 from repro.bdd import BDDManager, converge_sift, sift_variable, swap_adjacent
-from repro.bdd.kernel import ITE_FAST_DEPTH, BDDKernel
+from repro.bdd.kernel import ITE_FAST_DEPTH, BDDKernel, unique_key
 
 SEED = 20260730
 
@@ -215,7 +215,7 @@ class TestIndexAfterGC:
             if handle in free:
                 continue
             level = manager._level[handle]
-            key = (manager._low[handle], manager._high[handle])
+            key = unique_key(manager._low[handle], manager._high[handle])
             assert manager._table[level].get(key) == handle
             partition.setdefault(level, set()).add(handle)
         indexed = {

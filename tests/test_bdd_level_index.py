@@ -18,6 +18,7 @@ All randomness is seeded; the suite is deterministic.
 import random
 
 from repro.bdd import BDDManager, converge_sift, sift_to_order, sift_variable, swap_adjacent
+from repro.bdd.kernel import unique_key
 from repro.bdd.reorder import _Sifter
 
 SEED = 20260730
@@ -28,8 +29,9 @@ def recomputed_partition(manager):
 
     Reads the parallel node arrays, not the subtables under test: every
     handle >= 2 that is not on the free-list is live.  Each live node
-    must be filed in the subtable of its level under its own ``(low,
-    high)`` key, and each subtable key must match its node's record.
+    must be filed in the subtable of its level under the
+    :func:`unique_key` of its children, and each subtable key must
+    match its node's record.
     """
     free = set(manager._free)
     partition = {}
@@ -37,13 +39,13 @@ def recomputed_partition(manager):
         if handle in free:
             continue
         node = manager._wrap(handle)
-        key = (node.low.node_id, node.high.node_id)
+        key = unique_key(node.low.node_id, node.high.node_id)
         assert manager._table[node.level].get(key) == handle
         partition.setdefault(node.level, {})[handle] = node
     for table_level, sub in manager._table.items():
-        for (low, high), handle in sub.items():
+        for key, handle in sub.items():
             node = partition[table_level][handle]
-            assert (node.low.node_id, node.high.node_id) == (low, high)
+            assert unique_key(node.low.node_id, node.high.node_id) == key
     return partition
 
 
