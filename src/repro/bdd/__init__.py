@@ -23,6 +23,7 @@ from .node import BDD, BDDNode, TERMINAL_LEVEL
 from .ops import (
     bits_to_int,
     compose_vector,
+    distinguisher,
     encode_value,
     evaluate_vector,
     find_distinguishing_assignment,
@@ -65,6 +66,7 @@ __all__ = [
     "bits_to_int",
     "compose_vector",
     "cycle_major_order",
+    "distinguisher",
     "encode_value",
     "evaluate_vector",
     "find_distinguishing_assignment",

@@ -970,8 +970,8 @@ class BDDKernel:
         neg_terminal = 0 if xnor else 1
         hits = 0
         misses = 0
-        # Task tags: 4 expand (known miss), 1 both pending, 2 low known,
-        # 3 high known.
+        # Task tags: 4 expand (known miss), 5 negate, 1 both pending,
+        # 2 low known, 3 high known.
         tasks: List[tuple] = [(4, f, g, key)]
         push = tasks.append
         pop = tasks.pop
@@ -1025,17 +1025,22 @@ class BDDKernel:
                     if r0 is not None:
                         hits += 1
                 # --- resolve the high cofactor inline ------------------
+                # A high negation waits for a pending low subtree (tag
+                # 5), as in _xor2, so both gears number nodes alike.
                 k1 = None
+                negate = None
                 if f1 == g1:
                     r1 = one_result
                 elif f1 < 2:
                     if f1 == neg_terminal:
-                        r1 = self._ite3(g1, 0, 1, depth)
+                        negate = g1
+                        r1 = None
                     else:
                         r1 = g1
                 elif g1 < 2:
                     if g1 == neg_terminal:
-                        r1 = self._ite3(f1, 0, 1, depth)
+                        negate = f1
+                        r1 = None
                     else:
                         r1 = f1
                 else:
@@ -1045,10 +1050,12 @@ class BDDKernel:
                     r1 = cache.get(k1)
                     if r1 is not None:
                         hits += 1
+                if negate is not None and r0 is not None:
+                    r1 = self._ite3(negate, 0, 1, depth)
                 if r0 is None:
                     if r1 is None:
                         push((1, top, key))
-                        push((4, f1, g1, k1))
+                        push((5, negate) if negate is not None else (4, f1, g1, k1))
                         push((4, f0, g0, k0))
                     else:
                         push((3, top, key, r1))
@@ -1060,6 +1067,9 @@ class BDDKernel:
                     continue
                 lo = r0
                 hi = r1
+            elif tag == 5:
+                rpush(self._ite3(t[1], 0, 1, depth))
+                continue
             elif tag == 1:
                 hi = rpop()
                 lo = rpop()

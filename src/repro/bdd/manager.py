@@ -803,10 +803,17 @@ class BDDManager(BDDKernel):
             stack.pop()
         return cache[root] << index_of[level[root]]
 
-    def pick_assignment(self, f: BDD) -> Optional[Dict[str, bool]]:
-        """One satisfying assignment of ``f`` (minimal: only decided vars)."""
+    def pick_assignment(
+        self, f: BDD, value: bool = True
+    ) -> Optional[Dict[str, bool]]:
+        """One assignment taking ``f`` to ``value`` (minimal: only decided vars).
+
+        The walk goes low whenever the low child is not the other
+        terminal: in a reduced diagram every other node reaches both.
+        """
         h = f._h
-        if h == 0:
+        dead = 0 if value else 1
+        if h == dead:
             return None
         level = self._level
         low = self._low
@@ -815,7 +822,7 @@ class BDDManager(BDDKernel):
         assignment: Dict[str, bool] = {}
         while h >= 2:
             name = names[level[h]]
-            if low[h] != 0:
+            if low[h] != dead:
                 assignment[name] = False
                 h = low[h]
             else:
@@ -832,18 +839,30 @@ class BDDManager(BDDKernel):
         the function and the order it is walked in, not on this
         manager's order: each step decides the ``names``-earliest
         variable of the current cofactor's support, ``False`` whenever
-        that cofactor stays satisfiable.  Supports are bitmasks over
-        positions in ``names``, memoised per node across the whole walk,
-        so a step only visits the nodes its cofactor created.  A support
-        variable missing from ``names`` raises :class:`ValueError`.
+        that cofactor stays satisfiable.  A support variable missing
+        from ``names`` raises :class:`ValueError`.  One walk of
+        :meth:`walker_in_order`.
         """
-        h = f._h
-        if h == 0:
-            return None
+        return self.walker_in_order(names)(f)
+
+    def walker_in_order(
+        self, names: Sequence[str], value: bool = True
+    ) -> Callable[[BDD], Optional[Dict[str, bool]]]:
+        """:meth:`pick_assignment_in_order` for many functions, to ``value``.
+
+        The returned walk takes a function to the ``value`` terminal
+        (``None`` when it is the other constant).  Supports are bitmasks
+        over positions in ``names``, memoised per node; the position
+        table and the masks are shared by every call of one walker, so
+        a walk only visits the nodes no earlier walk reached.  Node
+        handles must stay put between calls: no :meth:`collect` or
+        reordering while a walker is in use.
+        """
         level = self._level
         low = self._low
         high = self._high
         level_of = self._level_of
+        dead = 0 if value else 1
         position: Dict[int, int] = {}
         for index, name in enumerate(names):
             lvl = level_of.get(name)
@@ -878,18 +897,24 @@ class BDDManager(BDDKernel):
         def cofactor(n: int, lvl: int, value: bool) -> int:
             return self._restrict_u(n, {lvl: value}, self._sig(("r", ((lvl, value),))))
 
-        assignment: Dict[str, bool] = {}
-        while h >= 2:
-            mask = support_mask(h)
-            name = names[(mask & -mask).bit_length() - 1]
-            lvl = level_of[name]
-            rest = cofactor(h, lvl, False)
-            value = rest == 0
-            if value:
-                rest = cofactor(h, lvl, True)
-            assignment[name] = value
-            h = rest
-        return assignment
+        def walk(f: BDD) -> Optional[Dict[str, bool]]:
+            h = f._h
+            if h == dead:
+                return None
+            assignment: Dict[str, bool] = {}
+            while h >= 2:
+                mask = support_mask(h)
+                name = names[(mask & -mask).bit_length() - 1]
+                lvl = level_of[name]
+                rest = cofactor(h, lvl, False)
+                decided = rest == dead
+                if decided:
+                    rest = cofactor(h, lvl, True)
+                assignment[name] = decided
+                h = rest
+            return assignment
+
+        return walk
 
     def iter_assignments(
         self, f: BDD, variables: Optional[Sequence[str]] = None

@@ -8,7 +8,8 @@ vectors of functions, and summarising BDDs for reports.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+import functools
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .manager import BDDManager
 from .node import BDDNode
@@ -117,7 +118,29 @@ def find_distinguishing_assignment(
     :meth:`~repro.bdd.manager.BDDManager.pick_assignment_in_order`),
     the manager's own variable order otherwise.
     """
-    difference = manager.apply_not(vector_equal(manager, left, right))
-    if order is None:
-        return manager.pick_assignment(difference)
-    return manager.pick_assignment_in_order(difference, order)
+    return distinguisher(manager, order)(left, right)
+
+
+def distinguisher(
+    manager: BDDManager, order: Optional[Sequence[str]] = None
+) -> Callable[[Sequence[BDDNode], Sequence[BDDNode]], Optional[Dict[str, bool]]]:
+    """:func:`find_distinguishing_assignment` for many vector pairs.
+
+    Each pair's equality function is walked to its 0-terminal: the walk
+    of its negation to 1, without building the negation.  With
+    ``order``, all pairs share one
+    :meth:`~repro.bdd.manager.BDDManager.walker_in_order`, so shared
+    logic is walked once.  A witness depends only on the difference
+    function and the walk order, so each equals an independent call's.
+    """
+    if order is not None:
+        walk = manager.walker_in_order(order, value=False)
+    else:
+        walk = functools.partial(manager.pick_assignment, value=False)
+
+    def find(
+        left: Sequence[BDDNode], right: Sequence[BDDNode]
+    ) -> Optional[Dict[str, bool]]:
+        return walk(vector_equal(manager, left, right))
+
+    return find

@@ -7,6 +7,14 @@ memoisation, persistent store, optional batching/parallelism), the
 fingerprint-deduplicated corpus and the witness minimizer — without any
 bespoke driver loop, and audits every verdict against the generator's
 planted ground truth.
+
+A parallel campaign with minimization on hands the runner one
+speculative job per planted bug whose raw witness the corpus does not
+know: workers with no unit left run that bug's structural shrink walk
+(:func:`~repro.campaigns.minimizer.speculate_shrink`) and publish the
+candidate verdicts to the store, so the minimization pass after the
+run — unchanged and authoritative — replays them as store hits instead
+of computing them one at a time on the parent.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from .generator import (
     generate_scenarios,
     planted_class,
 )
-from .minimizer import minimize_witness
+from .minimizer import minimize_witness, speculate_shrink
 
 
 @dataclass
@@ -149,10 +157,13 @@ def run_fuzz_campaign(
     ``max_minimize`` caps minimizer invocations; witnesses past the cap
     are recorded raw.  ``write_corpus`` persists new records under the
     corpus root (the committed ``tests/data/fuzz_corpus`` when no root
-    is given); without it the corpus stays in-memory.
+    is given); without it the corpus stays in-memory.  Parallel
+    unbatched campaigns speculate (see the module docstring); their
+    records equal a serial run's byte for byte.
     """
     runner = runner or CampaignRunner(store_path=store_path)
     scenarios = generate_scenarios(seed, count, classes=classes)
+    corpus = corpus or CounterexampleCorpus(root=corpus_root, golden_path=golden_path)
     with telemetry.span(
         "fuzz.campaign", seed=seed, count=count, scenarios=len(scenarios)
     ):
@@ -161,13 +172,22 @@ def run_fuzz_campaign(
                 scenarios, batch_size, parallel=parallel, max_workers=max_workers
             )
         else:
-            report = runner.run(scenarios, parallel=parallel, max_workers=max_workers)
+            jobs = []
+            if parallel and minimize:
+                # Idle workers walk the planted bugs' structural shrinks
+                # ahead of the minimizer below, which replays them from
+                # the store.
+                jobs = [
+                    (speculate_shrink, scenario)
+                    for scenario in scenarios
+                    if EXPECT_FAIL in scenario.tags and not corpus.is_known(scenario)
+                ][:max_minimize]
+            report = runner.run(
+                scenarios, parallel=parallel, max_workers=max_workers, _jobs=jobs
+            )
 
         violations, detected = _audit_ground_truth(scenarios, report.outcomes)
 
-        corpus = corpus or CounterexampleCorpus(
-            root=corpus_root, golden_path=golden_path
-        )
         result = FuzzCampaignResult(
             seed=seed,
             count=count,

@@ -31,6 +31,14 @@ Shrink passes, in order (to fixpoint, under a run budget):
 The minimized scenario is renamed ``fuzz/min/<fingerprint12>`` — a pure
 function of its content — and tagged ``minimized``, so re-discovering
 the same underlying defect from any seed converges to the same record.
+
+Passes 1-7 depend only on the witness and on which candidates refute,
+never on the starting scenario's own outcome, so
+:func:`speculate_shrink` can run them ahead of time on an idle parallel
+worker: every candidate verdict lands in the shared result store, and
+the later :func:`minimize_witness` replays them as store hits.  A store
+hit counts as an attempt like a computed run, so the replayed result —
+attempt counts included — equals the cold one.
 """
 
 from __future__ import annotations
@@ -229,6 +237,64 @@ def _structural_candidates(current: Scenario) -> Iterator[Scenario]:
     return iter(candidate for candidate in candidates if candidate is not None)
 
 
+def _default_budget(scenario: Scenario) -> int:
+    if scenario.kind == SUPERSCALAR:
+        return DEFAULT_BUDGET_CONCRETE
+    return DEFAULT_BUDGET_SYMBOLIC
+
+
+@dataclass
+class _Walk:
+    """The greedy walk's state: the current witness and its run counts."""
+
+    current: Scenario
+    outcome: Optional[ScenarioOutcome]
+    attempts: int = 0
+    accepted: int = 0
+    converged: bool = True
+
+    def attempt(self, runner: CampaignRunner, candidate: Scenario) -> bool:
+        """Run ``candidate``; adopt it if it still refutes."""
+        candidate_outcome = runner.run_one(candidate)
+        # Memo-served re-evaluations (the greedy loop revisits rejected
+        # candidates after every accepted shrink) cost nothing — only
+        # real runs (store hits included) draw down the budget.
+        if not candidate_outcome.memoized:
+            self.attempts += 1
+        if _refutes(candidate_outcome):
+            self.current, self.outcome = candidate, candidate_outcome
+            self.accepted += 1
+            return True
+        return False
+
+    def shrink(self, runner: CampaignRunner, budget: int) -> None:
+        """Structural passes to fixpoint, restarting after every accept."""
+        improving = True
+        while improving:
+            improving = False
+            for candidate in _structural_candidates(self.current):
+                if self.attempts >= budget:
+                    self.converged = False
+                    return
+                if self.attempt(runner, candidate):
+                    improving = True
+                    break
+
+
+def speculate_shrink(scenario: Scenario, runner: CampaignRunner) -> None:
+    """Run the structural walk of ``scenario`` ahead of its minimization.
+
+    A job for an idle parallel worker (see
+    :meth:`~repro.engine.runner.CampaignRunner.run`): the walk's
+    candidates depend on each other's verdicts, never on the scenario's
+    own, so it can start before the scenario has run.  ``runner`` is
+    the job's own, over the campaign's store, so the walk's only effect
+    is publishing candidate verdicts; the campaign's later
+    :func:`minimize_witness` replays them as store hits.
+    """
+    _Walk(scenario, None).shrink(runner, _default_budget(scenario))
+
+
 def minimize_witness(
     scenario: Scenario,
     runner: CampaignRunner,
@@ -244,11 +310,7 @@ def minimize_witness(
     ground-truth violation upstream, not a shrink job.
     """
     if budget is None:
-        budget = (
-            DEFAULT_BUDGET_CONCRETE
-            if scenario.kind == SUPERSCALAR
-            else DEFAULT_BUDGET_SYMBOLIC
-        )
+        budget = _default_budget(scenario)
     if outcome is None:
         outcome = runner.run_one(scenario)
     if not _refutes(outcome):
@@ -256,62 +318,32 @@ def minimize_witness(
             f"scenario {scenario.name!r} does not refute; nothing to minimize"
         )
     initial_fingerprint = witness_key(scenario)
-    current, current_outcome = scenario, outcome
-    attempts = accepted = 0
-    converged = True
-
-    def try_candidate(candidate: Scenario) -> bool:
-        nonlocal current, current_outcome, attempts, accepted
-        candidate_outcome = runner.run_one(candidate)
-        # Memo-served re-evaluations (the greedy loop revisits rejected
-        # candidates after every accepted shrink) cost nothing — only
-        # real runs draw down the budget.
-        if not candidate_outcome.memoized:
-            attempts += 1
-        if _refutes(candidate_outcome):
-            current, current_outcome = candidate, candidate_outcome
-            accepted += 1
-            return True
-        return False
-
+    walk = _Walk(scenario, outcome)
     with telemetry.span("fuzz.minimize", scenario=scenario.name):
-        improving = True
-        while improving:
-            improving = False
-            for candidate in _structural_candidates(current):
-                if attempts >= budget:
-                    converged = False
-                    break
-                if try_candidate(candidate):
-                    improving = True
-                    break  # restart the pass list from the shrunk witness
-            else:
-                continue
-            if not converged:
-                break
-        if narrow_observe and converged:
-            names = _mismatch_observables(current_outcome)
+        walk.shrink(runner, budget)
+        if narrow_observe and walk.converged:
+            names = _mismatch_observables(walk.outcome)
             narrower = names is not None and (
-                current.observe is None or len(names) < len(current.observe)
+                walk.current.observe is None or len(names) < len(walk.current.observe)
             )
-            if narrower and attempts < budget:
-                try_candidate(replace(current, observe=tuple(names)))
+            if narrower and walk.attempts < budget:
+                walk.attempt(runner, replace(walk.current, observe=tuple(names)))
 
     final = replace(
-        current,
-        name=f"fuzz/min/{witness_key(current)[:12]}",
+        walk.current,
+        name=f"fuzz/min/{witness_key(walk.current)[:12]}",
         tags=tuple(tag for tag in scenario.tags if not tag.startswith("seed:"))
         + ("minimized",),
     )
     registry = telemetry.get_registry()
-    registry.counter("fuzz.minimize_attempts").inc(attempts)
-    registry.counter("fuzz.minimize_accepted").inc(accepted)
+    registry.counter("fuzz.minimize_attempts").inc(walk.attempts)
+    registry.counter("fuzz.minimize_accepted").inc(walk.accepted)
     return MinimizationResult(
         scenario=final,
-        outcome=current_outcome,
+        outcome=walk.outcome,
         initial_fingerprint=initial_fingerprint,
         fingerprint=witness_key(final),
-        attempts=attempts,
-        accepted=accepted,
-        converged=converged,
+        attempts=walk.attempts,
+        accepted=walk.accepted,
+        converged=walk.converged,
     )

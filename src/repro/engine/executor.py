@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..bdd import BDDManager, find_distinguishing_assignment
+from ..bdd import BDDManager, distinguisher, find_distinguishing_assignment
 from ..isa import vsm as vsm_isa
 from ..logic import BitVec
 from ..strings import (
@@ -627,7 +627,8 @@ def _compare_samples(
     witness follows the variable order.  Witnesses are walked in the
     order ``witness_order()`` returns when given (called at the first
     mismatch, so passing runs never build it), in ``manager``'s own
-    order otherwise.
+    order otherwise.  All witnesses of one comparison share one
+    :func:`~repro.bdd.distinguisher`, so they walk shared logic once.
     """
     labelled_vectors = [
         (f"instr{index}", vector) for index, vector in enumerate(plan.slot_instructions)
@@ -643,18 +644,18 @@ def _compare_samples(
             "internal error: the sampling schedules of the two machines disagree "
             f"({len(spec_samples)} vs {len(impl_samples)} samples)"
         )
-    order = None
+    find = None
     for index, (spec_obs, impl_obs) in enumerate(zip(spec_samples, impl_samples)):
         for name in observation:
             spec_value = spec_obs[name]
             impl_value = impl_obs[name]
             if spec_value.identical(impl_value):
                 continue
-            if order is None and witness_order is not None:
-                order = witness_order()
-            witness = find_distinguishing_assignment(
-                manager, spec_value.bits, impl_value.bits, order
-            )
+            if find is None:
+                find = distinguisher(
+                    manager, witness_order() if witness_order is not None else None
+                )
+            witness = find(spec_value.bits, impl_value.bits)
             decoded, words = decode_counterexample(
                 architecture, labelled_vectors, witness or {}
             )

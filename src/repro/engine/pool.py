@@ -121,6 +121,21 @@ class ManagerPool:
         for key in self._retired_arena:
             self._retired_arena[key] += arena.get(key, 0)
 
+    def absorb(self, other: "ManagerPool") -> None:
+        """Fold ``other``'s counters in, as if its managers retired from here.
+
+        A parallel worker runs each speculative job on a pool of its
+        own and absorbs it afterwards, so the worker's statistics count
+        the job's acquisitions, cache traffic and allocations.
+        """
+        other.clear()
+        self._acquisitions += other._acquisitions
+        self._reuses += other._reuses
+        for key in self._retired_cache:
+            self._retired_cache[key] += other._retired_cache[key]
+        for key in self._retired_arena:
+            self._retired_arena[key] += other._retired_arena[key]
+
     def clear_caches(self) -> None:
         """Drop the operation caches of every pooled manager."""
         for manager in self._managers.values():

@@ -22,9 +22,12 @@
   is *affinity-sharded work stealing*: scenarios are grouped by
   ``order_signature`` into shards (so each worker's pooled managers and
   session caches stay warm for its whole shard), shards larger than a
-  fair share are split into steal-granularity units, and workers pull
-  units off one shared queue largest-first, which keeps tails short
-  without giving up warm-cache affinity.  It is the only parallel
+  fair share are split into steal-granularity units, and the parent
+  hands units out largest-first as workers ask, which keeps tails
+  short without giving up warm-cache affinity.  Each worker reports
+  over a pipe of its own, and a worker with no unit left may run a
+  speculative job the caller handed in (fuzz campaigns warm the store
+  with their minimizer's candidate verdicts).  It is the only parallel
   scheduler: every worker is supervised, traced and journalled as its
   outcomes arrive.  Because pooled results are bit-identical to
   fresh-manager results (see :mod:`repro.engine.pool`), every mode —
@@ -47,12 +50,12 @@ from __future__ import annotations
 
 import copy
 import multiprocessing
+import multiprocessing.connection
 import os
-import queue
 import time
 import traceback as traceback_module
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .executor import execute_scenario
 from .pool import ManagerPool
@@ -494,6 +497,41 @@ def _affinity_units(
     return units
 
 
+#: A job is ``(function, argument)``: a module-level function the
+#: worker calls as ``function(argument, runner)`` on a runner of the
+#: job's own (fresh pool and memo, the worker's store handle).  Jobs
+#: only warm the shared store; no result comes back.
+Job = Tuple[Callable[[object, "CampaignRunner"], None], object]
+
+#: Seconds a spawned worker may take to send its first ``ready`` before
+#: the parent judges it dead (a start-up that wedged, not a slow unit).
+READY_TIMEOUT = 60.0
+
+
+def _run_job(
+    worker_id: int, job: Job, pool: ManagerPool, store: Optional[ResultStore]
+) -> None:
+    """Run one speculative job with fault injection off.
+
+    The ``job.crash`` seam fires first, keyed by worker id like
+    ``worker.crash``; the job itself then runs with no injector, so it
+    advances no seam's invocation counter and a fault schedule fires
+    where it would without jobs.  ``pool`` (the worker's) absorbs the
+    job's pool afterwards.  A job's failure is never a verdict:
+    whatever it raises is dropped with it.
+    """
+    faults.fire("job.crash", index=worker_id)
+    function, argument = job
+    runner = CampaignRunner(pool=ManagerPool(cache_limit=pool.cache_limit), store=store)
+    with faults.active(None), telemetry.span("worker.speculate"):
+        try:
+            function(argument, runner)
+        except Exception:  # noqa: BLE001 - speculation never fails a campaign
+            telemetry.get_registry().counter("workers.job_errors").inc()
+        finally:
+            pool.absorb(runner.pool)
+
+
 def _affinity_worker(
     worker_id: int,
     tasks,
@@ -505,17 +543,19 @@ def _affinity_worker(
     fault_state: Optional[Dict[str, object]] = None,
     supervision_state: Optional[Dict[str, object]] = None,
 ) -> None:
-    """One affinity worker: request units off a private queue until the sentinel.
+    """One affinity worker: take tasks off a private queue until the sentinel.
 
     The parent is the scheduler of record: the worker announces
-    ``("ready", id)``, the parent pushes one unit (or the ``None``
-    sentinel) onto this worker's private ``tasks`` queue, and every
-    completed scenario ships back as ``("outcome", id, index, outcome)``.
-    Dispatch bookkeeping lives entirely parent-side, so a worker that
-    dies mid-unit — even one hard-killed with its feeder thread's
-    messages unflushed — leaves the parent knowing exactly which unit
-    was in flight and which indices are still uncollected; respawn and
-    re-dispatch need no worker cooperation.
+    ``("ready", id)`` on ``results``, the write end of its own pipe;
+    the parent pushes one task (a ``("unit", unit)``, a ``("job",
+    job)`` or the ``None`` sentinel) onto this worker's private
+    ``tasks`` queue, and every completed scenario ships back as
+    ``("outcome", id, index, outcome)``.  Dispatch bookkeeping lives
+    entirely parent-side and the channel is this worker's alone, so a
+    worker that dies at any instant — even mid-message — costs only
+    its own channel, which the parent reads to EOF and drops; it knows
+    exactly which unit was in flight and which indices are still
+    uncollected, so respawn and re-dispatch need no worker cooperation.
 
     Owns an isolated :class:`ManagerPool` (plus its own handle on the
     shared result store), so pooled determinism gives byte-identical
@@ -541,20 +581,24 @@ def _affinity_worker(
     units_run = 0
     sup_stats = _fresh_sup_stats()
     try:
-        results.put(("ready", worker_id))
+        results.send(("ready", worker_id))
         while True:
             message = tasks.get()
             if message is None:
                 break
-            _unit_id, unit = message
+            kind, payload = message
+            if kind == "job":
+                _run_job(worker_id, payload, pool, store)
+                results.send(("ready", worker_id))
+                continue
             units_run += 1
             # The worker fault seams key by worker id, not invocation
             # count: a respawned replacement gets a fresh id and so
             # never inherits its predecessor's crash/hang schedule.
             faults.fire("worker.crash", index=worker_id)
             faults.fire("worker.hang", index=worker_id)
-            with telemetry.span("worker.drain", unit_size=len(unit)):
-                for index, scenario in unit:
+            with telemetry.span("worker.drain", unit_size=len(payload)):
+                for index, scenario in payload:
                     outcome, _ = _execute_pooled(
                         scenario,
                         pool,
@@ -563,8 +607,8 @@ def _affinity_worker(
                         supervision=policy,
                         sup_stats=sup_stats,
                     )
-                    results.put(("outcome", worker_id, index, outcome))
-            results.put(("ready", worker_id))
+                    results.send(("outcome", worker_id, index, outcome))
+            results.send(("ready", worker_id))
     finally:
         record: Dict[str, object] = {
             "worker": worker_id,
@@ -579,7 +623,7 @@ def _affinity_worker(
                 "events": tracer.drain(),
                 "registry": telemetry.get_registry().snapshot(),
             }
-        results.put(("close", worker_id, record))
+        results.send(("close", worker_id, record))
 
 
 class CampaignRunner:
@@ -656,6 +700,7 @@ class CampaignRunner:
         mp_context: Optional[str] = None,
         supervision: Optional[SupervisionPolicy] = None,
         journal: Optional[Union[str, Path]] = None,
+        _jobs: Sequence[Job] = (),
     ) -> CampaignReport:
         """Execute a campaign and return its report.
 
@@ -675,6 +720,11 @@ class CampaignRunner:
         interrupt or crash) re-executes only unfinished work — the
         persistent store replays the finished verdicts byte-identically.
         A journal therefore requires the runner to have a store.
+
+        ``_jobs`` (internal) hands parallel mode speculative work for
+        idle workers (see :data:`Job`): the campaign layer uses it to
+        warm the store with the candidate verdicts its minimizer will
+        ask for.  Serial mode, and a runner without a store, ignore it.
         """
         resolved = self.resolve(scenarios)
         if not resolved:
@@ -731,8 +781,19 @@ class CampaignRunner:
                         supervision,
                         journal_obj,
                         fingerprints,
+                        _jobs if self.store is not None else (),
                     )
                     _merge_sup_stats(sup_stats, parallel_resilience)
+                    if self.memoize:
+                        # Leave the memo as a serial run would, so later
+                        # run_one calls (the minimizer's) see the same
+                        # hits in either mode.
+                        for scenario, outcome in zip(resolved, outcomes):
+                            if outcome.error is None:
+                                self._memo.setdefault(
+                                    (scenario.order_signature(), scenario.cache_key()),
+                                    copy.deepcopy(outcome),
+                                )
                     mode = "parallel"
                 else:
                     before = self.pool.statistics()
@@ -976,6 +1037,7 @@ class CampaignRunner:
         supervision: Optional[SupervisionPolicy] = None,
         journal: Optional[CampaignJournal] = None,
         fingerprints: Optional[List[str]] = None,
+        jobs: Sequence[Job] = (),
     ) -> Tuple[
         List[ScenarioOutcome],
         Dict[str, object],
@@ -986,18 +1048,26 @@ class CampaignRunner:
         """The supervised affinity scheduler (parent-side dispatch).
 
         The parent owns all dispatch bookkeeping: each worker gets a
-        private task queue and asks for work with a ``ready`` message,
-        so at any instant the parent knows exactly which unit every
-        worker holds.  A worker that dies (crash) or stops reporting
-        progress past ``soft_timeout`` (hang — terminated) is replaced:
-        a fresh worker is spawned (up to ``max_respawns`` per campaign)
-        and the dead worker's in-flight unit — minus any outcomes that
-        already arrived — is re-dispatched (up to ``max_redispatches``
-        per unit).  Only when both caps are exhausted do the remaining
+        private task queue and a private result pipe, and asks for work
+        with a ``ready`` message, so at any instant the parent knows
+        exactly which unit every worker holds.  A worker that dies
+        (crash: its pipe reads EOF), sends no first ``ready`` within
+        :data:`READY_TIMEOUT`, or stops reporting progress past
+        ``soft_timeout`` (hang — terminated) is replaced: a fresh
+        worker is spawned (up to ``max_respawns`` per campaign) and the
+        dead worker's in-flight unit — minus any outcomes that already
+        arrived — is re-dispatched (up to ``max_redispatches`` per
+        unit).  Only when both caps are exhausted do the remaining
         scenarios fail with a worker-termination outcome.  Worker
         supervision always runs; the ``supervision`` argument
         additionally ships scenario-retry policy into the workers and
         overrides the respawn caps.
+
+        ``jobs`` go, in order, to workers that ask for work while no
+        unit is pending, so a job never delays a verdict.  The watchdog
+        judges a worker in a job like one in a unit.  Once every verdict
+        is in, a worker finishes the job in hand and stops; undispatched
+        jobs are dropped, and so is the job of a worker that dies.
         """
         context = multiprocessing.get_context(mp_context)
         workers = self._worker_count(scenarios, max_workers)
@@ -1011,7 +1081,7 @@ class CampaignRunner:
         }
         pending: List[int] = list(range(len(units)))
         next_unit_id = len(units)
-        results = context.Queue()
+        jobs_left = list(reversed(jobs))
         fault_state = faults.config_state()
         supervision_state = (
             supervision.to_dict() if supervision is not None else None
@@ -1019,6 +1089,8 @@ class CampaignRunner:
         telemetry_state = telemetry.config_state()
 
         worker_states: Dict[int, Dict[str, object]] = {}
+        #: Read end of each live worker's result pipe -> worker id.
+        channels: Dict[object, int] = {}
         next_worker_id = 0
 
         def spawn() -> int:
@@ -1026,12 +1098,13 @@ class CampaignRunner:
             wid = next_worker_id
             next_worker_id += 1
             tasks = context.Queue()
+            reader, writer = context.Pipe(duplex=False)
             process = context.Process(
                 target=_affinity_worker,
                 args=(
                     wid,
                     tasks,
-                    results,
+                    writer,
                     self.pool.cache_limit,
                     self.memoize,
                     self._store_spec(),
@@ -1041,15 +1114,22 @@ class CampaignRunner:
                 ),
                 daemon=True,
             )
+            now = time.monotonic()
             worker_states[wid] = {
                 "process": process,
                 "tasks": tasks,
                 "unit": None,
-                "last_seen": time.monotonic(),
+                "job": False,
+                "greeted": False,
+                "spawned": now,
+                "last_seen": now,
                 "state": "running",
                 "stop_sent": False,
             }
             process.start()
+            # The worker holds the only write end: its exit reads as EOF.
+            writer.close()
+            channels[reader] = wid
             return wid
 
         for _ in range(workers):
@@ -1063,7 +1143,7 @@ class CampaignRunner:
         hung_terminated = 0
 
         def dispatch(wid: int) -> bool:
-            """Hand the next pending unit to worker ``wid`` (False: none left)."""
+            """Hand worker ``wid`` the next unit, else a job (False: neither)."""
             state = worker_states[wid]
             while pending:
                 uid = pending.pop(0)
@@ -1078,8 +1158,13 @@ class CampaignRunner:
                 state["unit"] = uid
                 state["last_seen"] = time.monotonic()
                 state["tasks"].put(
-                    (uid, [(index, scenarios[index]) for index in remaining])
+                    ("unit", [(index, scenarios[index]) for index in remaining])
                 )
+                return True
+            if jobs_left and len(collected) < total:
+                state["job"] = True
+                state["last_seen"] = time.monotonic()
+                state["tasks"].put(("job", jobs_left.pop()))
                 return True
             return False
 
@@ -1126,6 +1211,12 @@ class CampaignRunner:
                 respawned += 1
                 telemetry.get_registry().counter("workers.respawned").inc()
 
+        def terminate(wid: int, cause: str) -> None:
+            process = worker_states[wid]["process"]
+            process.terminate()
+            process.join(timeout=5.0)
+            handle_gone(wid, cause)
+
         def absorb(message: Tuple) -> None:
             kind = message[0]
             if kind == "ready":
@@ -1134,7 +1225,11 @@ class CampaignRunner:
                 if state is None or state["state"] != "running":
                     return
                 state["unit"] = None
+                state["job"] = False
+                state["greeted"] = True
                 state["last_seen"] = time.monotonic()
+                if state["stop_sent"]:
+                    return
                 if not dispatch(wid) and wid not in idle:
                     idle.append(wid)
             elif kind == "outcome":
@@ -1176,38 +1271,33 @@ class CampaignRunner:
                     # re-entered the queue, so the parent must push).
                     still_idle = [wid for wid in idle if not dispatch(wid)]
                     idle[:] = still_idle
-                try:
-                    absorb(results.get(timeout=0.2))
-                    continue
-                except queue.Empty:
-                    pass
-                # Watchdog: dead workers (crash) and silent ones (hang).
+                for reader in multiprocessing.connection.wait(list(channels), timeout=0.2):
+                    wid = channels[reader]
+                    try:
+                        absorb(reader.recv())
+                    except (EOFError, OSError):
+                        # The worker is gone and everything it sent has
+                        # been read: judge what is left of its unit.
+                        del channels[reader]
+                        reader.close()
+                        worker_states[wid]["process"].join(timeout=5.0)
+                        if worker_states[wid]["state"] == "running":
+                            handle_gone(wid, "died")
+                # Watchdog: silent starters and hung workers.
                 now = time.monotonic()
                 for wid, state in list(worker_states.items()):
                     if state["state"] != "running":
                         continue
-                    process = state["process"]
-                    if not process.is_alive():
-                        # Drain whatever the dying worker still flushed
-                        # before judging what is left of its unit.
-                        while True:
-                            try:
-                                absorb(results.get_nowait())
-                            except queue.Empty:
-                                break
-                        if state["state"] == "running":
-                            handle_gone(wid, "died")
-                        continue
-                    if (
+                    if not state["greeted"] and now - state["spawned"] > READY_TIMEOUT:
+                        terminate(wid, "sent no ready")
+                    elif (
                         policy.soft_timeout is not None
-                        and state["unit"] is not None
+                        and (state["unit"] is not None or state["job"])
                         and now - state["last_seen"] > policy.soft_timeout
                     ):
-                        process.terminate()
-                        process.join(timeout=5.0)
                         hung_terminated += 1
                         telemetry.get_registry().counter("workers.hung_terminated").inc()
-                        handle_gone(wid, "hung (terminated by watchdog)")
+                        terminate(wid, "hung (terminated by watchdog)")
                 if len(collected) < total and not any(
                     state["state"] == "running" for state in worker_states.values()
                 ):
@@ -1235,6 +1325,8 @@ class CampaignRunner:
                 if process.is_alive():
                     process.terminate()
                     process.join(timeout=2.0)
+            for reader in channels:
+                reader.close()
 
         outcomes = [collected[index] for index in range(total)]
         sup_stats = _fresh_sup_stats()

@@ -49,6 +49,9 @@ Site catalog (the engine seams that are wrapped):
                            invocation index = worker id
 ``worker.hang``            affinity worker sleeps (``hang``);
                            invocation index = worker id
+``job.crash``              affinity worker hard-exits as it starts a
+                           speculative job (``crash``); invocation
+                           index = worker id
 ====================  =====================================================
 """
 
@@ -94,6 +97,7 @@ FAULT_SITES = (
     "scenario.run",
     "worker.crash",
     "worker.hang",
+    "job.crash",
 )
 
 #: Exit code of an injected worker crash (distinguishable from real

@@ -244,7 +244,7 @@ class TestGearInvariantAccounting:
 
     NUM_VARS = 16
 
-    def build(self, stack_only, seed):
+    def build_pool(self, stack_only, seed, ops=6):
         manager = BDDManager([f"x{i}" for i in range(self.NUM_VARS)])
         if stack_only:
             # Every expansion is deeper than the budget: the explicit
@@ -254,7 +254,7 @@ class TestGearInvariantAccounting:
         pool = fresh_pool(manager)
         for _ in range(120):
             f, g, h = rng.choice(pool), rng.choice(pool), rng.choice(pool)
-            op = rng.randrange(6)
+            op = rng.randrange(ops)
             if op == 0:
                 r = manager.ite(f, g, h)
             elif op == 1:
@@ -268,6 +268,10 @@ class TestGearInvariantAccounting:
             else:
                 r = manager.apply_not(f)
             pool.append(r)
+        return manager, pool
+
+    def build(self, stack_only, seed):
+        manager, pool = self.build_pool(stack_only, seed)
         stats = manager.cache_statistics()
         sizes = [manager.count_nodes(f) for f in pool]
         return stats["hits"], stats["misses"], manager._nodes_allocated, sizes
@@ -278,6 +282,16 @@ class TestGearInvariantAccounting:
         stack = self.build(True, seed)
         assert recursive[0] > 0 and recursive[1] > 0
         assert recursive == stack
+
+    @pytest.mark.parametrize("ops", [5, 6])
+    def test_recursive_and_stack_gears_number_nodes_alike(self, ops):
+        # ops=5 leaves NOT out, so XOR/XNOR carry more of the mix.  The
+        # stack gear negates a high cofactor only after the low subtree,
+        # as the recursive gear does; otherwise the handle lists differ.
+        for seed in range(SEED, SEED + 25):
+            recursive = [f._h for f in self.build_pool(False, seed, ops)[1]]
+            stack = [f._h for f in self.build_pool(True, seed, ops)[1]]
+            assert recursive == stack, f"seed {seed}"
 
     def test_ite_of_one_operand_reduces_in_both_gears(self):
         # ite(f, f, f) = f: resolved by normalisation, never cached.

@@ -14,7 +14,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bdd import BDDManager
+from repro.bdd import BDDManager, distinguisher, vector_equal
 
 VARIABLES = ("a", "b", "c", "d")
 
@@ -283,3 +283,39 @@ def test_compose_all_with_empty_substitution_is_identity():
     pool = _random_pool(manager, random.Random("compose_all:empty"))
     assert _ids(manager.compose_all(pool, {})) == _ids(pool)
     assert manager.compose_all([], {"x0": manager.one}) == []
+
+
+# ----------------------------------------------------------------------
+# distinguisher: one shared refuting walk per comparison
+# ----------------------------------------------------------------------
+def _random_vector(manager, rng, width=3):
+    pool = [manager.var(name) for name in WIDE_VARIABLES]
+    operations = (manager.apply_and, manager.apply_or, manager.apply_xor, manager.apply_xnor)
+    for _ in range(8):
+        left, right = rng.sample(pool, 2)
+        pool.append(rng.choice(operations)(left, right))
+    return [rng.choice(pool[len(WIDE_VARIABLES) :]) for _ in range(width)]
+
+
+@pytest.mark.parametrize("seed", range(30))
+@pytest.mark.parametrize("ordered", [True, False])
+def test_shared_refuting_walks_equal_independent_walks(seed, ordered):
+    # A series of pairs over shared logic, some identical (no witness):
+    # each walk of the shared walker equals a fresh walk of the negated
+    # equality, in a shuffled order or in the manager's own.
+    rng = random.Random(f"distinguish:{seed}")
+    manager = BDDManager(_shuffled(seed))
+    order = _shuffled(seed + 500) if ordered else None
+    find = distinguisher(manager, order)
+    for _ in range(6):
+        left = _random_vector(manager, rng)
+        right = list(left) if rng.random() < 0.25 else _random_vector(manager, rng)
+        difference = manager.apply_not(vector_equal(manager, left, right))
+        expected = (
+            manager.pick_assignment_in_order(difference, order)
+            if ordered
+            else manager.pick_assignment(difference)
+        )
+        if right == left:
+            assert expected is None
+        assert _walk(find(left, right)) == _walk(expected)

@@ -36,7 +36,10 @@ from repro.campaigns import (
     witness_key,
     witness_record,
 )
-from repro.engine import CampaignRunner, Scenario
+from repro.campaigns.minimizer import speculate_shrink
+from repro.engine import CampaignRunner, FaultPlan, FaultSpec, ManagerPool, Scenario
+from repro.engine import runner as runner_module
+from repro.resilience import faults
 from repro.strings import NORMAL
 
 #: The concrete mutation classes — no BDD work, so campaigns over them
@@ -393,3 +396,109 @@ class TestRunBatched:
         assert census["results"]["records"] == 2
         assert census["results"]["bytes"] > 0
         assert census["root"] == str(tmp_path / "store")
+
+
+# ----------------------------------------------------------------------
+# Speculative minimization: idle workers walk shrinks ahead of the parent
+# ----------------------------------------------------------------------
+#: The fuzz seeds of perfbench's seed-0 bug hunt: three 10-scenario
+#: campaigns with a 3-slot bypass-drop anchor and new planted witnesses.
+BUG_HUNT_SEEDS = (617, 1147, 1662)
+
+
+def _hunt(tmp_path, parallel, seeds=BUG_HUNT_SEEDS):
+    """The bug hunt's campaigns back to back on one runner, store and corpus."""
+    runner = CampaignRunner(store_path=tmp_path / ("parallel" if parallel else "serial"))
+    corpus = CounterexampleCorpus()
+    return [
+        run_fuzz_campaign(
+            seed, 10, runner=runner, parallel=parallel, max_workers=2, corpus=corpus
+        )
+        for seed in seeds
+    ]
+
+
+def _witness_bytes(results):
+    return json.dumps(
+        [
+            [result.duplicates, result.new_records, result.minimization]
+            for result in results
+        ],
+        sort_keys=True,
+        default=str,
+    )
+
+
+@pytest.fixture(scope="module")
+def serial_hunt(tmp_path_factory):
+    results = _hunt(tmp_path_factory.mktemp("hunt"), parallel=False)
+    assert all(result.ok for result in results)
+    assert sum(result.minimization["runs"] for result in results) > 0
+    return results
+
+
+class TestSpeculativeMinimization:
+    def test_parallel_hunt_equals_serial(self, tmp_path, serial_hunt):
+        # Duplicates, new records (provenance minimize_attempts included)
+        # and minimization counts, byte for byte.
+        parallel = _hunt(tmp_path, parallel=True)
+        assert _witness_bytes(parallel) == _witness_bytes(serial_hunt)
+        assert all(result.report.mode == "parallel" for result in parallel)
+
+    def test_job_crash_keeps_the_hunt_exact(self, tmp_path):
+        # Each first-generation worker hard-exits as it starts its first
+        # job; the respawned workers run jobs unharmed.  The anchor
+        # campaign leaves one worker idle for a second, so it takes jobs.
+        seeds = BUG_HUNT_SEEDS[:1]
+        serial = _hunt(tmp_path, parallel=False, seeds=seeds)
+        plan = FaultPlan(
+            sites={"job.crash": FaultSpec(kind="crash", at=(0, 1), max_fires=1)}
+        )
+        with faults.active(plan):
+            crashed = _hunt(tmp_path, parallel=True, seeds=seeds)
+        assert _witness_bytes(crashed) == _witness_bytes(serial)
+        report = crashed[0].report
+        assert all(outcome.error is None for outcome in report.outcomes)
+        assert report.resilience["workers"]["respawned"] >= 1
+
+    def test_jobs_advance_no_seam_counter(self, tmp_path):
+        # A job runs with injection off: no seam's invocation counter
+        # moves, so a fault schedule fires where it would without jobs.
+        scenario = next(
+            s
+            for s in generate_scenarios(3, 10, classes=FAST_CLASSES)
+            if EXPECT_FAIL in s.tags
+        )
+        runner = CampaignRunner(store_path=tmp_path / "store")
+        outcome = runner.run_one(scenario)
+        plan = FaultPlan(
+            sites={
+                "scenario.run": FaultSpec(kind="error", at=(10**6,)),
+                "store.read.results": FaultSpec(kind="io", at=(10**6,)),
+                "store.write.results": FaultSpec(kind="io", at=(10**6,)),
+            }
+        )
+        with faults.active(plan) as injector:
+            before = injector.statistics()
+            runner_module._run_job(0, (speculate_shrink, scenario), runner.pool, runner.store)
+            assert injector.statistics() == before
+        # The job did run: the minimizer's walk now replays from the store.
+        replay = CampaignRunner(store_path=tmp_path / "store")
+        result = minimize_witness(scenario, replay, outcome=outcome, narrow_observe=False)
+        lookups = replay.store.statistics()["results"]
+        assert result.attempts > 0
+        assert lookups["hits"] == result.attempts and lookups["misses"] == 0
+
+    def test_worker_pool_absorbs_the_job_pool(self):
+        # A job's pool is folded into its worker's, so the worker's
+        # statistics count the speculative work too.
+        worker, job = ManagerPool(), ManagerPool()
+        manager = job.acquire(("order",))
+        manager.apply_and(manager.var("a"), manager.var("b"))
+        job.acquire(("order",))
+        before = worker.statistics()
+        worker.absorb(job)
+        after = worker.statistics()
+        assert (after["acquisitions"], after["reuses"], len(job)) == (2, 1, 0)
+        assert after["arena"]["allocated_total"] > before["arena"]["allocated_total"]
+        assert after["cache"]["misses"] > before["cache"]["misses"]

@@ -11,6 +11,11 @@ scenarios and still reproduces the fault-free bytes.
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -417,6 +422,80 @@ class TestWorkerSupervision:
             report = CampaignRunner().run(CAMPAIGN, parallel=True, max_workers=2)
         assert report.passed or all(o.error is None for o in report.outcomes)
         assert report.resilience["workers"]["respawned"] == 2
+
+
+#: A campaign run in a child interpreter whose worker 0 misbehaves as
+#: ``{action}`` says.  The child is its own session, so a hung parent
+#: and its workers are killed together.
+CHANNEL_SCRIPT = """
+import os, time
+from repro.engine import CampaignRunner, Scenario
+from repro.engine import runner as runner_module
+from repro.strings import CONTROL, NORMAL
+
+CAMPAIGN = [
+    Scenario(name="vsm/golden", slots=(NORMAL, NORMAL)),
+    Scenario(name="vsm/bug", slots=(NORMAL, NORMAL), bug="no_bypass"),
+    Scenario(name="vsm/branchy", slots=(CONTROL, NORMAL)),
+]
+original = runner_module._affinity_worker
+
+def worker(worker_id, tasks, results, *args):
+    if worker_id == 0:
+        {action}
+    return original(worker_id, tasks, results, *args)
+
+runner_module._affinity_worker = worker
+runner_module.READY_TIMEOUT = 2.0
+report = CampaignRunner().run(CAMPAIGN, parallel=True, max_workers=2, mp_context="fork")
+print(report.verdict_json())
+"""
+
+
+def _run_bounded(action, timeout=120.0):
+    """Run ``CHANNEL_SCRIPT`` with ``action``; fail (not hang) past ``timeout``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")]
+    )
+    child = subprocess.Popen(
+        [sys.executable, "-c", CHANNEL_SCRIPT.format(action=action)],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        stdout, stderr = child.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail(f"the parallel campaign hung for {timeout:.0f} s")
+    assert child.returncode == 0, stderr
+    return stdout.strip()
+
+
+class TestWorkerChannels:
+    """A worker can poison only its own result channel."""
+
+    def test_worker_killed_holding_a_write_lock_does_not_hang(self, baseline_verdicts):
+        # Worker 0 dies holding its result channel's cross-process write
+        # lock.  On a channel shared by all workers that lock guards
+        # every other worker's sends, so nothing arrives again; a
+        # private pipe has no such lock.
+        action = (
+            "lock = getattr(results, '_wlock', None)\n"
+            "        if lock is not None:\n"
+            "            lock.acquire()\n"
+            "        os._exit(47)"
+        )
+        assert _run_bounded(action) == baseline_verdicts.strip()
+
+    def test_worker_silent_before_ready_is_replaced(self, baseline_verdicts):
+        # A worker that never announces itself is judged dead after the
+        # ready bound instead of being waited on forever.
+        assert _run_bounded("time.sleep(3600)") == baseline_verdicts.strip()
 
 
 # ----------------------------------------------------------------------
