@@ -4,11 +4,11 @@ vs. the object-graph kernel it replaced.
 The PR-4 tentpole rewrote ``src/repro/bdd`` as a struct-of-arrays
 kernel (integer handles, one iterative ITE core with standard-triple
 normalisation and native XOR/XNOR, shared int-keyed op caches,
-mark-and-sweep arena GC with a free-list, array-native level swaps).
+mark-and-sweep arena GC with a free-list).
 This benchmark measures that representation change in isolation: a
 faithful, self-contained copy of the seed *object-graph* kernel (heap
 ``BDDNode`` objects, recursive apply walkers, per-call restrict/compose
-caches, object-relink level swaps) is embedded below as the baseline,
+caches) is embedded below as the baseline,
 and both kernels run identical operation workloads.
 
 Measured regimes (each engine-derived):
@@ -26,16 +26,15 @@ Measured regimes (each engine-derived):
 * ``big_build``     — a block-ordered comparator driven to ~10^5 nodes
                       (allocation-heavy regime).
 
-plus the **fat-level swap latency** on the comparator's exponential
-boundary levels, an **arena/GC** session loop the object-graph kernel
+plus an **arena/GC** session loop the object-graph kernel
 cannot run at all (it has no collector — its table only grows), and
 the kernel's **memory footprint**: traced bytes per live node on a
 fixed linear build, which both tiers hold under a ceiling.
 
 Results are written to ``BENCH_kernel.json`` next to this file (CI
 uploads it as an artifact): per-regime ops/sec for both kernels, the
-speedup per regime and their geometric mean, swap latencies, and the
-arena's live/capacity/free/reclaimed accounting.
+speedup per regime and their geometric mean, and the arena's
+live/capacity/free/reclaimed accounting.
 
 Honesty note: both kernels bottom out in the same CPython dict
 operations per node (one cache probe, one cache store, one unique-table
@@ -51,7 +50,7 @@ at ~1.5% of the regime, and suppressing wrapper interning entirely moves
 the needle by under 1% — the remaining
 gap lives *inside* the memoized cores (standard-triple normalisation
 and GC-capable bookkeeping per constructed node, which buy the
-compare/advance/swap wins), so the >=1.0x target stays a recorded
+compare/advance wins), so the >=1.0x target stays a recorded
 near-miss at ~0.90-0.93x.  The asserted bars below are measured
 floors; ROADMAP records the headline numbers and the misses alongside
 the wins.
@@ -68,7 +67,6 @@ from typing import Dict, Iterable
 import pytest
 
 from repro.bdd import BDDManager
-from repro.bdd.reorder import _swap_levels
 
 from _bench_utils import record_paper_comparison
 
@@ -103,8 +101,8 @@ class LegacyManager:
     Algorithms and data structures are copied from the pre-refactor
     module: hash-consed ``_mk`` over object children, recursive ``ite``
     with ``_cofactors_at``, XOR/XNOR through materialised negation,
-    per-call dict caches for restrict/compose, a shared quantify cache,
-    a per-level node index and the object-relinking level swap.
+    per-call dict caches for restrict/compose, a shared quantify cache
+    and a per-level node index.
     """
 
     def __init__(self, variables=None):
@@ -292,50 +290,6 @@ class LegacyManager:
                 stack.append(node.low)
                 stack.append(node.high)
         return len(seen)
-
-    def swap_levels(self, level):
-        """The seed object-relink level swap (reorder.py, pre-refactor)."""
-        unique = self._unique
-        x_nodes = list((self._level_index.get(level) or {}).values())
-        y_nodes = list((self._level_index.get(level + 1) or {}).values())
-        y_ids = {node.node_id for node in y_nodes}
-        independent = []
-        rebuilds = []
-        for node in x_nodes:
-            low, high = node.low, node.high
-            low_tests_y = low.node_id in y_ids
-            high_tests_y = high.node_id in y_ids
-            if not low_tests_y and not high_tests_y:
-                independent.append(node)
-                continue
-            f00, f01 = (low.low, low.high) if low_tests_y else (low, low)
-            f10, f11 = (high.low, high.high) if high_tests_y else (high, high)
-            rebuilds.append((node, f00, f01, f10, f11))
-        for node in x_nodes:
-            unique.pop((level, node.low.node_id, node.high.node_id), None)
-        for node in y_nodes:
-            unique.pop((level + 1, node.low.node_id, node.high.node_id), None)
-        for node in y_nodes:
-            node.level = level
-            unique[(level, node.low.node_id, node.high.node_id)] = node
-        for node in independent:
-            node.level = level + 1
-            unique[(level + 1, node.low.node_id, node.high.node_id)] = node
-        self._level_index[level] = {node.node_id: node for node in y_nodes}
-        self._level_index[level + 1] = {node.node_id: node for node in independent}
-        for node, f00, f01, f10, f11 in rebuilds:
-            new_low = self._mk(level + 1, f00, f10)
-            new_high = self._mk(level + 1, f01, f11)
-            node.low = new_low
-            node.high = new_high
-            unique[(level, new_low.node_id, new_high.node_id)] = node
-            self._level_index[level][node.node_id] = node
-        names = self._name_of
-        names[level], names[level + 1] = names[level + 1], names[level]
-        self._level_of[names[level]] = level
-        self._level_of[names[level + 1]] = level + 1
-        self._ite_cache.clear()
-        self._quant_cache.clear()
 
 
 # ======================================================================
@@ -592,49 +546,6 @@ def _run_regimes(
     return results
 
 
-def _swap_latency(width: int, swaps: int) -> Dict[str, object]:
-    """Fat-boundary swap latency on the block-ordered comparator.
-
-    Each measured swap runs on a pristine, freshly built table (a swap
-    mutates the very structure it is measured on, so back-to-back swaps
-    at one boundary are not comparable); best-of over ``swaps`` builds.
-    """
-    names = [f"a{i}" for i in range(width)] + [f"b{i}" for i in range(width)]
-    boundary = width - 1
-    legacy_times = []
-    kernel_times = []
-    table_nodes = 0
-    boundary_population = 0
-    for _ in range(swaps):
-        gc.collect()
-        legacy = LegacyManager(names)
-        _comparator(legacy, width)
-        started = time.perf_counter()
-        legacy.swap_levels(boundary)
-        legacy_times.append(time.perf_counter() - started)
-        gc.collect()
-        kernel = BDDManager(names)
-        _comparator(kernel, width)
-        table_nodes = kernel.size()
-        boundary_population = sum(
-            kernel.level_population().get(level, 0)
-            for level in (boundary, boundary + 1)
-        )
-        started = time.perf_counter()
-        _swap_levels(kernel, boundary)
-        kernel_times.append(time.perf_counter() - started)
-
-    legacy_best = min(legacy_times)
-    kernel_best = min(kernel_times)
-    return {
-        "table_nodes": table_nodes,
-        "boundary_population": boundary_population,
-        "legacy_ms": round(legacy_best * 1000, 3),
-        "kernel_ms": round(kernel_best * 1000, 3),
-        "speedup": round(legacy_best / max(kernel_best, 1e-9), 3),
-    }
-
-
 def _arena_sessions(sessions: int, width: int) -> Dict[str, object]:
     """Repeated build/drop/collect sessions: the arena must stay flat.
 
@@ -724,14 +635,13 @@ def _write_json(payload: Dict[str, object]) -> None:
     JSON_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _payload(tier: str, regimes, swap, arena, footprint) -> Dict[str, object]:
+def _payload(tier: str, regimes, arena, footprint) -> Dict[str, object]:
     speedups = [entry["speedup"] for entry in regimes.values()]
     return {
         "tier": tier,
         "op_throughput": regimes,
         "aggregate_speedup_geomean": round(_geomean(speedups), 3),
         "best_regime_speedup": round(max(speedups), 3),
-        "swap_latency": swap,
         "arena": arena,
         "footprint": footprint,
     }
@@ -746,16 +656,14 @@ def test_kernel_bench_smoke(benchmark):
 
     def run():
         regimes = _run_regimes(SMOKE_ITERATIONS, repeats=SMOKE_REPEATS)
-        swap = _swap_latency(width=10, swaps=2)
         arena = _arena_sessions(sessions=4, width=10)
-        return regimes, swap, arena, _node_footprint()
+        return regimes, arena, _node_footprint()
 
-    regimes, swap, arena, footprint = benchmark.pedantic(run, rounds=1, iterations=1)
-    payload = _payload("smoke", regimes, swap, arena, footprint)
+    regimes, arena, footprint = benchmark.pedantic(run, rounds=1, iterations=1)
+    payload = _payload("smoke", regimes, arena, footprint)
     _write_json(payload)
     # Smoke bars are correctness-of-harness, not performance claims,
     # except the memory footprint, which is deterministic.
-    assert swap["kernel_ms"] > 0 and swap["legacy_ms"] > 0
     assert arena["capacity_last"] <= arena["capacity_max"]
     assert arena["reclaimed_total"] > 0
     _assert_footprint(footprint)
@@ -763,31 +671,25 @@ def test_kernel_bench_smoke(benchmark):
         benchmark,
         experiment="array kernel vs object-graph kernel (smoke)",
         paper="Section 3.2: ROBDD operations dominate verification cost",
-        measured=(
-            f"geomean speedup {payload['aggregate_speedup_geomean']}x, "
-            f"swap {swap['legacy_ms']}ms -> {swap['kernel_ms']}ms"
-        ),
+        measured=f"geomean speedup {payload['aggregate_speedup_geomean']}x",
     )
 
 
-def test_kernel_op_throughput_and_swap(benchmark):
+def test_kernel_op_throughput(benchmark):
     """Full tier: measured speedups with the acceptance floors asserted."""
 
     def run():
         regimes = _run_regimes(FULL_ITERATIONS, repeats=FULL_REPEATS)
-        swap = _swap_latency(width=14, swaps=3)
         arena = _arena_sessions(sessions=8, width=12)
-        return regimes, swap, arena, _node_footprint()
+        return regimes, arena, _node_footprint()
 
-    regimes, swap, arena, footprint = benchmark.pedantic(run, rounds=1, iterations=1)
-    payload = _payload("full", regimes, swap, arena, footprint)
+    regimes, arena, footprint = benchmark.pedantic(run, rounds=1, iterations=1)
+    payload = _payload("full", regimes, arena, footprint)
     _write_json(payload)
     _assert_footprint(footprint)
 
     # The arena stays flat across sessions (free-list reuse works)...
     assert arena["capacity_last"] <= arena["capacity_first"] * 1.05
-    # ...the fat-level swap got faster in-place...
-    assert swap["speedup"] > 1.0, swap
     # ...and op throughput beats the object-graph kernel where the
     # representation matters (floors are set well under the typical
     # measurements — see ROADMAP for the recorded numbers — so CI noise
@@ -798,7 +700,6 @@ def test_kernel_op_throughput_and_swap(benchmark):
     # ~0.85x typical; the floor is set under the noise band (the >=1.0x
     # target itself is a recorded near-miss, see the module docstring).
     assert regimes["cold_apply"]["speedup"] >= 0.72, regimes["cold_apply"]
-    assert swap["speedup"] >= 1.5, swap
     assert payload["aggregate_speedup_geomean"] >= 1.15, payload
     record_paper_comparison(
         benchmark,
@@ -807,17 +708,14 @@ def test_kernel_op_throughput_and_swap(benchmark):
         measured=(
             f"per-regime speedups "
             f"{ {name: entry['speedup'] for name, entry in regimes.items()} }, "
-            f"geomean {payload['aggregate_speedup_geomean']}x, "
-            f"swap {swap['legacy_ms']}ms -> {swap['kernel_ms']}ms "
-            f"({swap['speedup']}x) at {swap['table_nodes']} nodes"
+            f"geomean {payload['aggregate_speedup_geomean']}x"
         ),
     )
 
 
 if __name__ == "__main__":
     regimes = _run_regimes(FULL_ITERATIONS, repeats=FULL_REPEATS)
-    swap = _swap_latency(width=14, swaps=3)
     arena = _arena_sessions(sessions=8, width=12)
-    payload = _payload("full", regimes, swap, arena, _node_footprint())
+    payload = _payload("full", regimes, arena, _node_footprint())
     _write_json(payload)
     print(json.dumps(payload, indent=2, sort_keys=True))

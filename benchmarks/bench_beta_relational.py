@@ -14,11 +14,6 @@ The acceptance bar is a >= 10x wall-clock improvement on the k=4
 late-branch window; the measured gap on the development box is ~70x
 (the compose side alone costs minutes, which is why the k=4 comparison
 lives in the full tier and the smoke tier pins byte-identity at k=2).
-
-The sifting half of the PR rides along: the per-level node index makes
-engine-scale sifting cheap enough that a default-sifting campaign
-(reorder="sift", threshold 0) must stay within a small factor of the
-sifting-off campaign — the full tier records the measured ratio.
 """
 
 import time
@@ -38,8 +33,6 @@ LATE_BRANCH_K2 = (NORMAL, CONTROL)
 
 #: The compose (classical functional-simulation) opt-out.
 COMPOSE = RelationalPolicy(beta_backend=BETA_COMPOSE)
-#: Always-sift policy for the index-scale measurement.
-SIFT_ALWAYS = RelationalPolicy(reorder="sift", reorder_threshold=0)
 
 
 def run_backend(slots, policy=None, bug=None):
@@ -109,51 +102,6 @@ def test_refuting_window_byte_identical(benchmark):
     )
 
 
-def test_default_sifting_campaign_stays_near_sifting_off(benchmark):
-    """Index-scale sifting: a default-sifting campaign vs the plain one.
-
-    The per-level node index makes every swap proportional to the two
-    affected levels' populations, so a campaign that sifts every
-    scenario (threshold 0) must stay within a small factor of the
-    sifting-off campaign.  The CI tier-1 durations artifact tracks the
-    same property at full-suite scale.
-    """
-    scenarios = [
-        Scenario(name=f"camp/{i}", slots=slots)
-        for i, slots in enumerate(
-            [(NORMAL, CONTROL), (CONTROL, NORMAL), (NORMAL, NORMAL, CONTROL)]
-        )
-    ]
-    sifting = [
-        Scenario(name=s.name, slots=s.slots, relational=SIFT_ALWAYS) for s in scenarios
-    ]
-
-    def run_both():
-        runner_plain, runner_sift = CampaignRunner(), CampaignRunner()
-        started = time.perf_counter()
-        plain_report = runner_plain.run(scenarios)
-        plain_seconds = time.perf_counter() - started
-        started = time.perf_counter()
-        sift_report = runner_sift.run(sifting)
-        sift_seconds = time.perf_counter() - started
-        return plain_report, plain_seconds, sift_report, sift_seconds
-
-    plain_report, plain_seconds, sift_report, sift_seconds = benchmark.pedantic(
-        run_both, rounds=1, iterations=1
-    )
-    assert plain_report.verdict_json() == sift_report.verdict_json()
-    assert sift_report.pool["reorder_evictions"] == len(scenarios)
-    ratio = sift_seconds / max(plain_seconds, 1e-9)
-    # Generous CI bound; the tracked target is 1.2x (see ROADMAP).
-    assert ratio < 3.0, f"sifting-on campaign {ratio:.2f}x the sifting-off campaign"
-    record_paper_comparison(
-        benchmark,
-        experiment="default-sifting campaign vs sifting-off campaign",
-        paper="ROBDD size is critically order-dependent (Section 3.2)",
-        measured=f"sifting-on/off wall-clock ratio {ratio:.2f} (target <= 1.2)",
-    )
-
-
 # ----------------------------------------------------------------------
 # Smoke tier
 # ----------------------------------------------------------------------
@@ -180,17 +128,3 @@ def test_smoke_relational_backend_is_not_slower():
     # Both are sub-second; guard only against gross regression (the k=4
     # 10x acceptance assertion lives in the full tier above).
     assert relational_seconds < max(4 * compose_seconds, 2.0)
-
-
-@pytest.mark.bench_smoke
-def test_smoke_default_sifting_campaign_verdicts():
-    """Fast tier: pooled default-sifting campaign, identical verdicts."""
-    scenarios = [Scenario(name="s/plain", slots=LATE_BRANCH_K2)]
-    sifting = [
-        Scenario(name="s/plain", slots=LATE_BRANCH_K2, relational=SIFT_ALWAYS)
-    ]
-    plain_runner, sift_runner = CampaignRunner(), CampaignRunner()
-    plain_report = plain_runner.run(scenarios)
-    sift_report = sift_runner.run(sifting)
-    assert plain_report.verdict_json() == sift_report.verdict_json()
-    assert sift_report.pool["reorder_evictions"] == 1

@@ -16,8 +16,8 @@ the relational subsystem on exactly that workload, in two layers:
   is why the frontier-constrained conjunction is the baseline measured.)
 
 * **Campaign verdicts** — the same late-branch scenario run through the
-  campaign engine with relational policies attached (partitioning knobs;
-  mid-run sifting) must reproduce the plain run's verdict byte for byte.
+  campaign engine with a relational policy attached (partitioning
+  knobs) must reproduce the plain run's verdict byte for byte.
 """
 
 import time
@@ -121,8 +121,7 @@ def test_late_branch_campaign_verdict_identical_with_policy(benchmark):
     the same verification work as the plain run — this test pins down
     that carrying the policy (serialisation, pooling keys, memo keys)
     is verdict-neutral at the acceptance workload, and doubles as the
-    k=4 late-branch wall-clock record.  Real mid-run reordering is
-    exercised at k=3 below and at k=2 in the smoke tier.
+    k=4 late-branch wall-clock record.
     """
     plain = Scenario(name="variable-k/late-branch", slots=LATE_BRANCH_K4)
     with_policy = Scenario(
@@ -144,37 +143,6 @@ def test_late_branch_campaign_verdict_identical_with_policy(benchmark):
         experiment="k=4 late-branch campaign, relational policy attached",
         paper="verification verdicts must not depend on engine tuning",
         measured="verdict JSON byte-identical with and without the policy",
-    )
-
-
-def test_late_branch_reorder_verdict_identical(benchmark):
-    """Mid-run sifting mutates every node; the k=3 verdict must not move."""
-    slots = (NORMAL, NORMAL, CONTROL)
-    plain = Scenario(name="variable-k/late-branch-k3", slots=slots)
-    sifted = Scenario(
-        name="variable-k/late-branch-k3",
-        slots=slots,
-        relational=RelationalPolicy(reorder="sift", reorder_threshold=0),
-    )
-
-    def run_both():
-        reference = CampaignRunner().run([plain])
-        candidate = CampaignRunner().run([sifted])
-        return reference, candidate
-
-    reference, candidate = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    assert reference.verdict_json() == candidate.verdict_json()
-    reorder = candidate.outcomes[0].reorder
-    assert reorder and reorder["swaps"] > 0  # sifting really ran
-    record_paper_comparison(
-        benchmark,
-        experiment="k=3 late-branch with post-specification sifting",
-        paper="ROBDD canonicity is what makes node identity a sound check",
-        measured=(
-            f"{reorder['swaps']} level swaps, live size "
-            f"{reorder['initial_size']} -> {reorder['final_size']}, "
-            "verdict JSON byte-identical"
-        ),
     )
 
 
@@ -206,19 +174,3 @@ def test_smoke_pipelined_relation_partitioned_window():
     frontiers, seconds, peak = drive(computer, manager.cube(reset), cubes, "partitioned")
     assert all(manager.is_satisfiable(f) for f in frontiers)
     assert peak < 50_000  # the monolithic loop peaks an order above this
-
-
-@pytest.mark.bench_smoke
-def test_smoke_late_branch_verdicts_with_reordering():
-    """Fast tier: k=2 late-branch verdict survives mid-run sifting."""
-    slots = (NORMAL, CONTROL)
-    plain = Scenario(name="smoke/late-branch", slots=slots)
-    sifted = Scenario(
-        name="smoke/late-branch",
-        slots=slots,
-        relational=RelationalPolicy(reorder="sift", reorder_threshold=0),
-    )
-    reference = CampaignRunner().run([plain])
-    candidate = CampaignRunner().run([sifted])
-    assert reference.verdict_json() == candidate.verdict_json()
-    assert candidate.outcomes[0].reorder  # sifting ran

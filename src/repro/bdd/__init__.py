@@ -3,8 +3,9 @@
 This package is the Boolean-function substrate of the reproduction
 (paper Chapter 3): canonical ROBDDs with the apply/ite operation,
 cofactoring, the smoothing operator, relational products, composition
-and counting queries, plus static variable-ordering helpers and dynamic
-reordering (sifting) in :mod:`repro.bdd.reorder`.
+and counting queries, plus static variable-ordering helpers.  The order
+is fixed when variables are declared (paper Section 3.2); nothing
+changes it afterwards.
 
 Representation: one array-backed integer-handle kernel
 (:mod:`repro.bdd.kernel` — struct-of-arrays node storage, per-level
@@ -41,14 +42,6 @@ from .ordering import (
     interleave,
     state_then_inputs,
 )
-from .reorder import (
-    SiftResult,
-    converge_sift,
-    live_size,
-    sift_to_order,
-    sift_variable,
-    swap_adjacent,
-)
 
 __all__ = [
     "BDD",
@@ -56,13 +49,8 @@ __all__ = [
     "BDDManager",
     "BDDNode",
     "BDDOrderError",
-    "SiftResult",
     "TERMINAL_LEVEL",
     "bit_names",
-    "converge_sift",
-    "sift_to_order",
-    "sift_variable",
-    "swap_adjacent",
     "bits_to_int",
     "compose_vector",
     "cycle_major_order",
@@ -73,7 +61,6 @@ __all__ = [
     "first_use_order",
     "int_to_bits",
     "interleave",
-    "live_size",
     "restrict_vector",
     "state_then_inputs",
     "vector_equal",

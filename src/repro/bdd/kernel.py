@@ -11,8 +11,8 @@ low, high)`` record to its handle, which is what keeps the diagrams
 reduced and canonical: equal functions have equal handles.  It is
 split into per-level subtables, and those subtables are the only
 per-level node index: the live nodes at a level are exactly one
-subtable's values, so reordering and population queries read them
-directly and allocation keeps no second copy.
+subtable's values, so population queries read them directly and
+allocation keeps no second copy.
 
 Three properties distinguish this kernel from the object-graph one it
 replaced:
@@ -48,9 +48,9 @@ replaced:
   still name (the manager's weakly-interned wrappers, see
   :mod:`repro.bdd.node`) plus any handles the caller passes; unmarked
   nodes leave the unique table and their handles go onto a free-list
-  for reuse, so the arena stops growing across reorder sessions and
-  long campaigns.  Collection only runs at safe points (explicit
-  calls, sifting sweeps) — never inside an operation.
+  for reuse, so the arena stops growing across long campaigns.
+  Collection only runs at safe points (explicit calls) — never inside
+  an operation.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from __future__ import annotations
 import base64
 import sys
 from array import array
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from .node import TERMINAL_LEVEL
 
@@ -213,10 +213,7 @@ class BDDKernel:
         #: Unique table, split into per-level subtables (CUDD-style):
         #: level -> {unique_key(low, high) -> handle}.  The subtables
         #: are also the per-level node index: ``_table[level].values()``
-        #: is exactly the live handles at that level.  The split is what
-        #: makes an adjacent level swap cheap: nodes that only change
-        #: *level* keep their subtable keys and move as a whole dict, so
-        #: a swap re-keys only the rebuilt nodes.
+        #: is exactly the live handles at that level.
         self._table: Dict[int, Dict[int, int]] = {}
         #: Reclaimed handles awaiting reuse (LIFO).
         self._free: List[int] = []
@@ -1283,8 +1280,8 @@ class BDDKernel:
         maps handles to results under this one substitution and is
         shared by every root, and by every call the caller passes it to,
         so a cone common to several roots is substituted once.  Nothing
-        goes to the shared op cache.  The caller must not reorder or
-        collect while it holds ``memo``.
+        goes to the shared op cache.  The caller must not collect while it
+        holds ``memo``.
         """
         level = self._level
         low = self._low
@@ -1730,8 +1727,8 @@ class BDDKernel:
         at C speed (the copies share the immutable int keys and
         handles, and stay untracked by the cyclic collector), so neither
         capturing nor adopting an image does per-node Python work.  The
-        image never aliases the arena: later operations, collections or
-        swaps on this kernel leave it untouched.
+        image never aliases the arena: later operations or collections on
+        this kernel leave it untouched.
         """
         return {
             "level": self._level.copy(),
@@ -1769,46 +1766,6 @@ class BDDKernel:
         self._high = high.copy()
         self._free = image["free"].copy()
         self._table = {lvl: sub.copy() for lvl, sub in image["table"].items()}
-
-    # ------------------------------------------------------------------
-    # Reorder support
-    # ------------------------------------------------------------------
-    def _plan_swap(
-        self, y_level: int, x_nodes: List[int]
-    ) -> Tuple[List[int], List[Tuple[int, int, int, int, int]]]:
-        """Classify the upper level's nodes for an adjacent level swap.
-
-        ``x_nodes`` are the live handles at the level above ``y_level``.
-        Returns ``(independent, rebuilds)``: nodes with no ``y``-level
-        child just move down one level, while each rebuild record
-        ``(n, f00, f01, f10, f11)`` carries the four grandchildren of
-        the Shannon expansion the swap re-wires the node with.  Read-only
-        over the *pre-swap* structure; the mutation half of the swap
-        lives in :func:`repro.bdd.reorder._swap_levels`.
-        """
-        lv = self._level
-        lo_a = self._low
-        hi_a = self._high
-        independent: List[int] = []
-        rebuilds: List[Tuple[int, int, int, int, int]] = []
-        for n in x_nodes:
-            lo = lo_a[n]
-            hi = hi_a[n]
-            lo_tests_y = lv[lo] == y_level
-            hi_tests_y = lv[hi] == y_level
-            if not lo_tests_y and not hi_tests_y:
-                independent.append(n)
-                continue
-            if lo_tests_y:
-                f00, f01 = lo_a[lo], hi_a[lo]
-            else:
-                f00 = f01 = lo
-            if hi_tests_y:
-                f10, f11 = lo_a[hi], hi_a[hi]
-            else:
-                f10 = f11 = hi
-            rebuilds.append((n, f00, f01, f10, f11))
-        return independent, rebuilds
 
     # ------------------------------------------------------------------
     # Garbage collection

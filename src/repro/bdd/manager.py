@@ -18,9 +18,9 @@ The representation lives in :class:`~repro.bdd.kernel.BDDKernel`
 subclasses it and adds what the kernel deliberately does not know
 about: the variable *order* (names <-> levels), the weakly-interned
 :class:`~repro.bdd.node.BDD` wrappers that give consumers the classic
-object API, and the reorder-hook machinery the campaign engine's
-manager pool relies on.  All functions handled by one manager share its
-order, which is what makes node identity a sound equivalence check.
+object API.  All functions handled by one manager share its order,
+fixed at declaration, which is what makes node identity a sound
+equivalence check.
 """
 
 from __future__ import annotations
@@ -72,8 +72,6 @@ class BDDManager(BDDKernel):
         super().__init__(cache_limit=cache_limit)
         self._level_of: Dict[str, int] = {}
         self._name_of: List[str] = []
-        self._reorder_count = 0
-        self._reorder_hooks: List[Callable[["BDDManager"], None]] = []
         #: Weakly-interned wrappers: handle -> weakref to the live BDD
         #: object.  One live wrapper per handle keeps node identity a
         #: sound equivalence check; entries whose referent died mark
@@ -385,10 +383,8 @@ class BDDManager(BDDKernel):
     def nodes_at_level(self, level: int) -> List[BDD]:
         """Live non-terminal nodes currently testing the variable at ``level``.
 
-        Served from the level's unique subtable in O(population) — no
-        scan of the other levels — which is what makes engine-scale
-        sifting affordable: an adjacent level swap reads exactly the two
-        subtables it touches.
+        Served from the level's unique subtable in O(population), with
+        no scan of the other levels.
         """
         sub = self._table.get(level)
         if not sub:
@@ -399,83 +395,6 @@ class BDDManager(BDDKernel):
     def level_population(self) -> Dict[int, int]:
         """Node count per level: the sizes of the non-empty subtables."""
         return {level: len(sub) for level, sub in self._table.items() if sub}
-
-    # ------------------------------------------------------------------
-    # Dynamic reordering support (see repro.bdd.reorder)
-    # ------------------------------------------------------------------
-    def add_reorder_hook(self, hook: Callable[["BDDManager"], None]) -> None:
-        """Register ``hook`` to be called after any variable-order change.
-
-        Hooks let owners of derived state — the campaign engine's manager
-        pool, memo tables keyed by variable order — invalidate themselves
-        when :mod:`repro.bdd.reorder` changes the order under them.
-        """
-        self._reorder_hooks.append(hook)
-
-    def remove_reorder_hook(self, hook: Callable[["BDDManager"], None]) -> None:
-        """Unregister a previously added reorder hook (no-op if absent)."""
-        try:
-            self._reorder_hooks.remove(hook)
-        except ValueError:
-            pass
-
-    @property
-    def reorder_count(self) -> int:
-        """How many variable-order changes this manager has undergone."""
-        return self._reorder_count
-
-    def _note_order_change(self) -> None:
-        """Invalidate order-dependent state after a level swap.
-
-        The op cache keys results by levels (through the interned
-        level-set/substitution signatures), which a swap renumbers, so
-        it is dropped.  The ITE cache is *kept*: its keys and values are
-        pure handles, every handle keeps denoting the same Boolean
-        function through a function-preserving swap, and the unique
-        table keeps every live node canonical under the new order — so
-        each cached ``r = ite(f, g, h)`` equation still holds verbatim.
-        (The object-graph kernel dropped it anyway for obviousness; at
-        array-kernel swap rates the wholesale clear of a warm
-        ~10^5-entry cache was the dominant cost of a fat swap.)
-        Registered reorder hooks fire last so pool owners can re-key or
-        evict this manager.
-        """
-        if self._op_cache:
-            self._drop_cache(self._op_cache)
-        self._reorder_count += 1
-        for hook in list(self._reorder_hooks):
-            hook(self)
-
-    def sift(
-        self,
-        roots: Optional[Iterable[BDD]] = None,
-        converge: bool = True,
-        max_passes: int = 4,
-        max_variables: Optional[int] = None,
-        max_excursion: Optional[int] = None,
-    ):
-        """Dynamically reorder this manager's variables by Rudell sifting.
-
-        Convenience wrapper over :func:`repro.bdd.reorder.converge_sift`
-        (one pass when ``converge`` is false).  ``roots`` — the functions
-        the caller still cares about — make the size metric exact; without
-        them the unique-table size (which includes dead intermediate
-        nodes) is used.  ``max_variables`` bounds how many variables each
-        pass sifts and ``max_excursion`` how many levels each travels
-        (the time budgets on big tables; swaps themselves are in-place
-        array writes over the per-level node index, so the metric
-        traversal dominates).  Returns the
-        :class:`~repro.bdd.reorder.SiftResult`.
-        """
-        from .reorder import converge_sift
-
-        return converge_sift(
-            self,
-            roots=roots,
-            max_passes=max_passes if converge else 1,
-            max_variables=max_variables,
-            max_excursion=max_excursion,
-        )
 
     # ------------------------------------------------------------------
     # Node construction
@@ -660,7 +579,7 @@ class BDDManager(BDDKernel):
         ``functions``; pass the same ``memo`` dict (initially empty) to
         several calls with the *same* substitution to share them across
         calls too.  The memo holds raw handles, so drop it before the
-        manager reorders or collects.
+        manager collects.
         """
         by_level = self._levels_map(
             (name, g._h) for name, g in substitution.items()
@@ -855,8 +774,8 @@ class BDDManager(BDDKernel):
         over positions in ``names``, memoised per node; the position
         table and the masks are shared by every call of one walker, so
         a walk only visits the nodes no earlier walk reached.  Node
-        handles must stay put between calls: no :meth:`collect` or
-        reordering while a walker is in use.
+        handles must stay put between calls: no :meth:`collect` while a
+        walker is in use.
         """
         level = self._level
         low = self._low

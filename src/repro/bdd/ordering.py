@@ -11,12 +11,11 @@ static orders built with the helpers below:
   symbolic simulator (instruction ``i``'s bits are adjacent and earlier
   instructions come first, matching the order in which they influence
   the machine state),
-* a simple greedy reordering of declared groups by first-use, used when
-  building BDDs from netlists.
+* a simple greedy arrangement of declared groups by first use, used
+  when building BDDs from netlists.
 
-These heuristics pick the *initial* order; when a verification run
-outgrows it, :mod:`repro.bdd.reorder` moves variables dynamically
-(Rudell-style sifting on top of an adjacent level-swap primitive).
+The order these heuristics pick is final: a manager never moves a
+variable once it is declared.
 """
 
 from __future__ import annotations

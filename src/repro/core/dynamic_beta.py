@@ -48,7 +48,6 @@ def verify_with_events(
     impl_kwargs: Optional[dict] = None,
     observation: Optional[ObservationSpec] = None,
     symbolic_initial_state: bool = False,
-    relational=None,
 ) -> VerificationReport:
     """Verify the interrupt-capable pipelined VSM with the dynamic beta-relation.
 
@@ -68,7 +67,6 @@ def verify_with_events(
         impl_kwargs=impl_kwargs,
         observation=observation,
         symbolic_initial_state=symbolic_initial_state,
-        relational=relational,
     )
 
 

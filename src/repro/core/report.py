@@ -69,19 +69,14 @@ class VerificationReport:
     bdd_nodes: int = 0
     bdd_variables: int = 0
     extra: Dict[str, object] = field(default_factory=dict)
-    #: Dynamic-reordering activity (measurement, not verdict): swap and
-    #: size accounting when a relational policy sifted the manager.
-    reorder: Dict[str, object] = field(default_factory=dict)
     #: Relational-extraction cache activity (measurement, not verdict):
     #: whether the per-bit beta relations were re-used from the pooled
     #: manager's session cache or extracted afresh; empty on the
     #: classical backend, which extracts nothing.
     extraction_cache: Dict[str, object] = field(default_factory=dict)
     #: Which beta backend produced the run (measurement, not verdict):
-    #: ``compose``, ``relational``, or ``relational+fallback`` when a
-    #: refuting relational run under a sifting policy re-ran the compose
-    #: path for its witnesses; empty for non-beta drivers (events),
-    #: which have a single code path.
+    #: ``compose`` or ``relational``; empty for non-beta drivers
+    #: (events), which have a single code path.
     backend: str = ""
     #: Persistent-snapshot activity (measurement, not verdict): per-role
     #: restore/save timings and node counts when the run rehydrated its
@@ -125,7 +120,6 @@ class VerificationReport:
             "bdd_nodes": self.bdd_nodes,
             "bdd_variables": self.bdd_variables,
             "extra": self.extra,
-            "reorder": self.reorder,
             "extraction_cache": self.extraction_cache,
             "backend": self.backend,
             "snapshot": self.snapshot,

@@ -110,8 +110,7 @@ def verify_beta_relation(
     relations, cofactor-specialised products, selector-above-data
     stimulus order); ``relational`` — a
     :class:`~repro.relational.RelationalPolicy` — selects the classical
-    compose path (``beta_backend="compose"``) and/or dynamic variable
-    reordering between the simulation phases.  Verdicts are
+    compose path (``beta_backend="compose"``).  Verdicts are
     byte-identical across backends: passing reports carry no witnesses,
     and a refuting relational run walks its witnesses in the compose
     path's variable order on its own manager.

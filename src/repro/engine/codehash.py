@@ -7,7 +7,7 @@ and snapshot in the store.  This module makes invalidation *surgical*
 by splitting the code version into per-component content hashes:
 
 * ``bdd`` — the BDD kernel (``src/repro/bdd/``): node representation,
-  ITE core, GC, snapshots, reordering.
+  ITE core, GC, snapshots.
 * ``relational`` — the relational subsystem (``src/repro/relational/``):
   beta-relation extraction, the relational product, policies.
 * ``verifier`` — the verdict path itself: the executor, the core

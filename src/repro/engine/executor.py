@@ -52,81 +52,6 @@ from .scenario import BETA, EVENTS, SUPERSCALAR, Scenario
 
 
 # ----------------------------------------------------------------------
-# Dynamic reordering (relational policy)
-# ----------------------------------------------------------------------
-#: Sifting budget per reorder point: at most this many variables per pass.
-REORDER_MAX_VARIABLES = 8
-#: Sifting budget per variable: at most this many levels per direction.
-#: Swaps are cheap under the per-level node index; the exact (live-root)
-#: size metric is a traversal per swap, so bounding the excursion is
-#: what keeps default sifting inside the 1.2x-of-plain-run budget.
-REORDER_MAX_EXCURSION = 12
-#: Above this many live root nodes the exact size metric (one traversal
-#: per interacting swap) costs more than the verification it serves;
-#: the sift falls back to the O(1) unique-table metric, whose garbage
-#: bias stays bounded by the per-variable session sweep.  Deterministic
-#: either way, so verdict parity is unaffected.
-REORDER_EXACT_METRIC_LIMIT = 50_000
-
-
-def _maybe_reorder(
-    manager: BDDManager,
-    policy: Optional[RelationalPolicy],
-    phase: str,
-    samples: Sequence[Dict[str, BitVec]] = (),
-) -> Dict[str, object]:
-    """Sift the manager if the scenario's policy asks for it.
-
-    Runs between simulation phases (after the specification machine, when
-    the unique table holds the formulae the implementation phase will
-    re-derive against); the sampled specification observables serve as
-    sifting roots, making the size metric exact.  Reordering mutates
-    nodes function-preservingly, so the pass/fail verdict is unaffected
-    (a passing run's report is byte-identical; a failing run reports the
-    same mismatching observables, though a counterexample's don't-care
-    bits may legitimately differ — minimal witnesses follow the
-    order).  The campaign runner gives reordering scenarios a private
-    manager (a pooled table's size depends on campaign history, which
-    would make this trigger — and failing scenarios' counterexample
-    don't-cares — mode-dependent); a caller who sifts a pooled manager
-    directly is still covered by the pool's retire-on-reorder hook.  In this
-    pure-Python substrate a swap costs time proportional to the two
-    levels' populations, so mid-run sifting is an explicit opt-in
-    (``RelationalPolicy.reorder``) with a bounded per-pass variable
-    budget — worthwhile for order repair on long-lived managers and for
-    relational image workloads, not for shaving one functional run.
-    Returns the measurement record (empty if nothing ran).
-    """
-    if policy is None or not policy.reorders:
-        return {}
-    if manager.size() < policy.reorder_threshold:
-        return {}
-    from ..bdd.reorder import live_size
-
-    roots = [
-        bit
-        for sample in samples
-        for vector in sample.values()
-        for bit in vector.bits
-    ]
-    if roots and live_size(manager, roots) > REORDER_EXACT_METRIC_LIMIT:
-        roots = []
-    started = time.perf_counter()
-    with telemetry.span("reorder.sift", manager=manager, phase=phase) as sift_span:
-        result = manager.sift(
-            roots=roots or None,
-            converge=policy.reorder == "converge",
-            max_variables=REORDER_MAX_VARIABLES,
-            max_excursion=REORDER_MAX_EXCURSION,
-        )
-        sift_span.set(swaps=result.swaps, passes=result.passes)
-    record = result.to_dict()
-    record["phase"] = phase
-    record["seconds"] = round(time.perf_counter() - started, 4)
-    return record
-
-
-# ----------------------------------------------------------------------
 # Counterexample decoding
 # ----------------------------------------------------------------------
 def _word_from_vector(vector: BitVec, label: str, assignment: Mapping[str, bool]) -> int:
@@ -304,9 +229,7 @@ def run_beta(
     :class:`~repro.relational.RelationalPolicy` knobs: which beta
     backend runs the check (the relational formulation by default, the
     classical compose path as the differential opt-out — verdicts are
-    byte-identical either way, see :mod:`repro.relational.beta`) and
-    whether dynamic variable reordering runs between the simulation
-    phases (see :func:`_maybe_reorder` for the exact guarantee).
+    byte-identical either way, see :mod:`repro.relational.beta`).
     ``snapshot_store`` lets the relational backend rehydrate its beta
     relations from persistent arena snapshots instead of re-extracting,
     and ``relation_templates`` lets a fresh manager clone relations an
@@ -327,7 +250,6 @@ def run_beta(
                 manager,
                 impl_kwargs,
                 observation,
-                relational,
                 models,
                 snapshot_store=snapshot_store,
                 relation_templates=relation_templates,
@@ -336,7 +258,7 @@ def run_beta(
         # fall through to the classical path on the same (still
         # declaration-free) manager, reusing the constructed models.
     return _run_beta_compose(
-        architecture, siminfo, manager, impl_kwargs, observation, relational, models
+        architecture, siminfo, manager, impl_kwargs, observation, models
     )
 
 
@@ -378,7 +300,6 @@ def _run_beta_compose(
     manager: BDDManager,
     impl_kwargs: Optional[dict],
     observation: ObservationSpec,
-    relational: Optional[RelationalPolicy],
     models=None,
 ) -> VerificationReport:
     """The classical beta path: functional simulation by composition."""
@@ -397,12 +318,6 @@ def _run_beta_compose(
             specification, plan, siminfo, observation
         )
     spec_seconds = time.perf_counter() - started
-
-    # Reorder point: the specification formulae are built, the (more
-    # expensive) implementation simulation is still ahead.
-    reorder_record = _maybe_reorder(
-        manager, relational, phase="post-specification", samples=spec_samples
-    )
 
     started = time.perf_counter()
     with telemetry.span("beta.impl", manager=manager, backend=BETA_COMPOSE):
@@ -438,7 +353,6 @@ def _run_beta_compose(
         spec_seconds,
         impl_seconds,
         comparison_seconds,
-        reorder_record,
         backend=BETA_COMPOSE,
     )
 
@@ -449,7 +363,6 @@ def _run_beta_relational(
     manager: BDDManager,
     impl_kwargs: Optional[dict],
     observation: ObservationSpec,
-    relational: Optional[RelationalPolicy],
     models,
     snapshot_store=None,
     relation_templates=None,
@@ -465,10 +378,7 @@ def _run_beta_relational(
     witnesses are walked in the compose path's declaration order
     (:func:`_compose_variable_order`), so failing records are
     byte-identical to it as well; the golden counterexample suite pins
-    them down.  Only a policy that sifts re-runs the classical path on
-    a fresh manager (``backend == "relational+fallback"``): the compose
-    run's post-sift order, which its witness don't-cares follow, cannot
-    be replayed.
+    them down.
     """
     from ..relational.beta import beta_stimulus_order, cached_extract_steppers
 
@@ -535,10 +445,6 @@ def _run_beta_relational(
         )
     spec_seconds = time.perf_counter() - started
 
-    reorder_record = _maybe_reorder(
-        manager, relational, phase="post-specification", samples=spec_samples
-    )
-
     # --- Implementation: one relation step per pipeline cycle ----------
     started = time.perf_counter()
     impl_state = impl_stepper.initial_state()
@@ -572,21 +478,6 @@ def _run_beta_relational(
         )
     comparison_seconds = time.perf_counter() - started
 
-    if mismatches and relational is not None and relational.reorders:
-        with telemetry.span("beta.fallback"):
-            report = _run_beta_compose(
-                architecture,
-                siminfo,
-                BDDManager(),
-                impl_kwargs,
-                observation,
-                relational,
-            )
-        report.backend = "relational+fallback"
-        report.extraction_cache = dict(extraction_record)
-        report.snapshot = dict(snapshot_record)
-        return report
-
     report = _beta_report(
         architecture,
         siminfo,
@@ -600,7 +491,6 @@ def _run_beta_relational(
         spec_seconds + extraction_seconds,
         impl_seconds,
         comparison_seconds,
-        reorder_record,
         backend=BETA_RELATIONAL,
     )
     report.extraction_cache = dict(extraction_record)
@@ -686,7 +576,6 @@ def _beta_report(
     spec_seconds: float,
     impl_seconds: float,
     comparison_seconds: float,
-    reorder_record: Dict[str, object],
     backend: str,
 ) -> VerificationReport:
     """Assemble the beta report (structure identical across backends)."""
@@ -716,7 +605,6 @@ def _beta_report(
         comparison_seconds=comparison_seconds,
         bdd_nodes=manager.size(),
         bdd_variables=manager.num_vars(),
-        reorder=reorder_record,
         backend=backend,
     )
 
@@ -731,7 +619,6 @@ def run_events(
     impl_kwargs: Optional[dict] = None,
     observation: Optional[ObservationSpec] = None,
     symbolic_initial_state: bool = False,
-    relational: Optional[RelationalPolicy] = None,
 ) -> VerificationReport:
     """Verify the interrupt-capable pipelined VSM with the dynamic beta-relation.
 
@@ -819,10 +706,6 @@ def run_events(
             spec_samples.append(observation.select(observed))
     spec_seconds = time.perf_counter() - started
     spec_total = siminfo.reset_cycles + k * siminfo.num_slots
-
-    reorder_record = _maybe_reorder(
-        manager, relational, phase="post-specification", samples=spec_samples
-    )
 
     # --- Implementation ----------------------------------------------------
     # The sampling schedule is derived from the feeding schedule (this is the
@@ -922,7 +805,6 @@ def run_events(
         bdd_nodes=manager.size(),
         bdd_variables=manager.num_vars(),
         extra={"event_slots": sorted(event_set)},
-        reorder=reorder_record,
     )
 
 
@@ -1166,7 +1048,6 @@ def _dispatch_scenario(
             impl_kwargs=scenario.impl_kwargs(),
             observation=scenario.observation(),
             symbolic_initial_state=scenario.symbolic_initial_state,
-            relational=scenario.relational,
         )
         outcome = _outcome_from_verification(scenario, report)
     elif scenario.kind == SUPERSCALAR:
@@ -1230,7 +1111,6 @@ def _outcome_from_verification(
         },
         bdd_nodes=report.bdd_nodes,
         bdd_variables=report.bdd_variables,
-        reorder=dict(report.reorder),
         extraction_cache=dict(report.extraction_cache),
         backend=report.backend,
         snapshot=dict(report.snapshot),

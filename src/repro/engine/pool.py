@@ -13,14 +13,8 @@ Sharing is deliberately *not* extended across different variable orders:
 a pooled manager must declare variables in the same order a fresh one
 would, which keeps every pooled result (including counterexample
 assignments) bit-identical to an isolated run — the property the
-parallel campaign mode relies on.  For the same reason a manager whose
-order has been *dynamically changed* (sifting,
-:mod:`repro.bdd.reorder`) is retired from the pool the moment the first
-swap fires: its final variable order no longer matches what the
-signature declares, so handing it to the next scenario would silently
-break the declared-order contract.  The scenario that triggered the
-reorder keeps using it safely — canonicity survives reordering — but
-the next acquisition for that signature gets a fresh manager.
+parallel campaign mode relies on.  A manager's order never changes
+after declaration, so a pooled manager keeps its signature for life.
 
 Most campaign scenarios differ in slot shape, so most acquisitions
 create a fresh manager, and the relational beta backend must then bring
@@ -52,8 +46,8 @@ class ManagerPool:
         #: :class:`repro.engine.store.ResultStore`).  Attached by the
         #: campaign runner (and by every parallel worker to its own
         #: pool); the executor reads it so any scenario running on a
-        #: pooled *or* private manager can rehydrate extracted relations
-        #: instead of recomputing them.
+        #: pooled manager can rehydrate extracted relations instead of
+        #: recomputing them.
         self.snapshot_store = None
         #: Arena images of relations restored from ``snapshot_store``
         #: onto fresh managers; the executor reads them next to the
@@ -62,27 +56,21 @@ class ManagerPool:
         self._managers: Dict[Tuple, BDDManager] = {}
         self._acquisitions = 0
         self._reuses = 0
-        self._reorder_evictions = 0
         #: Cache activity of managers retired from the pool, folded into
-        #: :meth:`statistics` so campaign deltas never go negative when a
-        #: reorder eviction removes a manager mid-campaign.
+        #: :meth:`statistics` so campaign deltas never go negative when
+        #: :meth:`clear` drops managers mid-campaign.
         self._retired_cache = {"hits": 0, "misses": 0, "evicted_entries": 0, "clears": 0}
         #: Arena counters of retired managers (same folding rule: the
         #: monotonic counters survive retirement; sizes do not).
         self._retired_arena = {"allocated_total": 0, "gc_runs": 0, "gc_reclaimed": 0}
 
     def acquire(self, signature: Tuple) -> BDDManager:
-        """The pooled manager for ``signature`` (created on first use).
-
-        Every pooled manager carries a reorder hook: the first dynamic
-        order change retires it from the pool (see module docstring).
-        """
+        """The pooled manager for ``signature`` (created on first use)."""
         self._acquisitions += 1
         manager = self._managers.get(signature)
         if manager is None:
             manager = BDDManager(cache_limit=self.cache_limit)
             self._managers[signature] = manager
-            manager.add_reorder_hook(self._make_reorder_hook(signature))
         else:
             self._reuses += 1
         return manager
@@ -90,27 +78,6 @@ class ManagerPool:
     def attach_store(self, store) -> None:
         """Attach (or with ``None`` detach) a persistent snapshot store."""
         self.snapshot_store = store
-
-    def private_manager(self) -> BDDManager:
-        """A fresh manager outside the pool, under the pool's cache limit.
-
-        Scenarios that must not share table state — thresholded
-        reordering scenarios, whose sifting trigger compares the table
-        size against a policy threshold and would otherwise depend on
-        campaign history — run here; keeping the constructor on the
-        pool keeps every manager the engine hands out configured in one
-        place.
-        """
-        return BDDManager(cache_limit=self.cache_limit)
-
-    def _make_reorder_hook(self, signature: Tuple):
-        def evict(manager: BDDManager) -> None:
-            if self._managers.get(signature) is manager:
-                del self._managers[signature]
-                self._reorder_evictions += 1
-                self._retire_counters(manager)
-
-        return evict
 
     def _retire_counters(self, manager: BDDManager) -> None:
         """Preserve a departing manager's cumulative cache/arena activity."""
@@ -157,18 +124,13 @@ class ManagerPool:
         """How many acquisitions were served by an existing manager."""
         return self._reuses
 
-    @property
-    def reorder_evictions(self) -> int:
-        """How many managers were retired because their order changed."""
-        return self._reorder_evictions
-
     def statistics(self) -> Dict[str, object]:
         """Aggregate pool statistics for campaign reports.
 
         Counters cover the currently pooled managers plus, for managers
-        retired by a reorder eviction or :meth:`clear`, their activity
-        up to the moment of retirement — enough to keep campaign deltas
-        monotonic.  Activity a still-running scenario accrues on a
+        retired by :meth:`clear` or folded in by :meth:`absorb`, their
+        activity up to the moment of retirement — enough to keep
+        campaign deltas monotonic.  Activity a still-running scenario accrues on a
         retired manager afterwards is attributed to that scenario's own
         ``outcome.cache`` delta, not the pool.  Sizes (nodes, cache
         entries) describe only the managers currently pooled.
@@ -225,7 +187,6 @@ class ManagerPool:
             "managers": len(self._managers),
             "acquisitions": self._acquisitions,
             "reuses": self._reuses,
-            "reorder_evictions": self._reorder_evictions,
             "total_nodes": total_nodes,
             "arena": arena,
             "cache": cache,

@@ -49,9 +49,6 @@ class ScenarioOutcome:
     bdd_variables: int = 0
     #: Operation-cache activity attributable to this run (delta).
     cache: Dict[str, object] = field(default_factory=dict)
-    #: Dynamic-reordering activity (measurement, not verdict): present
-    #: when the scenario's relational policy sifted the manager.
-    reorder: Dict[str, object] = field(default_factory=dict)
     #: Relational-extraction cache activity (measurement, not verdict):
     #: hit/miss of the session-cached beta relations plus session
     #: totals; empty for non-relational scenarios.
@@ -104,7 +101,6 @@ class ScenarioOutcome:
                 "bdd_nodes": self.bdd_nodes,
                 "bdd_variables": self.bdd_variables,
                 "cache": self.cache,
-                "reorder": self.reorder,
                 "extraction_cache": self.extraction_cache,
                 "backend": self.backend,
                 "store": self.store,

@@ -194,7 +194,6 @@ def _execute_pooled(
         outcome.seconds = 0.0
         outcome.timings = {}
         outcome.cache = {}
-        outcome.reorder = {}
         outcome.extraction_cache = {}
         outcome.store = {}
         outcome.snapshot = {}
@@ -224,32 +223,13 @@ def _execute_pooled(
     attempts = supervision.max_attempts if supervision is not None else 1
     outcome: Optional[ScenarioOutcome] = None
     for attempt in range(1, attempts + 1):
-        # Acquire the manager per attempt: the pooled path hands back
-        # the same warm manager (hash-consing keeps verdicts identical),
-        # while a thresholded-reorder scenario gets a *fresh* private
-        # manager each attempt — a partially-executed failed attempt
-        # must not leave sift state behind for the retry to see.
-        if not scenario.needs_manager():
-            manager = None
-        elif (
-            scenario.relational is not None
-            and scenario.relational.reorders
-            and scenario.relational.reorder_threshold > 0
-        ):
-            # A thresholded reordering scenario runs on a private manager:
-            # the sifting trigger compares the table size against the policy
-            # threshold, and a pooled manager's table carries whatever
-            # earlier scenarios left in it — the trigger (and with it the
-            # counterexample don't-cares) would then depend on campaign
-            # history, breaking serial/parallel verdict parity.  With a zero
-            # threshold the trigger is unconditional and the sift metric is
-            # exact over the scenario's own sample roots, so default-sifting
-            # scenarios may share pooled managers; the pool retires each
-            # manager at its first swap (reorder_evictions), which is what
-            # keeps the next acquisition bit-identical to a fresh run.
-            manager = pool.private_manager()
-        else:
-            manager = pool.acquire(scenario.order_signature())
+        # Acquire the manager per attempt: the pool hands back the same
+        # warm manager (hash-consing keeps verdicts identical).
+        manager = (
+            pool.acquire(scenario.order_signature())
+            if scenario.needs_manager()
+            else None
+        )
         try:
             faults.fire("scenario.run")
             outcome = execute_scenario(
@@ -373,8 +353,6 @@ def _pool_campaign_delta(
         "managers": after["managers"],
         "acquisitions": after["acquisitions"] - before["acquisitions"],
         "reuses": after["reuses"] - before["reuses"],
-        "reorder_evictions": after.get("reorder_evictions", 0)
-        - before.get("reorder_evictions", 0),
         "total_nodes": after["total_nodes"],
         "arena": arena,
         "templates": {

@@ -126,8 +126,8 @@ class Scenario:
     #: SUPERSCALAR only: encoded instruction words of the concrete program.
     program: Tuple[int, ...] = ()
     issue_width: int = 2
-    #: Relational-subsystem policy (partitioning bounds, dynamic
-    #: reordering); ``None`` leaves both features off.
+    #: Relational-subsystem policy (partitioning bounds, beta backend);
+    #: ``None`` selects the defaults.
     relational: Optional[RelationalPolicy] = None
     #: Implementation-model mutation knobs as sorted ``(knob, value)``
     #: pairs (see :data:`MUTATION_KNOBS`).  Part of the scenario's
@@ -322,11 +322,6 @@ class Scenario:
             from ..relational.policy import effective_beta_backend
 
             base = base + ("beta", effective_beta_backend(self.relational))
-        if self.relational is not None:
-            # A scenario that may reorder its manager mid-run must never
-            # share one with scenarios expecting the declared order (the
-            # pool additionally retires the manager once a reorder fires).
-            base = base + self.relational.pool_signature()
         if self.design == ALPHA0:
             # The instruction-class opcodes only change which stimulus bits
             # are *constants*; the free-variable set and order depend on the
@@ -389,9 +384,8 @@ class Scenario:
 
         SHA-256 over the scenario's serialised content (name and tags
         excluded — they are bookkeeping, not behaviour), the variable-
-        order signature (which embeds the beta backend and any
-        order-changing policy, so runs whose counterexample bits could
-        legitimately differ never share a record) and ``salt`` — the
+        order signature (which embeds the beta backend, so runs whose
+        variable orders differ never share a record) and ``salt`` — the
         persistent store's code-version salt.  Two scenarios share a
         fingerprint exactly when the engine guarantees them byte-
         identical verdicts, which is what makes the fingerprint safe as
@@ -559,7 +553,7 @@ def campaign_fingerprint(scenarios: Sequence["Scenario"], salt: str = "") -> str
 
     The checkpoint journal (:mod:`repro.resilience.journal`) keys its
     completion marks by this value, so a journal written for one
-    campaign can never leak marks into a different one — a reordered,
+    campaign can never leak marks into a different one — a permuted,
     extended or edited scenario list (or a code change that bumped the
     store salt) produces a different campaign key and the journal
     starts fresh.  Deliberately *not* a :class:`Scenario` field: the

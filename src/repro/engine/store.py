@@ -14,8 +14,8 @@ Two record families share the store:
   records, structure), keyed by
   :meth:`~repro.engine.scenario.Scenario.fingerprint`: a SHA-256 over
   the scenario's canonical content (everything but name/tags), its
-  variable-order signature — which embeds the beta backend and
-  reordering policy — and the store's code-version salt.  Stored as
+  variable-order signature — which embeds the beta backend — and the
+  store's code-version salt.  Stored as
   plain JSON, one file per fingerprint.
 * **Snapshots** — arena snapshots of expensive derived BDDs (the beta
   backend's extracted correspondence relations, see

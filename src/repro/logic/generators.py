@@ -149,8 +149,8 @@ def random_netlist(
     """A seeded pseudo-random sequential netlist.
 
     Used by the property tests: the relational subsystem's image
-    computation and the dynamic-reordering invariants are checked
-    against machines with no hand-designed structure.  The same seed
+    computation is checked against machines with no hand-designed
+    structure.  The same seed
     always produces the same netlist.
     """
     rng = random.Random(seed)

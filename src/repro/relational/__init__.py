@@ -22,9 +22,6 @@ conjunction.  It is layered:
 * :mod:`repro.relational.policy` — :class:`RelationalPolicy`, the pure-
   data knob bundle that campaign :class:`~repro.engine.scenario.Scenario`
   objects carry.
-
-Dynamic variable reordering, one of the knobs the policy controls,
-lives with the BDD substrate in :mod:`repro.bdd.reorder`.
 """
 
 from .beta import (
@@ -45,7 +42,6 @@ from .policy import (
     COMPOSE_BETA_POLICY,
     MONOLITHIC_POLICY,
     PARTITIONED_POLICY,
-    REORDER_MODES,
     RelationalPolicy,
     effective_beta_backend,
 )
@@ -66,7 +62,6 @@ __all__ = [
     "NEXT_SUFFIX",
     "PARTITIONED_POLICY",
     "QuantificationSchedule",
-    "REORDER_MODES",
     "RelationalPolicy",
     "ScheduleStep",
     "TransitionRelation",

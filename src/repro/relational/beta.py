@@ -69,7 +69,7 @@ Counterexample witness don't-cares, however, follow the variable
 order: the backend declares its own (selector-above-data) stimulus
 order, and on a mismatch the executor walks each witness in the compose
 path's declaration order instead, reproducing the compose backend's
-records exactly (a policy that sifts re-runs the compose path).
+records exactly.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 This package is the observability substrate of the campaign engine —
 the common schema behind what used to be per-layer statistics islands
-(kernel arena counters, pool cache stats, store hit rates, reorder and
+(kernel arena counters, pool cache stats, store hit rates and
 extraction-cache records).  It is deliberately zero-dependency and
 knows nothing about BDDs or scenarios: the engine layers import *it*,
 never the reverse.

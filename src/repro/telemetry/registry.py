@@ -4,7 +4,7 @@ The verification engine grew five performance-critical layers — the BDD
 kernel, the relational products, the snapshot store, the affinity
 sharded runner and the component invalidation — and each grew its own
 ad-hoc statistics island (``arena_statistics()``, ``outcome.store``,
-``outcome.reorder``, ``extraction_cache``) with its own key spellings.
+``extraction_cache``) with its own key spellings.
 This module is the common substrate those islands are re-exposed
 through: a zero-dependency, thread-safe registry of named instruments
 whose :meth:`MetricsRegistry.snapshot` is one JSON-serialisable dict.

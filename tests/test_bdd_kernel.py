@@ -11,8 +11,8 @@ core.  These tests pin the properties the rest of the repo builds on:
 * mark-and-sweep keeps exactly the nodes reachable from the live roots
   (the wrappers external code still holds, plus explicit roots);
 * the per-level subtables equal a partition of the live arena recomputed
-  from the node arrays after arbitrary interleavings of operations, GC,
-  level swaps and sifting;
+  from the node arrays after arbitrary interleavings of operations and
+  GC;
 * verdicts are GC-transparent: a verification run on a manager that
   aggressively collects between operations is byte-identical to the
   stored golden counterexamples.
@@ -27,7 +27,7 @@ import sys
 
 import pytest
 
-from repro.bdd import BDDManager, converge_sift, sift_variable, swap_adjacent
+from repro.bdd import BDDManager
 from repro.bdd.kernel import ITE_FAST_DEPTH, BDDKernel, unique_key
 
 SEED = 20260730
@@ -202,7 +202,7 @@ class TestFreeListReuse:
 
 
 class TestIndexAfterGC:
-    """The per-level index stays exact under op/GC/swap/sift interleavings."""
+    """The per-level index stays exact under op/GC interleavings."""
 
     NUM_VARS = 7
 
@@ -227,24 +227,18 @@ class TestIndexAfterGC:
         population = manager.level_population()
         assert population == {level: len(b) for level, b in partition.items()}
 
-    def test_random_op_gc_swap_sift_sequences(self):
+    def test_random_op_gc_sequences(self):
         rng = random.Random(SEED + 5)
         manager = BDDManager([f"x{i}" for i in range(self.NUM_VARS)])
         names = list(manager.variables)
         roots = [random_function(manager, rng, names, depth=5) for _ in range(3)]
         for _ in range(18):
-            action = rng.randrange(4)
-            if action == 0:
+            if rng.randrange(2):
                 roots.append(random_function(manager, rng, names))
-            elif action == 1:
-                swap_adjacent(manager, rng.randrange(self.NUM_VARS - 1))
-            elif action == 2:
-                manager.collect()
             else:
-                sift_variable(manager, rng.choice(names), roots=roots)
+                manager.collect()
             self.assert_index_exact(manager)
         counts = [manager.sat_count(root, names) for root in roots]
-        converge_sift(manager, roots=roots, max_passes=2)
         manager.collect()
         self.assert_index_exact(manager)
         assert [manager.sat_count(root, names) for root in roots] == counts
@@ -506,7 +500,7 @@ class TestArenaImages:
         assert [f.node_id for f in mixed.restore(second)] == expected_two
         assert arena_of(mixed) == arena_of(replayed)
 
-    def test_operating_on_or_sifting_a_clone_leaves_the_image_unchanged(self):
+    def test_operating_on_a_clone_leaves_the_image_unchanged(self):
         source, roots = self.build(SEED + 60)
         image = source.arena_image()
         digest = image_digest(image)
@@ -516,14 +510,10 @@ class TestArenaImages:
         names = list(clone.variables)
         adopted.extend(random_function(clone, rng, names, depth=5) for _ in range(3))
         clone.collect()
-        swap_adjacent(clone, 2)
-        converge_sift(clone, roots=adopted, max_passes=2)
-        clone.collect()
         assert image_digest(image) == digest
         # The source moving on does not reach into the image either.
         random_function(source, rng, list(source.variables), depth=5)
         source.collect()
-        sift_variable(source, "v3", roots=roots)
         assert image_digest(image) == digest
         # And the image still seeds a faithful clone.
         again = BDDManager()

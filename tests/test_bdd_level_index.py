@@ -2,24 +2,19 @@
 
 The index is the unique table's per-level subtables
 (``BDDManager._table``, surfaced as ``nodes_at_level`` /
-``level_population``), and it is what makes engine-scale sifting
-affordable: a level swap reads exactly the two levels it touches
-instead of scanning the whole unique table.  That only holds if the
-subtables are *exactly* the level partition of the live arena after
-every mutation — allocation, reorder sweep and level swap.  These
+``level_population``).  It must be *exactly* the level partition of
+the live arena after every mutation — allocation and collection.  These
 tests drive randomised operation sequences through every mutation
 source and re-derive the partition from the node arrays after each
-burst; sifting additionally must preserve minterm counts and
-canonicity.
+burst.
 
 All randomness is seeded; the suite is deterministic.
 """
 
 import random
 
-from repro.bdd import BDDManager, converge_sift, sift_to_order, sift_variable, swap_adjacent
+from repro.bdd import BDDManager
 from repro.bdd.kernel import unique_key
-from repro.bdd.reorder import _Sifter
 
 SEED = 20260730
 
@@ -118,103 +113,30 @@ class TestIndexTracksOperations:
         assert_index_exact(manager)
         assert manager.nodes_at_level(manager.level("c")) == []
 
-
-class TestIndexTracksReordering:
-    """Swaps, sweeps and full sifting keep the index exact."""
-
-    NUM_VARS = 7
-
-    def build(self, rng):
-        manager = BDDManager([f"x{i}" for i in range(self.NUM_VARS)])
+    def test_mixed_apply_gc_sequences(self):
+        """Interleave new allocations and collections."""
+        rng = random.Random(SEED + 2)
+        manager = BDDManager([f"x{i}" for i in range(7)])
         names = list(manager.variables)
         roots = [random_function(manager, rng, names, depth=5) for _ in range(3)]
-        return manager, names, roots
-
-    def test_random_swap_sequences(self):
-        rng = random.Random(SEED + 1)
-        manager, names, roots = self.build(rng)
-        counts = [manager.sat_count(root, names) for root in roots]
-        for _ in range(25):
-            swap_adjacent(manager, rng.randrange(self.NUM_VARS - 1))
-            assert_index_exact(manager)
-        assert [manager.sat_count(root, names) for root in roots] == counts
-
-    def test_mixed_swap_apply_gc_sequences(self):
-        """Interleave swaps, new allocations and session sweeps."""
-        rng = random.Random(SEED + 2)
-        manager, names, roots = self.build(rng)
         for _ in range(10):
-            action = rng.randrange(3)
-            if action == 0:
-                swap_adjacent(manager, rng.randrange(self.NUM_VARS - 1))
-            elif action == 1:
+            if rng.randrange(2):
                 roots.append(random_function(manager, rng, names))
             else:
-                # A sifting session: excursions plus the GC sweep.
-                sift_variable(manager, rng.choice(names), roots=roots)
+                manager.collect()
             assert_index_exact(manager)
 
-    def test_converge_sift_preserves_minterms_and_canonicity(self):
-        rng = random.Random(SEED + 3)
-        manager, names, roots = self.build(rng)
-        counts = [manager.sat_count(root, names) for root in roots]
-        result = converge_sift(manager, roots=roots, max_passes=3)
-        assert result.swaps > 0
-        assert_index_exact(manager)
-        # Minterm counts are order-independent; the functions must not move.
-        assert [manager.sat_count(root, names) for root in roots] == counts
-        # Canonicity: rebuilding a root's function from scratch against the
-        # *new* order hash-conses onto the very same node object.
-        for root in roots:
-            rebuilt = manager.apply_or(root, root)
-            assert rebuilt is root
-        rebuilt_xor = manager.apply_xor(roots[0], roots[0])
-        assert rebuilt_xor is manager.zero
-
-    def test_rootless_sift_and_explicit_order(self):
-        rng = random.Random(SEED + 4)
-        manager, names, roots = self.build(rng)
-        converge_sift(manager, roots=None, max_passes=2)
-        assert_index_exact(manager)
-        target = list(manager.variables)
-        rng.shuffle(target)
-        sift_to_order(manager, target)
-        assert manager.variables == tuple(target)
-        assert_index_exact(manager)
-
-    def test_session_sweep_purges_index(self):
-        """Dead session garbage leaves neither table nor index entries."""
+    def test_collect_purges_index(self):
+        """Dead garbage leaves neither table nor index entries."""
         rng = random.Random(SEED + 5)
-        manager, names, roots = self.build(rng)
-        sifter = _Sifter(manager, roots)
-        for _ in range(6):
-            sifter.swap(rng.randrange(self.NUM_VARS - 1))
-        dropped = sifter.sweep()
-        assert_index_exact(manager)
-        if dropped:
-            total_indexed = sum(manager.level_population().values())
-            assert total_indexed == len(manager._level) - 2 - len(manager._free)
-
-
-class TestSwapCostIsLocal:
-    """The structural point of the index: a swap never scans the table.
-
-    Build a table whose population is concentrated on levels *not* being
-    swapped and verify the swap leaves every foreign subtable object
-    untouched (identity), which a rebuild-by-scan could not guarantee.
-    """
-
-    def test_untouched_levels_keep_their_buckets(self):
-        manager = BDDManager([f"y{i}" for i in range(6)])
-        rng = random.Random(SEED + 6)
+        manager = BDDManager([f"x{i}" for i in range(7)])
         names = list(manager.variables)
-        for _ in range(5):
+        keep = random_function(manager, rng, names, depth=5)  # stays live
+        for _ in range(3):
             random_function(manager, rng, names, depth=5)
-        before = {
-            level: manager._table.get(level)
-            for level in range(2, 6)
-        }
-        swap_adjacent(manager, 0)
-        for level in range(3, 6):
-            assert manager._table.get(level) is before[level]
+        dropped = manager.collect()
         assert_index_exact(manager)
+        assert dropped
+        total_indexed = sum(manager.level_population().values())
+        assert total_indexed == len(manager._level) - 2 - len(manager._free)
+        assert manager.nodes_at_level(keep.level)

@@ -286,3 +286,44 @@ class TestQueries:
         before = manager.size()
         manager.apply_and(manager.var("a"), manager.var("b"))
         assert manager.size() > before
+
+
+class TestDeepQuantification:
+    """_quantify must survive BDDs deeper than the recursion limit."""
+
+    DEPTH = 3000
+
+    def deep_cube(self, manager, names):
+        """AND of thousands of literals, built bottom-up (no recursion)."""
+        node = manager.one
+        for level in range(len(names) - 1, -1, -1):
+            node = manager._mk(level, manager.zero, node)
+        return node
+
+    def test_exists_on_deep_cube(self):
+        names = [f"x{i}" for i in range(self.DEPTH)]
+        manager = BDDManager(names)
+        cube = self.deep_cube(manager, names)
+        # Quantify every other variable out of a 3000-deep conjunction;
+        # the recursive implementation would exhaust CPython's stack.
+        quantified = manager.exists(names[1::2], cube)
+        expected = manager.one
+        for level in range(self.DEPTH - 2, -1, -2):
+            expected = manager._mk(level, manager.zero, expected)
+        assert quantified is expected
+
+    def test_forall_on_deep_cube(self):
+        names = [f"x{i}" for i in range(self.DEPTH)]
+        manager = BDDManager(names)
+        cube = self.deep_cube(manager, names)
+        # For a cube, forall over any variable collapses to zero.
+        assert manager.forall([names[17]], cube) is manager.zero
+
+    def test_deep_quantify_respects_cache_limit(self):
+        names = [f"x{i}" for i in range(self.DEPTH)]
+        manager = BDDManager(names, cache_limit=64)
+        cube = self.deep_cube(manager, names)
+        quantified = manager.exists(names[1::2], cube)
+        assert quantified is not manager.zero
+        stats = manager.cache_statistics()
+        assert stats["clears"] > 0  # evictions happened mid-computation

@@ -6,7 +6,7 @@ and what it relies on:
 
 * no unique subtable and neither cache is ever tracked by CPython's
   cyclic collector, across every mutation source (build, restore,
-  arena adoption, level swaps, sifting, collection);
+  arena adoption, collection);
 * the layouts are injective at their field bounds (handle ``2**32 - 1``,
   signature ``SIG_INTERN_LIMIT - 1``, every opcode), the hot paths key
   the live caches with exactly these layouts, and ``restore`` refuses a
@@ -23,7 +23,7 @@ import random
 
 import pytest
 
-from repro.bdd import BDDManager, swap_adjacent
+from repro.bdd import BDDManager
 from repro.bdd.kernel import (
     HANDLE_LIMIT,
     OP_ANDEX,
@@ -128,13 +128,9 @@ class TestUntrackedTables:
         adopted = adopter.adopt_image(image, [r.node_id for r in restored_roots])
         self.assert_untracked(adopter)
 
-        # Work on the adopted arena, then swap, sift and collect it.
+        # Work on the adopted arena, then collect it.
         pool = exercise(adopter, rng, list(adopted) + fresh_pool(adopter), steps=30)
         assert adopter._ite_cache and adopter._op_cache
-        self.assert_untracked(adopter)
-        swap_adjacent(adopter, 3)
-        self.assert_untracked(adopter)
-        adopter.sift(roots=pool[-4:], max_passes=1)
         self.assert_untracked(adopter)
         del pool
         assert adopter.collect() > 0

@@ -261,23 +261,27 @@ class TestBetaBackendDifferential:
         assert verdict_bytes(relational) == verdict_bytes(compose)
         assert relational.backend == "relational"
 
-    def test_sifting_refutation_keeps_the_fallback(self):
-        """A policy that sifts still re-runs compose for its witnesses:
-        the compose run's post-sift order cannot be replayed."""
-        sifting = {"reorder": "sift", "reorder_threshold": 0}
+    def test_legacy_reorder_keys_change_no_refutation(self):
+        """A payload that still carries the retired reordering keys loads
+        as the plain policy: same fingerprint, and a refuting window
+        reports the relational backend's verdict, byte-equal to compose."""
         kwargs = {"name": "backend-diff", "slots": (NORMAL, NORMAL), "bug": "no_bypass"}
-        relational = execute_scenario(
-            Scenario(relational=RelationalPolicy(**sifting), **kwargs)
+        payload = Scenario(relational=RelationalPolicy(), **kwargs).to_dict()
+        legacy = dict(payload)
+        legacy["relational"] = dict(
+            payload["relational"], reorder="sift", reorder_threshold=0
         )
+        scenario = Scenario.from_dict(legacy)
+        assert scenario.fingerprint("") == Scenario.from_dict(payload).fingerprint("")
+        relational = execute_scenario(scenario)
+        plain = execute_scenario(Scenario(**kwargs))
         compose = execute_scenario(
-            Scenario(
-                relational=RelationalPolicy(beta_backend=BETA_COMPOSE, **sifting),
-                **kwargs,
-            )
+            Scenario(relational=RelationalPolicy(beta_backend=BETA_COMPOSE), **kwargs)
         )
         assert not relational.passed
+        assert relational.backend == "relational"
+        assert verdict_bytes(relational) == verdict_bytes(plain)
         assert verdict_bytes(relational) == verdict_bytes(compose)
-        assert relational.backend == "relational+fallback"
 
     def test_vsm_symbolic_initial_state(self):
         relational, compose = run_both_backends(

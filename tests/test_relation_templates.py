@@ -4,7 +4,7 @@ A fresh manager that needs a relation an earlier fresh manager restored
 from disk adopts a copy of that manager's arena instead of hash-consing
 the snapshot again (:class:`repro.relational.beta.RelationTemplates`).
 These tests pin down that the tier is invisible in verdicts — serial,
-parallel, refuting and sifting scenarios stay byte-identical to running
+parallel and refuting scenarios stay byte-identical to running
 each scenario on its own fresh runner — that it only captures clean
 arenas (the eligibility rule), and how it is traced.
 """
@@ -18,7 +18,6 @@ from repro import telemetry
 from repro.bdd import BDDManager
 from repro.core import VSMArchitecture
 from repro.engine import Alpha0Spec, CampaignRunner, Scenario
-from repro.relational import RelationalPolicy
 from repro.relational.beta import RelationTemplates, cached_extract_steppers
 from repro.strings import CONTROL, NORMAL
 
@@ -26,19 +25,13 @@ SMALL_ALPHA0 = Alpha0Spec(data_width=3, num_registers=4, memory_words=2)
 
 
 def mixed_campaign():
-    """Mixed slot shapes over both designs, plus a refutation and a
-    thresholded-sifting scenario (which runs on a private manager)."""
+    """Mixed slot shapes over both designs, plus a refutation."""
     return [
         Scenario(name="vsm/n", slots=(NORMAL,)),
         Scenario(name="vsm/nn", slots=(NORMAL, NORMAL)),
         Scenario(name="vsm/c", slots=(CONTROL,)),
         Scenario(name="vsm/nc", slots=(NORMAL, CONTROL)),
         Scenario(name="vsm/bug", slots=(NORMAL, NORMAL, NORMAL), bug="no_bypass"),
-        Scenario(
-            name="vsm/sift",
-            slots=(CONTROL, NORMAL),
-            relational=RelationalPolicy(reorder="sift", reorder_threshold=10),
-        ),
         Scenario(name="alpha0/n", design="alpha0", slots=(NORMAL,), alpha0=SMALL_ALPHA0),
         Scenario(
             name="alpha0/nn", design="alpha0", slots=(NORMAL, NORMAL), alpha0=SMALL_ALPHA0

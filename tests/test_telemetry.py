@@ -27,7 +27,6 @@ from repro.bdd import BDDManager
 from repro.engine import CampaignRunner, Scenario, execute_scenario
 from repro.engine.report import REPORT_SCHEMA_VERSION, CampaignReport, ScenarioOutcome
 from repro.engine.store import ResultStore
-from repro.relational import RelationalPolicy
 from repro.telemetry import report as trace_report
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.tracing import Tracer
@@ -406,27 +405,6 @@ class TestEngineIntegration:
         assert registries  # one snapshot per traced worker
         for snapshot in registries.values():
             assert "counters" in snapshot
-
-    def test_sifting_fallback_nests_its_compose_phases(self):
-        """A sifting refutation's compose re-run sits under one
-        ``beta.fallback`` span, not beside the relational phases."""
-        tracer = telemetry.enable()
-        outcome = execute_scenario(
-            Scenario(
-                name="sift-bug",
-                bug="and_becomes_or",
-                relational=RelationalPolicy(reorder="sift", reorder_threshold=0),
-            )
-        )
-        telemetry.disable()
-        assert outcome.backend == "relational+fallback"
-        (fallback,) = [e for e in tracer.events if e["name"] == "beta.fallback"]
-        phases = {"compose": [], "relational": []}
-        for event in tracer.events:
-            if event["name"] in ("beta.spec", "beta.impl", "beta.compare"):
-                phases[event["attrs"]["backend"]].append(event["parent"])
-        assert phases["compose"] == [fallback["id"]] * 3
-        assert phases["relational"] == [fallback["parent"]] * 3
 
     def test_plain_refutation_has_no_fallback(self):
         tracer = telemetry.enable()
