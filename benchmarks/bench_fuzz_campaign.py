@@ -15,9 +15,8 @@ generative-campaign acceptance bars:
   (``survival_rate >= 0.95``), so fuzz campaigns are cheap to keep in
   the loop.
 
-Tiers: the full tier runs the 200-scenario acceptance campaign with
-batched execution; the ``bench_smoke`` tier runs a 20-scenario pass in
-CI time.  The full tier and the CLI write ``BENCH_fuzz.json`` next to
+Tiers: the full tier runs the 200-scenario acceptance campaign; the
+``bench_smoke`` tier runs a 20-scenario pass in CI time.  The full tier and the CLI write ``BENCH_fuzz.json`` next to
 this file (CI uploads it as an artifact); the smoke tier writes under
 pytest's ``tmp_path`` and never touches the committed record.
 
@@ -96,14 +95,12 @@ def run_tier(
     if count is None:
         count = FULL_COUNT if heavy else SMOKE_COUNT
     max_minimize = FULL_MAX_MINIMIZE if heavy else SMOKE_MAX_MINIMIZE
-    batch_size = 40 if heavy else None
 
     started = time.perf_counter()
     cold = run_fuzz_campaign(
         seed,
         count,
         runner=CampaignRunner(store_path=store_path),
-        batch_size=batch_size,
         corpus_root=corpus_root,
         write_corpus=write_corpus,
         max_minimize=max_minimize,
@@ -115,7 +112,6 @@ def run_tier(
         seed,
         count,
         runner=CampaignRunner(store_path=store_path),
-        batch_size=batch_size,
         corpus_root=corpus_root,
         max_minimize=max_minimize,
     )
@@ -204,7 +200,7 @@ def test_fuzz_campaign_smoke(benchmark, tmp_path):
 
 
 def test_fuzz_campaign_full(benchmark):
-    """Acceptance tier: the seeded 200-scenario campaign, batched."""
+    """Acceptance tier: the seeded 200-scenario campaign."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         payload = benchmark.pedantic(
@@ -260,7 +256,6 @@ def main() -> int:
         args.seed,
         count,
         runner=CampaignRunner(store_path=args.store) if args.store else None,
-        batch_size=40 if heavy else None,
         corpus_root=args.corpus_out,
         write_corpus=args.corpus_out is not None,
         max_minimize=FULL_MAX_MINIMIZE if heavy else SMOKE_MAX_MINIMIZE,

@@ -177,6 +177,25 @@ class BDDManager(BDDKernel):
             del wrappers[handle]
         return reclaimed
 
+    def release(self) -> None:
+        """Free this manager's storage now, not at the next full collection.
+
+        Every wrapper points back at its manager, so a manager nobody
+        references is still cyclic garbage, arena and all, until a
+        gen-2 collection.  This drops the arena, unique table, operation
+        caches, interned wrappers, session cache and variable order at
+        once and unlinks the two terminals, leaving an empty manager in
+        no cycle of its own.  Counters restart from zero, so read the
+        statistics first.  A released manager must not be used again.
+        """
+        BDDKernel.__init__(self, self._cache_limit)
+        self._level_of = {}
+        self._name_of = []
+        self._wrappers = {}
+        self._recent_wrappers = None
+        self.session_cache = {}
+        self.zero.manager = self.one.manager = None
+
     # ------------------------------------------------------------------
     # Arena snapshots (name-aware)
     # ------------------------------------------------------------------

@@ -3,7 +3,7 @@
 :func:`run_fuzz_campaign` is the one entry point the benchmarks, the CI
 smoke step and the tests share.  It composes the existing machinery —
 the seeded generator, the ordinary :class:`CampaignRunner` (pooling,
-memoisation, persistent store, optional batching/parallelism), the
+memoisation, persistent store, optional parallelism), the
 fingerprint-deduplicated corpus and the witness minimizer — without any
 bespoke driver loop, and audits every verdict against the generator's
 planted ground truth.
@@ -136,7 +136,6 @@ def run_fuzz_campaign(
     store_path: Optional[Union[str, Path]] = None,
     parallel: bool = False,
     max_workers: Optional[int] = None,
-    batch_size: Optional[int] = None,
     classes: Optional[Sequence[str]] = None,
     corpus: Optional[CounterexampleCorpus] = None,
     corpus_root: Optional[Union[str, Path]] = None,
@@ -148,18 +147,18 @@ def run_fuzz_campaign(
     """Run one seeded generative bug-hunt campaign end to end.
 
     Generates ``count`` scenarios from ``seed``, runs them through a
-    (possibly supplied) :class:`CampaignRunner` — batched when
-    ``batch_size`` is given, parallel when ``parallel`` — audits the
-    verdicts against the planted ground truth, then processes every
-    refuting witness: dedupe against the corpus, minimize if new,
-    dedupe again (minimization often collapses a mutant onto a known
-    golden record), and register/persist whatever is genuinely new.
-    ``max_minimize`` caps minimizer invocations; witnesses past the cap
-    are recorded raw.  ``write_corpus`` persists new records under the
-    corpus root (the committed ``tests/data/fuzz_corpus`` when no root
-    is given); without it the corpus stays in-memory.  Parallel
-    unbatched campaigns speculate (see the module docstring); their
-    records equal a serial run's byte for byte.
+    (possibly supplied) :class:`CampaignRunner` — parallel when
+    ``parallel`` — audits the verdicts against the planted ground
+    truth, then processes every refuting witness: dedupe against the
+    corpus, minimize if new, dedupe again (minimization often collapses
+    a mutant onto a known golden record), and register/persist whatever
+    is genuinely new.  ``max_minimize`` caps minimizer invocations;
+    witnesses past the cap are recorded raw.  ``write_corpus`` persists
+    new records under the corpus root (the committed
+    ``tests/data/fuzz_corpus`` when no root is given); without it the
+    corpus stays in-memory.  Parallel campaigns speculate (see the
+    module docstring); their records equal a serial run's byte for
+    byte.
     """
     runner = runner or CampaignRunner(store_path=store_path)
     scenarios = generate_scenarios(seed, count, classes=classes)
@@ -167,24 +166,19 @@ def run_fuzz_campaign(
     with telemetry.span(
         "fuzz.campaign", seed=seed, count=count, scenarios=len(scenarios)
     ):
-        if batch_size is not None:
-            report = runner.run_batched(
-                scenarios, batch_size, parallel=parallel, max_workers=max_workers
-            )
-        else:
-            jobs = []
-            if parallel and minimize:
-                # Idle workers walk the planted bugs' structural shrinks
-                # ahead of the minimizer below, which replays them from
-                # the store.
-                jobs = [
-                    (speculate_shrink, scenario)
-                    for scenario in scenarios
-                    if EXPECT_FAIL in scenario.tags and not corpus.is_known(scenario)
-                ][:max_minimize]
-            report = runner.run(
-                scenarios, parallel=parallel, max_workers=max_workers, _jobs=jobs
-            )
+        jobs = []
+        if parallel and minimize:
+            # Idle workers walk the planted bugs' structural shrinks
+            # ahead of the minimizer below, which replays them from the
+            # store.
+            jobs = [
+                (speculate_shrink, scenario)
+                for scenario in scenarios
+                if EXPECT_FAIL in scenario.tags and not corpus.is_known(scenario)
+            ][:max_minimize]
+        report = runner.run(
+            scenarios, parallel=parallel, max_workers=max_workers, _jobs=jobs
+        )
 
         violations, detected = _audit_ground_truth(scenarios, report.outcomes)
 

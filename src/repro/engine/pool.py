@@ -16,6 +16,15 @@ assignments) bit-identical to an isolated run — the property the
 parallel campaign mode relies on.  A manager's order never changes
 after declaration, so a pooled manager keeps its signature for life.
 
+A pooled manager lives only as long as a scenario can still reuse it.
+:meth:`CampaignRunner.run <repro.engine.runner.CampaignRunner.run>`
+knows each signature's last scenario and calls :meth:`release` on its
+manager right after it; a parallel worker releases its managers when a
+unit ends.  A release frees the manager's arena, tables and caches at
+once (:meth:`repro.bdd.BDDManager.release`) and folds its counters into
+the pool's, so a campaign holds only the managers a later scenario will
+reuse: on a list of distinct signatures, one at a time.
+
 Most campaign scenarios differ in slot shape, so most acquisitions
 create a fresh manager, and the relational beta backend must then bring
 the design's extracted relations onto it.  The pool holds the two
@@ -24,15 +33,17 @@ campaign-wide tiers that serve them (see
 the persistent ``snapshot_store``, from which a relation is restored
 node by node, and the ``relation_templates``, copies of the arenas that
 such restores left on fresh managers, which later fresh managers of the
-same design adopt with C-level list, dict and set copies.  Every worker
-process has its own pool and so its own templates; :meth:`clear` drops
-them with the managers.
+same design adopt with C-level list, dict and set copies.  Templates
+outlive the managers that left them; every worker process has its own
+pool and so its own templates (its speculative jobs borrow them), and
+:meth:`clear` drops them with the managers.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from .. import telemetry
 from ..bdd import BDDManager
 from ..relational.beta import RelationTemplates
 
@@ -56,13 +67,16 @@ class ManagerPool:
         self._managers: Dict[Tuple, BDDManager] = {}
         self._acquisitions = 0
         self._reuses = 0
+        self._created = 0
         #: Cache activity of managers retired from the pool, folded into
         #: :meth:`statistics` so campaign deltas never go negative when
-        #: :meth:`clear` drops managers mid-campaign.
+        #: managers are released mid-campaign.
         self._retired_cache = {"hits": 0, "misses": 0, "evicted_entries": 0, "clears": 0}
         #: Arena counters of retired managers (same folding rule: the
         #: monotonic counters survive retirement; sizes do not).
         self._retired_arena = {"allocated_total": 0, "gc_runs": 0, "gc_reclaimed": 0}
+        #: The pool's live-node high-water mark as of the last release.
+        self._peak_live = 0
 
     def acquire(self, signature: Tuple) -> BDDManager:
         """The pooled manager for ``signature`` (created on first use)."""
@@ -71,6 +85,7 @@ class ManagerPool:
         if manager is None:
             manager = BDDManager(cache_limit=self.cache_limit)
             self._managers[signature] = manager
+            self._created += 1
         else:
             self._reuses += 1
         return manager
@@ -79,29 +94,58 @@ class ManagerPool:
         """Attach (or with ``None`` detach) a persistent snapshot store."""
         self.snapshot_store = store
 
-    def _retire_counters(self, manager: BDDManager) -> None:
-        """Preserve a departing manager's cumulative cache/arena activity."""
-        stats = manager.cache_statistics()
-        for key in self._retired_cache:
-            self._retired_cache[key] += stats[key]
-        arena = manager.arena_statistics()
-        for key in self._retired_arena:
-            self._retired_arena[key] += arena.get(key, 0)
+    def _pooled_peak(self) -> int:
+        """Summed high-water marks of the pooled managers: an upper bound
+        on their simultaneous footprint."""
+        return sum(
+            manager.arena_statistics()["peak_live"] for manager in self._managers.values()
+        )
+
+    def _retire(self, manager: BDDManager) -> None:
+        """Fold a departing manager's counters in, then free its storage."""
+        with telemetry.span("pool.release"):
+            stats = manager.cache_statistics()
+            for key in self._retired_cache:
+                self._retired_cache[key] += stats[key]
+            arena = manager.arena_statistics()
+            for key in self._retired_arena:
+                self._retired_arena[key] += arena[key]
+            manager.release()
+
+    def release(self, signature: Tuple) -> None:
+        """Retire and free the manager pooled for ``signature``, if any."""
+        manager = self._managers.get(signature)
+        if manager is not None:
+            self._peak_live = max(self._peak_live, self._pooled_peak())
+            del self._managers[signature]
+            self._retire(manager)
+
+    def release_all(self) -> None:
+        """Retire and free every pooled manager (templates are kept)."""
+        self._peak_live = max(self._peak_live, self._pooled_peak())
+        for manager in self._managers.values():
+            self._retire(manager)
+        self._managers.clear()
 
     def absorb(self, other: "ManagerPool") -> None:
         """Fold ``other``'s counters in, as if its managers retired from here.
 
         A parallel worker runs each speculative job on a pool of its
-        own and absorbs it afterwards, so the worker's statistics count
-        the job's acquisitions, cache traffic and allocations.
+        own, lent the worker's relation templates, and absorbs it
+        afterwards, so the worker's statistics count the job's
+        acquisitions, cache traffic and allocations.  The job runs
+        between units, while the worker's own pool is empty, so the two
+        high-water marks fold by maximum.
         """
-        other.clear()
+        other.release_all()
         self._acquisitions += other._acquisitions
         self._reuses += other._reuses
+        self._created += other._created
         for key in self._retired_cache:
             self._retired_cache[key] += other._retired_cache[key]
         for key in self._retired_arena:
             self._retired_arena[key] += other._retired_arena[key]
+        self._peak_live = max(self._peak_live, other._peak_live)
 
     def clear_caches(self) -> None:
         """Drop the operation caches of every pooled manager."""
@@ -109,11 +153,8 @@ class ManagerPool:
             manager.clear_caches()
 
     def clear(self) -> None:
-        """Drop every pooled manager (and its unique table) and every
-        relation template."""
-        for manager in self._managers.values():
-            self._retire_counters(manager)
-        self._managers.clear()
+        """Release every pooled manager and drop every relation template."""
+        self.release_all()
         self.relation_templates.clear()
 
     def __len__(self) -> int:
@@ -128,26 +169,28 @@ class ManagerPool:
         """Aggregate pool statistics for campaign reports.
 
         Counters cover the currently pooled managers plus, for managers
-        retired by :meth:`clear` or folded in by :meth:`absorb`, their
-        activity up to the moment of retirement — enough to keep
-        campaign deltas monotonic.  Activity a still-running scenario accrues on a
-        retired manager afterwards is attributed to that scenario's own
-        ``outcome.cache`` delta, not the pool.  Sizes (nodes, cache
-        entries) describe only the managers currently pooled.
+        already released (or folded in by :meth:`absorb`), their
+        activity up to the release — enough to keep campaign deltas
+        monotonic.  ``created`` counts every manager the pool ever made;
+        ``managers`` and the other sizes (nodes, cache entries) describe
+        only the managers pooled now.
 
         Node accounting reads through the kernel's arena statistics:
         ``total_nodes`` is the pooled managers' *live* node total, and
         ``arena`` breaks the same managers down into live vs. allocated
         capacity vs. free-listed handles, with monotonic allocation/GC
-        counters that fold in retired managers like the cache counters
-        do.  ``templates`` counts the relation templates held, captured
-        and cloned.
+        counters that fold in released managers like the cache counters
+        do.  ``arena["peak_live"]`` is the pool's high-water mark: the
+        largest sum of per-manager high-water marks over the managers
+        pooled together at any release (or now), an upper bound on the
+        pool's simultaneous footprint.  ``templates`` counts the
+        relation templates held, captured and cloned.
         """
         arena = {
             "live": 0,
             "capacity": 0,
             "free": 0,
-            "peak_live": 0,
+            "peak_live": max(self._peak_live, self._pooled_peak()),
         }
         for key, value in self._retired_arena.items():
             arena[key] = value
@@ -160,10 +203,6 @@ class ManagerPool:
             arena["live"] += stats["live"]
             arena["capacity"] += stats["capacity"]
             arena["free"] += stats["free"]
-            # Summed per-manager high-water marks: an upper bound on the
-            # pool's simultaneous footprint (a size, so like the other
-            # sizes it covers only the currently pooled managers).
-            arena["peak_live"] += stats.get("peak_live", 0)
             arena["allocated_total"] += stats["allocated_total"]
             arena["gc_runs"] += stats["gc_runs"]
             arena["gc_reclaimed"] += stats["gc_reclaimed"]
@@ -185,6 +224,7 @@ class ManagerPool:
         cache["hit_rate"] = (cache["hits"] / lookups) if lookups else 0.0
         return {
             "managers": len(self._managers),
+            "created": self._created,
             "acquisitions": self._acquisitions,
             "reuses": self._reuses,
             "total_nodes": total_nodes,

@@ -231,10 +231,10 @@ class CampaignReport:
         if pool.get("managers") is not None:
             cache = pool.get("cache", {})
             lines.append(
-                f"  pool: {pool.get('managers')} manager(s) for "
+                f"  pool: {pool.get('managers')} manager(s) created for "
                 f"{pool.get('acquisitions', 0)} acquisition(s) "
                 f"({pool.get('reuses', 0)} reuse(s)), "
-                f"{pool.get('total_nodes', 0)} live nodes, "
+                f"peak {pool.get('arena', {}).get('peak_live', 0)} live nodes, "
                 f"cache hit rate {cache.get('hit_rate', 0.0):.1%}"
             )
         if self.memo_hits:

@@ -21,8 +21,9 @@
   processes with per-worker manager isolation.  The default scheduler
   is *affinity-sharded work stealing*: scenarios are grouped by
   ``order_signature`` into shards (so each worker's pooled managers and
-  session caches stay warm for its whole shard), shards larger than a
-  fair share are split into steal-granularity units, and the parent
+  session caches stay warm for a whole unit, and are freed when it
+  ends), shards larger than a fair share are split into
+  steal-granularity units, and the parent
   hands units out largest-first as workers ask, which keeps tails
   short without giving up warm-cache affinity.  Each worker reports
   over a pipe of its own, and a worker with no unit left may run a
@@ -323,9 +324,10 @@ def _pool_campaign_delta(
 ) -> Dict[str, object]:
     """Pool statistics attributable to one campaign run.
 
-    Counters (acquisitions, reuses, cache activity) are reported as the
-    delta over the campaign; sizes (managers, live nodes, cache entries)
-    are the absolute state after it.
+    Counters (managers created, acquisitions, reuses, cache activity)
+    are reported as the delta over the campaign; sizes (live nodes,
+    cache entries) and the ``peak_live`` high-water mark are the
+    absolute state after it.
     """
     cache_before, cache_after = before["cache"], after["cache"]
     hits = cache_after["hits"] - cache_before["hits"]
@@ -350,7 +352,7 @@ def _pool_campaign_delta(
         - arena_before.get("gc_reclaimed", 0),
     }
     return {
-        "managers": after["managers"],
+        "managers": after["created"] - before["created"],
         "acquisitions": after["acquisitions"] - before["acquisitions"],
         "reuses": after["reuses"] - before["reuses"],
         "total_nodes": after["total_nodes"],
@@ -452,9 +454,11 @@ def _affinity_units(
     (``ceil(n / workers)``) is split into fair-share units so one giant
     signature cannot serialise the campaign: the units sit adjacently in
     the queue, and only when other workers run dry do they steal them
-    (paying one warm-up each, the classic stealing trade).  Units are ordered largest-first (LPT)
-    so the long shards start immediately; the order is deterministic
-    (stable sort over first-appearance grouping).
+    (paying one warm-up each, the classic stealing trade: a worker frees
+    its managers when a unit ends, so every unit starts cold).  Units
+    are ordered largest-first (LPT) so the long shards start
+    immediately; the order is deterministic (stable sort over
+    first-appearance grouping).
     """
     groups: Dict[Tuple, List[int]] = {}
     appearance: List[Tuple] = []
@@ -477,8 +481,9 @@ def _affinity_units(
 
 #: A job is ``(function, argument)``: a module-level function the
 #: worker calls as ``function(argument, runner)`` on a runner of the
-#: job's own (fresh pool and memo, the worker's store handle).  Jobs
-#: only warm the shared store; no result comes back.
+#: job's own (fresh pool and memo, the worker's store handle and
+#: relation templates).  Jobs only warm the shared store; no result
+#: comes back.
 Job = Tuple[Callable[[object, "CampaignRunner"], None], object]
 
 #: Seconds a spawned worker may take to send its first ``ready`` before
@@ -494,13 +499,17 @@ def _run_job(
     The ``job.crash`` seam fires first, keyed by worker id like
     ``worker.crash``; the job itself then runs with no injector, so it
     advances no seam's invocation counter and a fault schedule fires
-    where it would without jobs.  ``pool`` (the worker's) absorbs the
-    job's pool afterwards.  A job's failure is never a verdict:
-    whatever it raises is dropped with it.
+    where it would without jobs.  The job's pool borrows the relation
+    templates of ``pool`` (the worker's), so it adopts the relations
+    its worker already restored instead of restoring them again, and
+    ``pool`` absorbs the job's pool afterwards.  A job's failure is
+    never a verdict: whatever it raises is dropped with it.
     """
     faults.fire("job.crash", index=worker_id)
     function, argument = job
-    runner = CampaignRunner(pool=ManagerPool(cache_limit=pool.cache_limit), store=store)
+    job_pool = ManagerPool(cache_limit=pool.cache_limit)
+    job_pool.relation_templates = pool.relation_templates
+    runner = CampaignRunner(pool=job_pool, store=store)
     with faults.active(None), telemetry.span("worker.speculate"):
         try:
             function(argument, runner)
@@ -537,7 +546,9 @@ def _affinity_worker(
 
     Owns an isolated :class:`ManagerPool` (plus its own handle on the
     shared result store), so pooled determinism gives byte-identical
-    verdicts to serial mode; the final ``("close", id, record)`` message
+    verdicts to serial mode.  The pool's managers are released when a
+    unit ends, so every unit starts on an empty pool (its relation
+    templates stay); the final ``("close", id, record)`` message
     carries the worker's pool/store/supervision statistics for the
     campaign report — and, when the parent traced the campaign, this
     worker's in-memory trace events and registry snapshot, which the
@@ -586,6 +597,7 @@ def _affinity_worker(
                         sup_stats=sup_stats,
                     )
                     results.send(("outcome", worker_id, index, outcome))
+            pool.release_all()
             results.send(("ready", worker_id))
     finally:
         record: Dict[str, object] = {
@@ -682,12 +694,16 @@ class CampaignRunner:
     ) -> CampaignReport:
         """Execute a campaign and return its report.
 
-        Serial mode shares this runner's manager pool, memo and store
-        across the whole campaign.  Parallel mode distributes scenarios
-        over worker processes, each owning an isolated
-        :class:`ManagerPool` (and its own handle on the shared store),
-        under the affinity-sharded work-stealing scheduler.  The
-        resulting verdicts are byte-identical to serial mode.
+        Serial mode runs on this runner's manager pool, memo and store.
+        Scenarios of one order signature share a pooled manager, and
+        the manager is released right after the signature's last
+        scenario in the list (whatever its outcome), so at most the
+        managers that a later scenario will reuse are held at once.
+        Parallel mode distributes scenarios over worker processes, each
+        owning an isolated :class:`ManagerPool` (and its own handle on
+        the shared store) that it empties after every unit, under the
+        affinity-sharded work-stealing scheduler.  The resulting
+        verdicts are byte-identical to serial mode.
 
         ``supervision`` turns on bounded scenario retries with seeded
         backoff (and, in parallel mode, overrides the worker respawn /
@@ -775,6 +791,10 @@ class CampaignRunner:
                     mode = "parallel"
                 else:
                     before = self.pool.statistics()
+                    last_use = {
+                        scenario.order_signature(): index
+                        for index, scenario in enumerate(resolved)
+                    }
                     outcomes = []
                     for index, scenario in enumerate(resolved):
                         outcome, _ = _execute_pooled(
@@ -786,6 +806,10 @@ class CampaignRunner:
                             sup_stats=sup_stats,
                         )
                         outcomes.append(outcome)
+                        signature = scenario.order_signature()
+                        if last_use[signature] == index:
+                            # No later scenario can reuse this manager.
+                            self.pool.release(signature)
                         if journal_obj is not None and outcome.error is None:
                             # Mark as we go: a campaign killed at any
                             # instant has journalled exactly the work
@@ -849,121 +873,6 @@ class CampaignRunner:
         if fault_stats is not None:
             section["faults"] = fault_stats
         return section
-
-    def run_batched(
-        self,
-        scenarios: Iterable[ScenarioLike],
-        batch_size: int,
-        parallel: bool = False,
-        max_workers: Optional[int] = None,
-        mp_context: Optional[str] = None,
-        supervision: Optional[SupervisionPolicy] = None,
-    ) -> CampaignReport:
-        """Execute a campaign in consecutive batches, draining the pool between.
-
-        Campaign-scale entry point: a generated fuzz campaign of hundreds
-        of scenarios spans many distinct variable orders, and plain
-        :meth:`run` would keep every pooled manager (unique table
-        included) alive until the end.  ``run_batched`` bounds the memory
-        footprint by clearing the manager pool between batches while the
-        memo and the persistent store carry over.  Because pooled results
-        are bit-identical to fresh-manager results, the concatenated
-        verdicts are byte-identical to one unbatched :meth:`run` of the
-        same list (see ``tests/test_campaign_engine.py``).  The report
-        carries the same ``resilience`` and ``telemetry`` sections as
-        :meth:`run`, built over the whole batched campaign.
-        """
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        resolved = self.resolve(scenarios)
-        if not resolved:
-            return CampaignReport(outcomes=[], mode="serial")
-        tracer = telemetry.get_tracer()
-        trace_start = tracer.event_count() if tracer is not None else 0
-        started = time.perf_counter()
-        pool_before = self.pool.statistics()
-        store_before = self.store.statistics() if self.store is not None else None
-        outcomes: List[ScenarioOutcome] = []
-        reports: List[CampaignReport] = []
-        with telemetry.span(
-            "campaign.batched",
-            scenarios=len(resolved),
-            batch_size=batch_size,
-            batches=-(-len(resolved) // batch_size),
-        ):
-            for start in range(0, len(resolved), batch_size):
-                if start:
-                    # Drop every pooled manager between batches; verdicts
-                    # are unaffected (pooled == fresh, byte for byte).
-                    self.pool.clear()
-                reports.append(
-                    self.run(
-                        resolved[start : start + batch_size],
-                        parallel=parallel,
-                        max_workers=max_workers,
-                        mp_context=mp_context,
-                        supervision=supervision,
-                    )
-                )
-                outcomes.extend(reports[-1].outcomes)
-        if parallel:
-            # Worker pools live and die inside each batch; per-batch
-            # records are the only honest aggregate.
-            pool_stats: Dict[str, object] = {
-                "managers": None,
-                "per_batch": [report.pool for report in reports],
-            }
-            store_stats = (
-                _merge_store_stats([report.store for report in reports])
-                if self.store is not None
-                else {}
-            )
-            mode = "parallel"
-        else:
-            # Pool counters are monotonic across clear() (retired-manager
-            # fold-in), so the whole-campaign delta is exact.
-            pool_stats = _pool_campaign_delta(pool_before, self.pool.statistics())
-            store_stats = (
-                _store_campaign_delta(store_before, self.store.statistics())
-                if store_before is not None
-                else {}
-            )
-            mode = "serial"
-        pool_stats["batches"] = len(reports)
-        report = CampaignReport(
-            outcomes=outcomes,
-            mode=mode,
-            pool=pool_stats,
-            memo_hits=sum(int(outcome.memoized) for outcome in outcomes),
-            total_seconds=time.perf_counter() - started,
-            store=store_stats,
-        )
-        # Each batch's sections cover that batch only; fold their
-        # counters into one campaign total.
-        sup_stats = _fresh_sup_stats()
-        workers: Dict[str, int] = {}
-        for batch in reports:
-            _merge_sup_stats(sup_stats, batch.resilience)
-            for name, value in (batch.resilience.get("workers") or {}).items():
-                workers[name] = workers.get(name, 0) + value
-        report.resilience = self._resilience_section(
-            supervision, sup_stats, {"workers": workers}, None, 0
-        )
-        if tracer is not None:
-            batch_workers = [
-                batch.telemetry["workers"]
-                for batch in reports
-                if batch.telemetry.get("workers")
-            ]
-            report.telemetry = self._telemetry_section(
-                tracer,
-                trace_start,
-                pool_stats,
-                store_stats,
-                {"per_batch": batch_workers} if batch_workers else {},
-            )
-            tracer.flush()
-        return report
 
     def _telemetry_section(
         self,

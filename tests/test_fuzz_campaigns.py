@@ -3,8 +3,8 @@
 Covers the seed protocol (cross-process determinism, prefix stability),
 the ground-truth audit, the counterexample corpus (golden anchoring,
 fingerprint dedup, persistence), the witness minimizer (never flips a
-verdict, strictly shrinks, converges across seeds) and the campaign
-runner's batched execution mode the fuzz campaigns ride on.
+verdict, strictly shrinks, converges across seeds) and the store
+census the fuzz campaigns report.
 
 The symbolic mutation classes are covered end to end by the golden
 replay / differential suites; here the end-to-end campaigns restrict to
@@ -299,14 +299,6 @@ class TestFuzzCampaign:
         second = run_fuzz_campaign(5, 40, classes=FAST_CLASSES, minimize=False)
         assert first.report.verdict_json() == second.report.verdict_json()
 
-    def test_batched_campaign_matches_unbatched(self, tmp_path):
-        unbatched = run_fuzz_campaign(5, 40, classes=FAST_CLASSES, minimize=False)
-        batched = run_fuzz_campaign(
-            5, 40, classes=FAST_CLASSES, minimize=False, batch_size=3
-        )
-        assert batched.report.verdict_json() == unbatched.report.verdict_json()
-        assert batched.report.pool["batches"] == 6  # ceil(16 / 3)
-
     def test_max_minimize_caps_runs(self):
         result = run_fuzz_campaign(
             3, 80, classes=FAST_CLASSES, max_minimize=2
@@ -315,75 +307,9 @@ class TestFuzzCampaign:
 
 
 # ----------------------------------------------------------------------
-# Runner batching and store census (the engine support this PR added)
+# Store census
 # ----------------------------------------------------------------------
-class TestRunBatched:
-    def test_verdicts_match_plain_run(self):
-        scenarios = generate_scenarios(5, 30, classes=FAST_CLASSES)
-        plain = CampaignRunner().run(scenarios)
-        batched = CampaignRunner().run_batched(scenarios, batch_size=4)
-        assert batched.verdict_json() == plain.verdict_json()
-        assert batched.pool["batches"] == 3  # ceil(12 / 4)
-
-    def test_parallel_verdicts_match_plain_run(self):
-        scenarios = generate_scenarios(5, 30, classes=FAST_CLASSES)
-        plain = CampaignRunner().run(scenarios)
-        batched = CampaignRunner().run_batched(
-            scenarios, batch_size=4, parallel=True, max_workers=2
-        )
-        assert batched.mode == "parallel"
-        assert batched.verdict_json().encode("utf-8") == (
-            plain.verdict_json().encode("utf-8")
-        )
-        assert batched.pool["batches"] == 3
-        assert len(batched.pool["per_batch"]) == 3
-        for record in batched.pool["per_batch"]:
-            assert len(record["per_worker"]) == record["workers"]
-
-    def test_traced_supervised_report_is_complete(self):
-        """run_batched reports the same sections as run, verdicts equal."""
-        from repro import telemetry
-        from repro.resilience import FaultPlan, FaultSpec, SupervisionPolicy, faults
-
-        scenarios = generate_scenarios(5, 30, classes=FAST_CLASSES)
-        policy = SupervisionPolicy(max_attempts=2, backoff_base=0.0)
-        plan = FaultPlan(sites={"scenario.run": FaultSpec(kind="error", at=(0,))})
-        reports = []
-        try:
-            for batched in (False, True):
-                telemetry.enable()
-                runner = CampaignRunner()
-                with faults.active(plan):
-                    if batched:
-                        reports.append(
-                            runner.run_batched(scenarios, batch_size=4, supervision=policy)
-                        )
-                    else:
-                        reports.append(runner.run(scenarios, supervision=policy))
-                telemetry.disable()
-        finally:
-            telemetry.disable()
-        plain, batched = reports
-        assert batched.pool["batches"] == 3
-        assert batched.to_dict().keys() == plain.to_dict().keys()
-        for section in ("resilience", "telemetry"):
-            ours, theirs = getattr(batched, section), getattr(plain, section)
-            assert theirs and ours.keys() == theirs.keys(), section
-        # One injected failure, retried once, on either path.
-        assert batched.resilience["retries"] == plain.resilience["retries"] == 1
-        assert batched.telemetry["trace"].keys() == plain.telemetry["trace"].keys()
-        assert batched.verdict_json().encode("utf-8") == (
-            plain.verdict_json().encode("utf-8")
-        )
-
-    def test_invalid_batch_size(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            CampaignRunner().run_batched([], batch_size=0)
-
-    def test_empty_campaign(self):
-        report = CampaignRunner().run_batched([], batch_size=4)
-        assert report.outcomes == []
-
+class TestStoreCensus:
     def test_disk_statistics(self, tmp_path):
         from repro.engine import ResultStore
 
