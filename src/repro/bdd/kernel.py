@@ -17,17 +17,20 @@ allocation keeps no second copy.
 Three properties distinguish this kernel from the object-graph one it
 replaced:
 
-* **One ITE core, two gears.**  Every Boolean connective is a call
-  into :meth:`BDDKernel._ite3` (or its specialised AND/OR/XOR
-  siblings), with CUDD's standard-triple normalisation (``ite(f,f,h) =
-  ite(f,1,h)``, commutative AND/OR argument ordering, negation pairs
-  cached both ways) ahead of every cache lookup.  Expansions with at
-  most :data:`ITE_FAST_DEPTH` levels below their top variable run in a
-  bounded-depth recursive fast path (one cheap Python frame per
-  expanded node); an expansion deeper than the budget is routed,
-  whole, to the explicit-stack form, so 3000-level diagrams never
-  touch the native recursion limit.  One budget bounds every nested
-  fast-path call, XOR's inline negations included.
+* **One ITE core, two gears.**  Every Boolean connective but XOR is a
+  call into :meth:`BDDKernel._ite3` — AND is ``ite(f, g, 0)``, OR
+  ``ite(f, 1, g)``, NOT ``ite(f, 0, 1)`` — with CUDD's standard-triple
+  normalisation (``ite(f,f,h) = ite(f,1,h)``, commutative AND/OR
+  argument ordering, negation pairs cached both ways) ahead of every
+  cache lookup, so every argument order of one connective shares one
+  cache line.  XOR/XNOR keep their own pair (:meth:`BDDKernel._xor2`),
+  which descends both operands without first building ``NOT g``.
+  Expansions with at most :data:`ITE_FAST_DEPTH` levels below their
+  top variable run in a bounded-depth recursive fast path (one cheap
+  Python frame per expanded node); an expansion deeper than the budget
+  is routed, whole, to the explicit-stack form, so 3000-level diagrams
+  never touch the native recursion limit.  One budget bounds every
+  nested fast-path call, XOR's inline negations included.
   Restriction, composition, quantification and the relational product
   are explicit-stack walkers over the same arrays that bottom out in
   the core.
@@ -39,10 +42,11 @@ replaced:
   by CPython's cyclic collector, so the subtables and both caches cost
   no collector time however large they grow, and an int key takes
   about half the bytes of the tuple it replaced.  The ITE cache and the
-  operation cache (restrict/compose/quantify/and-exists/XOR, keyed by a
-  3-bit opcode, the operand handles and an interned 16-bit signature of
-  the variable set) carry the hit/miss/eviction accounting the campaign
+  operation cache (restrict/quantify/and-exists/XOR, keyed by a 3-bit
+  opcode, the operand handles and an interned 16-bit signature of the
+  variable set) carry the hit/miss/eviction accounting the campaign
   engine reports; ``cache_limit`` bounds each cache by wholesale drop.
+  Composition memoises in a per-call memo, not in the op cache.
 * **Arena GC.**  Dead nodes are reclaimed by mark-and-sweep
   (:meth:`BDDKernel.collect`): roots are every handle external code can
   still name (the manager's weakly-interned wrappers, see
@@ -62,11 +66,10 @@ from typing import Dict, Iterable, List, Optional
 
 from .node import TERMINAL_LEVEL
 
-#: Opcodes of the shared operation cache (the low 3 bits of every key).
+#: Opcodes of the shared op cache (low 3 bits of every key; 4 is free).
 OP_EXISTS = 1
 OP_FORALL = 2
 OP_RESTRICT = 3
-OP_COMPOSE = 4
 OP_ANDEX = 5
 OP_XOR = 6
 OP_XNOR = 7
@@ -100,7 +103,7 @@ def ite_key(f: int, g: int, h: int) -> int:
 
 
 def op_key(op: int, n: int, sig: int) -> int:
-    """Op-cache key of a restrict/compose/quantify result for node ``n``."""
+    """Op-cache key of a restrict/quantify result for node ``n``."""
     return (n << 16 | sig) << 3 | op
 
 
@@ -117,7 +120,7 @@ def and_exists_key(a: int, b: int, sig: int) -> int:
 #: Version tag embedded in :meth:`BDDKernel.snapshot` payloads.
 SNAPSHOT_FORMAT = 1
 
-#: Recursion budget of the ITE/AND/OR/XOR fast paths (see
+#: Recursion budget of the ITE and XOR fast paths (see
 #: :meth:`BDDKernel._ite3`).  Deep enough that the beta advance's
 #: substitutions, which sit 20-160 levels above the bottom of the
 #: manager, recurse instead of going to the explicit stack.
@@ -317,15 +320,6 @@ class BDDKernel:
     # ------------------------------------------------------------------
     # The unified ITE core
     # ------------------------------------------------------------------
-    #: Depth budget of the recursive ITE/XOR fast path.  Small (cold)
-    #: functions resolve entirely inside plain recursion — one Python
-    #: frame per expanded node, no per-node task tuples — while any
-    #: subproblem still unresolved past the budget falls over to the
-    #: explicit stack, which is recursion-limit-proof.  The budget
-    #: bounds Python stack use at about a hundred frames regardless of
-    #: diagram depth.
-    ITE_FAST_DEPTH = ITE_FAST_DEPTH
-
     def _ite3(self, f: int, g: int, h: int, depth: int = ITE_FAST_DEPTH) -> int:
         """``if f then g else h`` on handles — the one apply operation.
 
@@ -641,196 +635,6 @@ class BDDKernel:
         self._cache_hits += hits
         self._cache_misses += misses
         return results[0]
-
-    # Convenience forms used by the other walkers.
-    def _and_int(self, f: int, g: int) -> int:
-        return self._and2(f, g)
-
-    def _or_int(self, f: int, g: int) -> int:
-        return self._or2(f, g)
-
-    def _not_int(self, f: int) -> int:
-        return self._ite3(f, 0, 1)
-
-    def _and2(self, f: int, g: int, depth: int = ITE_FAST_DEPTH) -> int:
-        """Conjunction fast path: ``ite(f, g, 0)`` with two-operand frames.
-
-        Normalisation and cache keys are *identical* to the generic
-        core's AND form (operands ordered by handle, key ``(f, g, 0)``),
-        so results are shared in both directions with :meth:`_ite3`;
-        the specialised frame just skips the third-operand juggling the
-        triple form pays on every level.  Recursion budget and stack
-        fallback as in :meth:`_ite3`.
-        """
-        if f < 2:
-            return g if f else 0
-        if g < 2:
-            return f if g else 0
-        if f == g:
-            return f
-        if g < f:
-            f, g = g, f
-        cache = self._ite_cache
-        key = (f << 32 | g) << 32
-        r = cache.get(key)
-        if r is not None:
-            self._cache_hits += 1
-            return r
-        level = self._level
-        lf = level[f]
-        lg = level[g]
-        top = lf if lf < lg else lg
-        if not depth or self._depth_hint - top > depth:
-            return self._ite_stack(f, g, 0, key)
-        self._cache_misses += 1
-        low = self._low
-        high = self._high
-        if lf == top:
-            f0 = low[f]
-            f1 = high[f]
-        else:
-            f0 = f1 = f
-        if lg == top:
-            g0 = low[g]
-            g1 = high[g]
-        else:
-            g0 = g1 = g
-        depth -= 1
-        if f0 < 2:
-            r0 = g0 if f0 else 0
-        elif g0 < 2:
-            r0 = f0 if g0 else 0
-        elif f0 == g0:
-            r0 = f0
-        else:
-            r0 = self._and2(f0, g0, depth)
-        if f1 < 2:
-            r1 = g1 if f1 else 0
-        elif g1 < 2:
-            r1 = f1 if g1 else 0
-        elif f1 == g1:
-            r1 = f1
-        else:
-            r1 = self._and2(f1, g1, depth)
-        # --- reduce, hash-cons and memoise ----------------------------
-        if r0 == r1:
-            r = r0
-        else:
-            sub = self._table.get(top)
-            if sub is None:
-                sub = self._table[top] = {}
-            k2 = r0 << 32 | r1
-            free = self._free
-            if free:
-                r = sub.get(k2)
-                if r is None:
-                    r = free.pop()
-                    level[r] = top
-                    low[r] = r0
-                    high[r] = r1
-                    sub[k2] = r
-            else:
-                # Single-probe cons: with the free-list empty the next
-                # handle is known up front, so probe and insert in one
-                # setdefault (the common cold-allocation case).
-                n = len(level)
-                r = sub.setdefault(k2, n)
-                if r == n:
-                    level.append(top)
-                    low.append(r0)
-                    high.append(r1)
-        cache[key] = r
-        if self._cache_limit is not None and len(cache) > self._cache_limit:
-            self._drop_cache(cache)
-        return r
-
-    def _or2(self, f: int, g: int, depth: int = ITE_FAST_DEPTH) -> int:
-        """Disjunction fast path: ``ite(f, 1, g)`` with two-operand frames.
-
-        Same key discipline as the generic core's OR form (operands
-        ordered by handle, key ``(f, 1, g)``); see :meth:`_and2`.
-        """
-        if f < 2:
-            return 1 if f else g
-        if g < 2:
-            return 1 if g else f
-        if f == g:
-            return f
-        if g < f:
-            f, g = g, f
-        cache = self._ite_cache
-        key = f << 64 | 1 << 32 | g
-        r = cache.get(key)
-        if r is not None:
-            self._cache_hits += 1
-            return r
-        level = self._level
-        lf = level[f]
-        lg = level[g]
-        top = lf if lf < lg else lg
-        if not depth or self._depth_hint - top > depth:
-            return self._ite_stack(f, 1, g, key)
-        self._cache_misses += 1
-        low = self._low
-        high = self._high
-        if lf == top:
-            f0 = low[f]
-            f1 = high[f]
-        else:
-            f0 = f1 = f
-        if lg == top:
-            g0 = low[g]
-            g1 = high[g]
-        else:
-            g0 = g1 = g
-        depth -= 1
-        if f0 < 2:
-            r0 = 1 if f0 else g0
-        elif g0 < 2:
-            r0 = 1 if g0 else f0
-        elif f0 == g0:
-            r0 = f0
-        else:
-            r0 = self._or2(f0, g0, depth)
-        if f1 < 2:
-            r1 = 1 if f1 else g1
-        elif g1 < 2:
-            r1 = 1 if g1 else f1
-        elif f1 == g1:
-            r1 = f1
-        else:
-            r1 = self._or2(f1, g1, depth)
-        # --- reduce, hash-cons and memoise ----------------------------
-        if r0 == r1:
-            r = r0
-        else:
-            sub = self._table.get(top)
-            if sub is None:
-                sub = self._table[top] = {}
-            k2 = r0 << 32 | r1
-            free = self._free
-            if free:
-                r = sub.get(k2)
-                if r is None:
-                    r = free.pop()
-                    level[r] = top
-                    low[r] = r0
-                    high[r] = r1
-                    sub[k2] = r
-            else:
-                # Single-probe cons: with the free-list empty the next
-                # handle is known up front, so probe and insert in one
-                # setdefault (the common cold-allocation case).
-                n = len(level)
-                r = sub.setdefault(k2, n)
-                if r == n:
-                    level.append(top)
-                    low.append(r0)
-                    high.append(r1)
-        cache[key] = r
-        if self._cache_limit is not None and len(cache) > self._cache_limit:
-            self._drop_cache(cache)
-        return r
 
     def _xor2(
         self, f: int, g: int, xnor: bool = False, depth: int = ITE_FAST_DEPTH
@@ -1210,73 +1014,16 @@ class BDDKernel:
     # ------------------------------------------------------------------
     # Composition
     # ------------------------------------------------------------------
-    def _compose_u(self, f: int, by_level: Dict[int, int], sig: int) -> int:
-        """Simultaneously substitute functions for variables in ``f``.
-
-        Post-order walk bottoming out in the ITE core.  Nodes entirely
-        below the deepest substituted level are returned unchanged —
-        canonicity guarantees rebuilding them would find the same
-        handles, so the walk simply does not descend.
-        """
-        level = self._level
-        low = self._low
-        high = self._high
-        shared = self._op_cache
-        limit = self._cache_limit
-        max_level = max(by_level)
-        # op_key(OP_COMPOSE, n, sig) is n << 19 | tail.
-        tail = sig << 3 | OP_COMPOSE
-        memo: Dict[int, int] = {}
-        stack = [f]
-        spush = stack.append
-        hits = 0
-        misses = 0
-        while stack:
-            n = stack[-1]
-            if n in memo:
-                stack.pop()
-                continue
-            if n < 2 or level[n] > max_level:
-                memo[n] = n
-                stack.pop()
-                continue
-            r = shared.get(n << 19 | tail)
-            if r is not None:
-                hits += 1
-                memo[n] = r
-                stack.pop()
-                continue
-            lo = memo.get(low[n])
-            hi = memo.get(high[n])
-            if lo is None or hi is None:
-                if hi is None:
-                    spush(high[n])
-                if lo is None:
-                    spush(low[n])
-                continue
-            ln = level[n]
-            replacement = by_level.get(ln)
-            if replacement is None:
-                replacement = self._mk_int(ln, 0, 1)
-            misses += 1
-            r = self._ite3(replacement, hi, lo)
-            memo[n] = r
-            shared[n << 19 | tail] = r
-            if limit is not None and len(shared) > limit:
-                self._drop_cache(shared)
-            stack.pop()
-        self._cache_hits += hits
-        self._cache_misses += misses
-        return memo[f]
-
     def _compose_all_u(
         self, roots: Iterable[int], by_level: Dict[int, int], memo: Dict[int, int]
     ) -> List[int]:
-        """:meth:`_compose_u` of every root, in one walk with one memo.
+        """Simultaneously substitute ``by_level`` into every root.
 
-        A level bound to a terminal is a cofactor: only the selected
-        child is walked, so the dead cone is never visited.  A level
-        bound to a function is rebuilt through the ITE core.  ``memo``
+        The kernel's one substitution walk.  Nodes below the deepest
+        substituted level are returned unchanged.  A level bound to a
+        terminal is a cofactor: only the selected child is walked, so
+        the dead cone is never visited.  A level bound to a function is
+        rebuilt through the ITE core.  ``memo``
         maps handles to results under this one substitution and is
         shared by every root, and by every call the caller passes it to,
         so a cone common to several roots is substituted once.  Nothing
@@ -1380,9 +1127,9 @@ class BDDKernel:
             ln = level[n]
             if ln in levels:
                 if exists:
-                    r = self._or2(lo, hi)
+                    r = self._ite3(lo, 1, hi)
                 else:
-                    r = self._and2(lo, hi)
+                    r = self._ite3(lo, hi, 0)
             else:
                 r = lo if lo == hi else self._mk_int(ln, lo, hi)
             memo[n] = r
@@ -1459,7 +1206,7 @@ class BDDKernel:
                 if top > max_level:
                     # No quantified variable below: a plain conjunction.
                     misses += 1
-                    r = self._and2(a, b)
+                    r = self._ite3(a, b, 0)
                     memo[key] = r
                     shared[key] = r
                     if limit is not None and len(shared) > limit:
@@ -1512,7 +1259,7 @@ class BDDKernel:
                 hi = rpop()
                 lo = t[2]
                 misses += 1
-                r = self._or2(lo, hi)
+                r = self._ite3(lo, 1, hi)
                 key = t[1]
                 memo[key] = r
                 shared[key] = r
@@ -1884,9 +1631,9 @@ class BDDKernel:
         """Operation-cache size accounting and hit rates.
 
         ``quantify_entries`` keeps its historical name but now counts
-        the whole shared op cache — quantify, restrict, compose,
-        XOR/XNOR and and-exists entries — since those walkers share one
-        memo table in the array kernel.
+        the whole shared op cache — quantify, restrict, XOR/XNOR and
+        and-exists entries — since those walkers share one memo table
+        in the array kernel; composition memoises per call instead.
         """
         lookups = self._cache_hits + self._cache_misses
         return {

@@ -450,7 +450,8 @@ class BDDManager(BDDKernel):
 
         All binary Boolean connectives are expressed through ``ite``,
         which plays the role of the recursive *apply* operation of
-        Section 3.2 (here: one explicit-stack core over the arrays, see
+        Section 3.2 (here: one ITE core over the arrays with two gears,
+        bounded recursion and an explicit stack for deep expansions, see
         :meth:`~repro.bdd.kernel.BDDKernel._ite3`).
         """
         return self._wrap(self._ite3(f._h, g._h, h._h))
@@ -464,11 +465,11 @@ class BDDManager(BDDKernel):
 
     def apply_and(self, f: BDD, g: BDD) -> BDD:
         """Conjunction of ``f`` and ``g``."""
-        return self._wrap(self._and2(f._h, g._h))
+        return self._wrap(self._ite3(f._h, g._h, 0))
 
     def apply_or(self, f: BDD, g: BDD) -> BDD:
         """Disjunction of ``f`` and ``g``."""
-        return self._wrap(self._or2(f._h, g._h))
+        return self._wrap(self._ite3(f._h, 1, g._h))
 
     def apply_xor(self, f: BDD, g: BDD) -> BDD:
         """Exclusive or of ``f`` and ``g``."""
@@ -480,11 +481,11 @@ class BDDManager(BDDKernel):
 
     def apply_nand(self, f: BDD, g: BDD) -> BDD:
         """NAND of ``f`` and ``g``."""
-        return self._wrap(self._ite3(self._and2(f._h, g._h), 0, 1))
+        return self._wrap(self._ite3(self._ite3(f._h, g._h, 0), 0, 1))
 
     def apply_nor(self, f: BDD, g: BDD) -> BDD:
         """NOR of ``f`` and ``g``."""
-        return self._wrap(self._ite3(self._or2(f._h, g._h), 0, 1))
+        return self._wrap(self._ite3(self._ite3(f._h, 1, g._h), 0, 1))
 
     def apply_implies(self, f: BDD, g: BDD) -> BDD:
         """Implication ``f -> g``."""
@@ -494,7 +495,7 @@ class BDDManager(BDDKernel):
         """Conjunction of an iterable of functions (1 for the empty set)."""
         result = 1
         for f in functions:
-            result = self._and2(result, f._h)
+            result = self._ite3(result, f._h, 0)
             if result == 0:
                 break
         return self._wrap(result)
@@ -503,7 +504,7 @@ class BDDManager(BDDKernel):
         """Disjunction of an iterable of functions (0 for the empty set)."""
         result = 0
         for f in functions:
-            result = self._or2(result, f._h)
+            result = self._ite3(result, 1, f._h)
             if result == 1:
                 break
         return self._wrap(result)
@@ -575,15 +576,13 @@ class BDDManager(BDDKernel):
         This is the workhorse of functional symbolic simulation: the
         next-state function of a register is composed with the formulae
         of the current symbolic state to roll the machine forward one
-        cycle.
+        cycle.  One-root :meth:`compose_all`: its memo lives for this
+        call only, so compose a family of functions under one
+        substitution with one :meth:`compose_all` call instead.
         """
         if not substitution:
             return f
-        by_level = self._levels_map(
-            (name, g._h) for name, g in substitution.items()
-        )
-        sig = self._sig(("c", tuple(sorted(by_level.items()))))
-        return self._wrap(self._compose_u(f._h, by_level, sig))
+        return self.compose_all([f], substitution)[0]
 
     def compose_all(
         self,
@@ -591,8 +590,11 @@ class BDDManager(BDDKernel):
         substitution: Mapping[str, BDD],
         memo: Optional[Dict[int, int]] = None,
     ) -> List[BDD]:
-        """``[compose(f, substitution) for f in functions]`` in one walk.
+        """Substitute ``substitution`` into every one of ``functions``.
 
+        One walk with one memo (the kernel's only substitution walker,
+        :meth:`~repro.bdd.kernel.BDDKernel._compose_all_u`); the result
+        list equals ``[compose(f, substitution) for f in functions]``.
         Variables bound to a constant are cofactored away without
         visiting the dead branch.  Subresults are shared across all of
         ``functions``; pass the same ``memo`` dict (initially empty) to

@@ -67,7 +67,7 @@ def compose_vector(
     manager: BDDManager, vector: Sequence[BDDNode], substitution: Mapping[str, BDDNode]
 ) -> List[BDDNode]:
     """Compose every bit of a function vector with the same substitution."""
-    return [manager.compose(bit, substitution) for bit in vector]
+    return manager.compose_all(vector, substitution)
 
 
 def vector_support(manager: BDDManager, vector: Sequence[BDDNode]) -> Tuple[str, ...]:

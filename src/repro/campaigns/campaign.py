@@ -240,50 +240,56 @@ def _process_witness(
         return
     final_scenario, final_outcome = scenario, outcome
     if minimize:
-        # Phase 1: structural shrinking only — it preserves comparability
-        # with catalogue workloads, so a jittered planted bug collapses
-        # onto the committed golden record and dedupes away here.
-        structural = minimize_witness(
-            scenario, runner, outcome=outcome, narrow_observe=False
-        )
-        result.minimization["runs"] += 1
-        result.minimization["attempts"] += structural.attempts
-        result.minimization["accepted"] += structural.accepted
-        source = corpus.source_of(structural.scenario)
-        if source is not None:
-            result.duplicates.append(
-                {
-                    "scenario": scenario.name,
-                    "fingerprint": structural.fingerprint,
-                    "matches": source,
-                    "minimized": True,
-                }
+        # The minimizer's candidates run through ``run_one``, which pools
+        # a manager per candidate signature; free them once this
+        # witness's walk ends, however it ends.
+        try:
+            # Phase 1: structural shrinking only — it preserves comparability
+            # with catalogue workloads, so a jittered planted bug collapses
+            # onto the committed golden record and dedupes away here.
+            structural = minimize_witness(
+                scenario, runner, outcome=outcome, narrow_observe=False
             )
-            return
-        # Phase 2: the witness is genuinely new — narrow its observation
-        # to the mismatching observables before committing it.
-        narrowed = minimize_witness(
-            structural.scenario,
-            runner,
-            outcome=structural.outcome,
-            narrow_observe=True,
-        )
-        result.minimization["attempts"] += narrowed.attempts
-        result.minimization["accepted"] += narrowed.accepted
-        source = corpus.source_of(narrowed.scenario)
-        if source is not None:
-            result.duplicates.append(
-                {
-                    "scenario": scenario.name,
-                    "fingerprint": narrowed.fingerprint,
-                    "matches": source,
-                    "minimized": True,
-                }
+            result.minimization["runs"] += 1
+            result.minimization["attempts"] += structural.attempts
+            result.minimization["accepted"] += structural.accepted
+            source = corpus.source_of(structural.scenario)
+            if source is not None:
+                result.duplicates.append(
+                    {
+                        "scenario": scenario.name,
+                        "fingerprint": structural.fingerprint,
+                        "matches": source,
+                        "minimized": True,
+                    }
+                )
+                return
+            # Phase 2: the witness is genuinely new — narrow its observation
+            # to the mismatching observables before committing it.
+            narrowed = minimize_witness(
+                structural.scenario,
+                runner,
+                outcome=structural.outcome,
+                narrow_observe=True,
             )
-            return
-        provenance["minimized_from"] = witness_key(scenario)
-        provenance["minimize_attempts"] = structural.attempts + narrowed.attempts
-        final_scenario, final_outcome = narrowed.scenario, narrowed.outcome
+            result.minimization["attempts"] += narrowed.attempts
+            result.minimization["accepted"] += narrowed.accepted
+            source = corpus.source_of(narrowed.scenario)
+            if source is not None:
+                result.duplicates.append(
+                    {
+                        "scenario": scenario.name,
+                        "fingerprint": narrowed.fingerprint,
+                        "matches": source,
+                        "minimized": True,
+                    }
+                )
+                return
+            provenance["minimized_from"] = witness_key(scenario)
+            provenance["minimize_attempts"] = structural.attempts + narrowed.attempts
+            final_scenario, final_outcome = narrowed.scenario, narrowed.outcome
+        finally:
+            runner.pool.release_all()
     record = corpus.add(
         final_scenario, final_outcome, provenance=provenance, write=write_corpus
     )

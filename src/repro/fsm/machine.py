@@ -170,14 +170,13 @@ class SymbolicFSM:
                     substitution[name] = manager.var(fresh)
                     created[name] = fresh
             substitution.update(state)
-            outputs = {
-                name: manager.compose(function, substitution)
-                for name, function in self.outputs.items()
-            }
-            next_state = {
-                name: manager.compose(function, substitution)
-                for name, function in self.next_state.items()
-            }
+            # Outputs and next state in one walk, so they share one memo.
+            images = manager.compose_all(
+                list(self.outputs.values()) + list(self.next_state.values()),
+                substitution,
+            )
+            outputs = dict(zip(self.outputs, images))
+            next_state = dict(zip(self.next_state, images[len(self.outputs):]))
             trace.outputs.append(outputs)
             trace.input_names.append(created)
             state = next_state

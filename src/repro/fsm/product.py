@@ -53,12 +53,11 @@ def build_product(
         target = input_mapping.get(right_input, right_input)
         rename[right_input] = manager.var(target)
 
-    right_outputs = {
-        name: manager.compose(function, rename) for name, function in right.outputs.items()
-    }
-    right_next = {
-        name: manager.compose(function, rename) for name, function in right.next_state.items()
-    }
+    renamed = manager.compose_all(
+        list(right.outputs.values()) + list(right.next_state.values()), rename
+    )
+    right_outputs = dict(zip(right.outputs, renamed))
+    right_next = dict(zip(right.next_state, renamed[len(right.outputs):]))
 
     equal = manager.one
     for left_name, right_name in output_pairs:

@@ -323,8 +323,8 @@ class BitVec:
         return BitVec(self.manager, [self.manager.restrict(bit, assignment) for bit in self.bits])
 
     def compose(self, substitution: Mapping[str, BDDNode]) -> "BitVec":
-        """Compose every bit with the same substitution."""
-        return BitVec(self.manager, [self.manager.compose(bit, substitution) for bit in self.bits])
+        """Compose every bit with the same substitution (one walk)."""
+        return BitVec(self.manager, self.manager.compose_all(self.bits, substitution))
 
     def evaluate(self, assignment: Mapping[str, bool]) -> int:
         """Evaluate to an integer under a concrete assignment."""

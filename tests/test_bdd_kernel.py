@@ -581,14 +581,14 @@ class TestFastPathBudget:
         parity, conj, disj = roots
         calls = [
             lambda: kernel._ite3(parity, conj, disj),
-            lambda: kernel._and2(parity, disj),
-            lambda: kernel._or2(conj, parity),
+            lambda: kernel._ite3(parity, disj, 0),
+            lambda: kernel._ite3(conj, 1, parity),
             lambda: kernel._xor2(parity, conj),
             # A terminal-1 high (disj) or terminal-0 low (conj) cofactor
             # makes XOR / XNOR negate the deep parity cofactor inline.
             lambda: kernel._xor2(disj, parity),
             lambda: kernel._xor2(conj, parity, xnor=True),
-            lambda: kernel._not_int(parity),
+            lambda: kernel._ite3(parity, 0, 1),
         ]
         results = []
         for call in calls:

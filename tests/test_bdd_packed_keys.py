@@ -27,7 +27,6 @@ from repro.bdd import BDDManager
 from repro.bdd.kernel import (
     HANDLE_LIMIT,
     OP_ANDEX,
-    OP_COMPOSE,
     OP_EXISTS,
     OP_FORALL,
     OP_RESTRICT,
@@ -46,7 +45,7 @@ from repro.bdd.kernel import (
 SEED = 20261018
 FIELD = (1 << 32) - 1
 SIG_LIMIT = BDDKernel.SIG_INTERN_LIMIT
-OPCODES = {OP_EXISTS, OP_FORALL, OP_RESTRICT, OP_COMPOSE, OP_ANDEX, OP_XOR, OP_XNOR}
+OPCODES = {OP_EXISTS, OP_FORALL, OP_RESTRICT, OP_ANDEX, OP_XOR, OP_XNOR}
 
 
 def exercise(manager, rng, pool, steps=40):
@@ -163,7 +162,7 @@ class TestKeyFieldBounds:
         # All these layouts share one dict, so they must not collide
         # with each other either.
         keys = []
-        for op in (OP_EXISTS, OP_FORALL, OP_RESTRICT, OP_COMPOSE):
+        for op in (OP_EXISTS, OP_FORALL, OP_RESTRICT):
             keys += [op_key(op, n, s) for n in self.HANDLES for s in self.SIGS]
         for op in (OP_XOR, OP_XNOR):
             keys += [xor_key(op, f, g) for f in self.HANDLES for g in self.HANDLES]
@@ -175,7 +174,7 @@ class TestKeyFieldBounds:
         ]
         assert len(set(keys)) == len(keys)
         # Every opcode fits the 3-bit field.
-        assert len(OPCODES) == 7 and max(OPCODES) < 8
+        assert len(OPCODES) == 6 and max(OPCODES) < 8
 
     def test_live_caches_use_the_layouts(self):
         """Every key the hot paths wrote decodes to live fields."""
@@ -296,3 +295,40 @@ class TestGearInvariantAccounting:
         entries = len(manager._ite_cache)
         assert manager.ite(f, f, f) is f
         assert len(manager._ite_cache) == entries
+
+
+class TestStandardTripleSharing:
+    """AND, OR and NAND are ITE triples sharing the ITE cache.
+
+    The standard-triple normalisation puts every argument order of one
+    connective on one cache line, so after the connective any
+    equivalent triple is a pure cache hit: hits go up, while misses and
+    allocations stay put.
+    """
+
+    @pytest.mark.parametrize(
+        "connective, probe",
+        [
+            ("apply_and", lambda m, f, g: m.ite(f, g, m.zero)),
+            ("apply_and", lambda m, f, g: m.ite(g, f, m.zero)),
+            ("apply_or", lambda m, f, g: m.ite(f, m.one, g)),
+            ("apply_or", lambda m, f, g: m.ite(g, m.one, f)),
+            ("apply_nand", lambda m, f, g: m.apply_not(m.apply_and(f, g))),
+        ],
+        ids=["and-fg0", "and-gf0", "or-f1g", "or-g1f", "nand-not-and"],
+    )
+    def test_equivalent_triple_is_a_pure_cache_hit(self, connective, probe):
+        manager = BDDManager([f"x{i}" for i in range(8)])
+        x = [manager.var(name) for name in manager.variables]
+        f = manager.apply_xor(x[0], manager.apply_or(x[3], x[6]))
+        g = manager.apply_xnor(x[1], manager.apply_and(x[4], x[7]))
+        before = manager.cache_statistics()["misses"]
+        expected = getattr(manager, connective)(f, g)
+        assert manager.cache_statistics()["misses"] > before
+        stats = manager.cache_statistics()
+        allocated = manager._nodes_allocated
+        assert probe(manager, f, g) is expected
+        after = manager.cache_statistics()
+        assert after["hits"] > stats["hits"]
+        assert after["misses"] == stats["misses"]
+        assert manager._nodes_allocated == allocated

@@ -2,10 +2,11 @@
 
 A serial campaign releases each order signature's manager right after
 the signature's last scenario, whatever that scenario's outcome; a
-parallel worker releases its managers when a unit ends.  A release
-frees the manager at once (no cyclic-collector pass needed), its
-counters fold into the pool's, and verdicts stay byte-identical to a
-fresh runner per scenario.
+parallel worker releases its managers when a unit ends; the fuzz
+minimizer releases its candidates' managers when a witness's walk
+ends.  A release frees the manager at once (no cyclic-collector pass
+needed), its counters fold into the pool's, and verdicts stay
+byte-identical to a fresh runner per scenario.
 """
 
 import gc
@@ -15,6 +16,7 @@ import weakref
 
 import pytest
 
+from repro.campaigns import run_fuzz_campaign
 from repro.engine import CampaignReport, CampaignRunner, ManagerPool, Scenario
 from repro.engine import runner as runner_module
 from repro.resilience import FaultPlan, FaultSpec, SupervisionPolicy, faults
@@ -190,6 +192,34 @@ class TestSpeculativeJobs:
         assert len(seen) == 1 and seen[0] is worker.relation_templates
         stats = worker.statistics()
         assert (stats["managers"], stats["created"], stats["acquisitions"]) == (0, 1, 1)
+
+
+def _minimized_hunt(runner):
+    """A serial hunt whose two witnesses are minimized: one collapses
+    onto a known record, the other is new."""
+    result = run_fuzz_campaign(
+        2, 6, runner=runner, classes=("bypass_drop", "branch_skew")
+    )
+    assert result.minimization["runs"] == 2
+    assert [d.get("minimized") for d in result.duplicates] == [True]
+    assert len(result.new_records) == 1
+    return json.dumps(
+        [result.duplicates, result.new_records, result.minimization],
+        sort_keys=True,
+        default=str,
+    )
+
+
+class TestMinimizerRelease:
+    def test_minimization_leaves_no_manager_pooled(self):
+        pool = _RecordingPool()
+        runner = CampaignRunner(pool=pool)
+        records = _minimized_hunt(runner)
+        # The minimizer's candidates did take managers, and freed them.
+        assert runner.pool.statistics()["created"] > 0
+        assert len(runner.pool) == 0
+        assert all(ref() is None for ref in pool.created_refs)
+        assert records == _minimized_hunt(CampaignRunner())
 
 
 class TestParallelRelease:
