@@ -2,7 +2,7 @@
 vs. the object-graph kernel it replaced.
 
 The PR-4 tentpole rewrote ``src/repro/bdd`` as a struct-of-arrays
-kernel (integer handles, one iterative ITE core with standard-triple
+kernel (integer handles, one recursive ITE core with standard-triple
 normalisation and native XOR/XNOR, shared int-keyed op caches,
 mark-and-sweep arena GC with a free-list).
 This benchmark measures that representation change in isolation: a
@@ -42,9 +42,9 @@ probe per constructed node), so regimes dominated by cold allocation
 cannot improve much; the wins come where object allocation, complement
 materialisation (XOR/XNOR), per-call (vs shared) memo caches or table
 garbage dominated.  PR 5 attacked the PR-4 cold-chain negative (~0.65x)
-with bounded-depth recursive fast paths in the ITE/AND/OR/XOR cores
-(one cheap frame per expanded node, explicit stack only past the depth
-budget) plus cheaper wrapper interning; cold recovered to ~0.90x on the
+with recursive fast paths in the ITE/AND/OR/XOR cores (one cheap
+frame per expanded node; now the only ITE and XOR path) plus cheaper
+wrapper interning; cold recovered to ~0.90x on the
 dev box.  A later re-profile of the residual found manager construction
 at ~1.5% of the regime, and suppressing wrapper interning entirely moves
 the needle by under 1% — the remaining

@@ -17,7 +17,7 @@ allocation keeps no second copy.
 Three properties distinguish this kernel from the object-graph one it
 replaced:
 
-* **One ITE core, two gears.**  Every Boolean connective but XOR is a
+* **One recursive ITE core.**  Every Boolean connective but XOR is a
   call into :meth:`BDDKernel._ite3` — AND is ``ite(f, g, 0)``, OR
   ``ite(f, 1, g)``, NOT ``ite(f, 0, 1)`` — with CUDD's standard-triple
   normalisation (``ite(f,f,h) = ite(f,1,h)``, commutative AND/OR
@@ -25,12 +25,12 @@ replaced:
   cache lookup, so every argument order of one connective shares one
   cache line.  XOR/XNOR keep their own pair (:meth:`BDDKernel._xor2`),
   which descends both operands without first building ``NOT g``.
-  Expansions with at most :data:`ITE_FAST_DEPTH` levels below their
-  top variable run in a bounded-depth recursive fast path (one cheap
-  Python frame per expanded node); an expansion deeper than the budget
-  is routed, whole, to the explicit-stack form, so 3000-level diagrams
-  never touch the native recursion limit.  One budget bounds every
-  nested fast-path call, XOR's inline negations included.
+  Both are Bryant's recursive apply: one Python frame per expanded
+  node, each a level below its caller's, so an operation recurses at
+  most as deep as the variable order is long.  Since CPython 3.11 a
+  Python-to-Python call takes no C stack, so the only bound is the
+  interpreter's recursion limit, which :func:`fit_recursion_limit`
+  raises whenever the manager's level count outgrows it.
   Restriction, composition, quantification and the relational product
   are explicit-stack walkers over the same arrays that bottom out in
   the core.
@@ -96,8 +96,7 @@ def unique_key(low: int, high: int) -> int:
 def ite_key(f: int, g: int, h: int) -> int:
     """ITE-cache key of the normalised triple ``(f, g, h)``.
 
-    A negation ``ite(f, 0, 1)`` is the key ``f << 64 | 1``: its low 64
-    bits equal 1, which is how the stack gear spots one.
+    A negation ``ite(f, 0, 1)`` is the key ``f << 64 | 1``.
     """
     return f << 64 | g << 32 | h
 
@@ -120,11 +119,26 @@ def and_exists_key(a: int, b: int, sig: int) -> int:
 #: Version tag embedded in :meth:`BDDKernel.snapshot` payloads.
 SNAPSHOT_FORMAT = 1
 
-#: Recursion budget of the ITE and XOR fast paths (see
-#: :meth:`BDDKernel._ite3`).  Deep enough that the beta advance's
-#: substitutions, which sit 20-160 levels above the bottom of the
-#: manager, recurse instead of going to the explicit stack.
-ITE_FAST_DEPTH = 128
+#: Frames kept free for the caller above the deepest apply recursion.
+#: :meth:`BDDKernel._ite3` and :meth:`BDDKernel._xor2` take one frame
+#: per level they descend, so an operation needs at most the level
+#: count plus a couple of frames of its own; on top of that, whatever
+#: calls it (campaign engine, worker loop, test runner) keeps what
+#: CPython's default limit of 1000 grants any program.
+RECURSION_HEADROOM = 1000
+
+
+def fit_recursion_limit(levels: int) -> None:
+    """Raise the process's recursion limit to cover ``levels`` levels.
+
+    The limit is process-global, so it is only ever raised: a smaller
+    manager built later, or a released one, must not cut the frames a
+    larger live manager in the same process needs.  Called wherever a
+    manager's level count grows.
+    """
+    needed = levels + RECURSION_HEADROOM
+    if sys.getrecursionlimit() < needed:
+        sys.setrecursionlimit(needed)
 
 
 #: Array typecode used for packed snapshots; the on-disk format tag
@@ -229,13 +243,6 @@ class BDDKernel:
         self._cache_misses = 0
         self._cache_evicted_entries = 0
         self._cache_clears = 0
-        #: Total declared levels (maintained by the manager's declare).
-        #: The fast paths use ``_depth_hint - top`` — the number of
-        #: levels below an operation's top variable — to route deep
-        #: expansions straight to the explicit stack in one call
-        #: instead of spraying many small stack handoffs at the
-        #: recursion-budget frontier.
-        self._depth_hint = 0
         # Arena accounting.  ``_live`` and ``_nodes_allocated`` are
         # *derived* (properties below): every non-terminal slot is
         # either keyed in a subtable or parked on the free-list, so the
@@ -320,7 +327,7 @@ class BDDKernel:
     # ------------------------------------------------------------------
     # The unified ITE core
     # ------------------------------------------------------------------
-    def _ite3(self, f: int, g: int, h: int, depth: int = ITE_FAST_DEPTH) -> int:
+    def _ite3(self, f: int, g: int, h: int) -> int:
         """``if f then g else h`` on handles — the one apply operation.
 
         One self-recursive frame per expanded node: CUDD's
@@ -330,13 +337,9 @@ class BDDKernel:
         argument orders share one cache line; negations ``ite(f,0,1)``
         cached in both directions), then a cache probe, then cofactor
         recursion with the node constructor inlined into the reduce
-        step.  ``depth`` is the remaining recursion budget
-        (:data:`ITE_FAST_DEPTH` at every external call): cold shallow
-        apply chains — model construction from nothing — run entirely in
-        this fast path, while a subproblem still unresolved at depth
-        zero is delegated to the explicit-stack expansion
-        (:meth:`_ite_stack`), so 3000-level diagrams never touch the
-        native recursion limit.
+        step.  Each recursive call is at least one level below its
+        caller, so the recursion is never deeper than the level count
+        (see :func:`fit_recursion_limit`).
         """
         # --- resolve the triple (trivial cases + cache) ----------------
         # Deliberately ahead of the heavy local binding: on warm
@@ -344,8 +347,8 @@ class BDDKernel:
         if f < 2:
             return g if f else h
         # Two independent tests, not if/elif: ``ite(f, f, f)`` must
-        # reduce to ``f`` here, as the recursive gear's caller-side
-        # ``g0 == h0`` test reduces it, instead of caching (f, 1, f).
+        # reduce to ``f`` here, as the recursive caller's ``g0 == h0``
+        # test reduces it, instead of caching (f, 1, f).
         if f == g:
             g = 1
         if f == h:
@@ -372,10 +375,6 @@ class BDDKernel:
         lh = level[h]
         if lh < top:
             top = lh
-        if not depth or self._depth_hint - top > depth:
-            # Deeper than the recursion budget could cover: expand the
-            # whole subproblem on the explicit stack in one go.
-            return self._ite_stack(f, g, h, key)
         self._cache_misses += 1
         low = self._low
         high = self._high
@@ -394,22 +393,38 @@ class BDDKernel:
             h1 = high[h]
         else:
             h0 = h1 = h
-        depth -= 1
         # Terminal-test cofactors resolve inline: leaf calls are nearly
         # half of a cold expansion, and each saved frame is pure win.
-        # Equal-branch cofactors collapse without a frame either.
+        # Equal-branch cofactors collapse without a frame either, and so
+        # does a cofactor triple already cached as it stands.  Only
+        # normalised triples are cached, so this probe hits exactly when
+        # the call's own probe would and the counts do not move; on a
+        # miss the call normalises and probes again.  A call costs more
+        # than a probe, and more still deep in the recursion (CPython
+        # 3.11 frees and re-maps a frame-stack chunk each time the
+        # recursion re-crosses a chunk boundary): without the probe,
+        # bench_bdd_kernel's three-adder build ran about 5% slower
+        # (CPython 3.11.7, 2-CPU Xeon).
         if f0 < 2:
             r0 = g0 if f0 else h0
         elif g0 == h0:
             r0 = g0
         else:
-            r0 = self._ite3(f0, g0, h0, depth)
+            r0 = cache.get(f0 << 64 | g0 << 32 | h0)
+            if r0 is None:
+                r0 = self._ite3(f0, g0, h0)
+            else:
+                self._cache_hits += 1
         if f1 < 2:
             r1 = g1 if f1 else h1
         elif g1 == h1:
             r1 = g1
         else:
-            r1 = self._ite3(f1, g1, h1, depth)
+            r1 = cache.get(f1 << 64 | g1 << 32 | h1)
+            if r1 is None:
+                r1 = self._ite3(f1, g1, h1)
+            else:
+                self._cache_hits += 1
         # --- reduce, hash-cons and memoise ----------------------------
         if r0 == r1:
             r = r0
@@ -444,201 +459,7 @@ class BDDKernel:
             self._drop_cache(cache)
         return r
 
-    def _ite_stack(self, f: int, g: int, h: int, key: int) -> int:
-        """Explicit-stack expansion of a known, normalised ITE cache miss.
-
-        No recursion on BDD structure, so 3000-level diagrams are as
-        safe as 3-level ones; the node constructor is inlined into the
-        reduce step.  Cofactor triples are *resolved inline*: a child
-        that is trivial or already cached contributes its result without
-        a stack round-trip, and a child that is not carries its
-        normalised triple and cache key in its task.  A task is probed
-        once more when it is expanded, and only that probe is counted
-        for it: the same triple may have been pushed twice and reduced
-        in between, and the recursive gear would hit on the second
-        copy.  So both gears report the same hits, misses and
-        allocations for one build.  Task tags: 4 = expand a cache miss;
-        1/2/3 = reduce with both / only-high / only-low results still on
-        the result stack.
-        """
-        cache = self._ite_cache
-        level = self._level
-        low = self._low
-        high = self._high
-        table = self._table
-        free = self._free
-        limit = self._cache_limit
-        hits = 0
-        misses = 0
-        bounded = limit is not None
-        tasks: List[tuple] = [(4, f, g, h, key)]
-        push = tasks.append
-        pop = tasks.pop
-        results: List[int] = []
-        rpush = results.append
-        rpop = results.pop
-        while tasks:
-            t = pop()
-            tag = t[0]
-            if tag == 4:
-                tag, f, g, h, key = t
-                # Re-probe: a copy of this triple pushed earlier may
-                # have been reduced meanwhile.  Counting here, once per
-                # expanded task, books every probe exactly as the
-                # recursive gear does.
-                r = cache.get(key)
-                if r is not None:
-                    hits += 1
-                    rpush(r)
-                    continue
-                misses += 1
-                lf = level[f]
-                lg = level[g]
-                top = lf if lf < lg else lg
-                lh = level[h]
-                if lh < top:
-                    top = lh
-                if lf == top:
-                    f0 = low[f]
-                    f1 = high[f]
-                else:
-                    f0 = f1 = f
-                if lg == top:
-                    g0 = low[g]
-                    g1 = high[g]
-                else:
-                    g0 = g1 = g
-                if lh == top:
-                    h0 = low[h]
-                    h1 = high[h]
-                else:
-                    h0 = h1 = h
-                # --- resolve the low cofactor inline -------------------
-                if f0 < 2:
-                    r0 = g0 if f0 else h0
-                    k0 = None
-                else:
-                    if f0 == g0:
-                        g0 = 1
-                    if f0 == h0:
-                        h0 = 0
-                    if g0 == h0:
-                        r0 = g0
-                        k0 = None
-                    else:
-                        if h0 == 0:
-                            if g0 == 1:
-                                r0 = f0
-                                k0 = None
-                            else:
-                                if g0 < f0:
-                                    f0, g0 = g0, f0
-                                k0 = (f0 << 32 | g0) << 32
-                                r0 = cache.get(k0)
-                        else:
-                            if g0 == 1 and h0 < f0:
-                                f0, h0 = h0, f0
-                            k0 = f0 << 64 | g0 << 32 | h0
-                            r0 = cache.get(k0)
-                        if r0 is not None and k0 is not None:
-                            # Trivial reductions (k0 is None) are not
-                            # cache hits; only real lookups count.
-                            hits += 1
-                # --- resolve the high cofactor inline ------------------
-                if f1 < 2:
-                    r1 = g1 if f1 else h1
-                    k1 = None
-                else:
-                    if f1 == g1:
-                        g1 = 1
-                    if f1 == h1:
-                        h1 = 0
-                    if g1 == h1:
-                        r1 = g1
-                        k1 = None
-                    else:
-                        if h1 == 0:
-                            if g1 == 1:
-                                r1 = f1
-                                k1 = None
-                            else:
-                                if g1 < f1:
-                                    f1, g1 = g1, f1
-                                k1 = (f1 << 32 | g1) << 32
-                                r1 = cache.get(k1)
-                        else:
-                            if g1 == 1 and h1 < f1:
-                                f1, h1 = h1, f1
-                            k1 = f1 << 64 | g1 << 32 | h1
-                            r1 = cache.get(k1)
-                        if r1 is not None and k1 is not None:
-                            hits += 1
-                if r0 is None:
-                    if r1 is None:
-                        push((1, top, key))
-                        push((4, f1, g1, h1, k1))
-                        push((4, f0, g0, h0, k0))
-                    else:
-                        push((3, top, key, r1))
-                        push((4, f0, g0, h0, k0))
-                    continue
-                if r1 is None:
-                    push((2, top, key, r0))
-                    push((4, f1, g1, h1, k1))
-                    continue
-                lo = r0
-                hi = r1
-            elif tag == 1:
-                hi = rpop()
-                lo = rpop()
-                key = t[2]
-                top = t[1]
-            elif tag == 2:
-                tag, top, key, lo = t
-                hi = rpop()
-            else:
-                tag, top, key, hi = t
-                lo = rpop()
-            # --- shared reduce tail: hash-cons and memoise -------------
-            if lo == hi:
-                r = lo
-            else:
-                sub = table.get(top)
-                if sub is None:
-                    sub = table[top] = {}
-                k2 = lo << 32 | hi
-                if free:
-                    r = sub.get(k2)
-                    if r is None:
-                        r = free.pop()
-                        level[r] = top
-                        low[r] = lo
-                        high[r] = hi
-                        sub[k2] = r
-                else:
-                    # Single-probe cons (see _ite3's reduce tail).
-                    n = len(level)
-                    r = sub.setdefault(k2, n)
-                    if r == n:
-                        level.append(top)
-                        low.append(lo)
-                        high.append(hi)
-            cache[key] = r
-            if key & 0xFFFFFFFFFFFFFFFF == 1:
-                # A negation key (g = 0, h = 1): r = NOT f, and negation
-                # is an involution, so the reverse lookup is free to
-                # memoise as well.
-                cache[r << 64 | 1] = key >> 64
-            if bounded and len(cache) > limit:
-                self._drop_cache(cache)
-            rpush(r)
-        self._cache_hits += hits
-        self._cache_misses += misses
-        return results[0]
-
-    def _xor2(
-        self, f: int, g: int, xnor: bool = False, depth: int = ITE_FAST_DEPTH
-    ) -> int:
+    def _xor2(self, f: int, g: int, xnor: bool = False) -> int:
         """XOR (or XNOR) of two handles as a first-class core operation.
 
         Without complement edges, routing XOR through ``ite(f, NOT g,
@@ -657,11 +478,11 @@ class BDDKernel:
             if g < 2:  # f != g, both terminal
                 return 0 if xnor else 1
             if f == (0 if xnor else 1):
-                return self._ite3(g, 0, 1, depth)
+                return self._ite3(g, 0, 1)
             return g
         if g < 2:
             if g == (0 if xnor else 1):
-                return self._ite3(f, 0, 1, depth)
+                return self._ite3(f, 0, 1)
             return f
         if g < f:
             f, g = g, f
@@ -676,8 +497,6 @@ class BDDKernel:
         lf = level[f]
         lg = level[g]
         top = lf if lf < lg else lg
-        if not depth or self._depth_hint - top > depth:
-            return self._xor_stack(f, g, key, op, xnor, depth)
         self._cache_misses += 1
         low = self._low
         high = self._high
@@ -691,26 +510,25 @@ class BDDKernel:
             g1 = high[g]
         else:
             g0 = g1 = g
-        depth -= 1
         # Terminal-adjacent cofactors resolve inline (mirrors the entry
         # tests); only a genuine two-decision XOR pays a frame.
         neg = 0 if xnor else 1
         if f0 == g0:
             r0 = one_result
         elif f0 < 2:
-            r0 = self._ite3(g0, 0, 1, depth) if f0 == neg else g0
+            r0 = self._ite3(g0, 0, 1) if f0 == neg else g0
         elif g0 < 2:
-            r0 = self._ite3(f0, 0, 1, depth) if g0 == neg else f0
+            r0 = self._ite3(f0, 0, 1) if g0 == neg else f0
         else:
-            r0 = self._xor2(f0, g0, xnor, depth)
+            r0 = self._xor2(f0, g0, xnor)
         if f1 == g1:
             r1 = one_result
         elif f1 < 2:
-            r1 = self._ite3(g1, 0, 1, depth) if f1 == neg else g1
+            r1 = self._ite3(g1, 0, 1) if f1 == neg else g1
         elif g1 < 2:
-            r1 = self._ite3(f1, 0, 1, depth) if g1 == neg else f1
+            r1 = self._ite3(f1, 0, 1) if g1 == neg else f1
         else:
-            r1 = self._xor2(f1, g1, xnor, depth)
+            r1 = self._xor2(f1, g1, xnor)
         # --- reduce, hash-cons and memoise ----------------------------
         if r0 == r1:
             r = r0
@@ -742,177 +560,6 @@ class BDDKernel:
         if self._cache_limit is not None and len(cache) > self._cache_limit:
             self._drop_cache(cache)
         return r
-
-    def _xor_stack(
-        self,
-        f: int,
-        g: int,
-        key: int,
-        op: int,
-        xnor: bool,
-        depth: int,
-    ) -> int:
-        """Explicit-stack expansion of a known XOR/XNOR cache miss.
-
-        Recursion-limit-proof continuation of :meth:`_xor2`; see
-        :meth:`_ite_stack` for the task-tag scheme.  ``depth`` is the
-        caller's remaining fast-path budget, handed to the inline
-        negations so that the whole XOR stays within one budget.
-        """
-        one_result = 1 if xnor else 0
-        cache = self._op_cache
-        level = self._level
-        low = self._low
-        high = self._high
-        table = self._table
-        free = self._free
-        limit = self._cache_limit
-        bounded = limit is not None
-        neg_terminal = 0 if xnor else 1
-        hits = 0
-        misses = 0
-        # Task tags: 4 expand (known miss), 5 negate, 1 both pending,
-        # 2 low known, 3 high known.
-        tasks: List[tuple] = [(4, f, g, key)]
-        push = tasks.append
-        pop = tasks.pop
-        results: List[int] = []
-        rpush = results.append
-        rpop = results.pop
-        while tasks:
-            t = pop()
-            tag = t[0]
-            if tag == 4:
-                tag, f, g, key = t
-                # Re-probe at expansion, as in _ite_stack.
-                r = cache.get(key)
-                if r is not None:
-                    hits += 1
-                    rpush(r)
-                    continue
-                misses += 1
-                lf = level[f]
-                lg = level[g]
-                top = lf if lf < lg else lg
-                if lf == top:
-                    f0 = low[f]
-                    f1 = high[f]
-                else:
-                    f0 = f1 = f
-                if lg == top:
-                    g0 = low[g]
-                    g1 = high[g]
-                else:
-                    g0 = g1 = g
-                # --- resolve the low cofactor inline -------------------
-                k0 = None
-                if f0 == g0:
-                    r0 = one_result
-                elif f0 < 2:
-                    if f0 == neg_terminal:
-                        r0 = self._ite3(g0, 0, 1, depth)
-                    else:
-                        r0 = g0
-                elif g0 < 2:
-                    if g0 == neg_terminal:
-                        r0 = self._ite3(f0, 0, 1, depth)
-                    else:
-                        r0 = f0
-                else:
-                    if g0 < f0:
-                        f0, g0 = g0, f0
-                    k0 = (f0 << 32 | g0) << 19 | op
-                    r0 = cache.get(k0)
-                    if r0 is not None:
-                        hits += 1
-                # --- resolve the high cofactor inline ------------------
-                # A high negation waits for a pending low subtree (tag
-                # 5), as in _xor2, so both gears number nodes alike.
-                k1 = None
-                negate = None
-                if f1 == g1:
-                    r1 = one_result
-                elif f1 < 2:
-                    if f1 == neg_terminal:
-                        negate = g1
-                        r1 = None
-                    else:
-                        r1 = g1
-                elif g1 < 2:
-                    if g1 == neg_terminal:
-                        negate = f1
-                        r1 = None
-                    else:
-                        r1 = f1
-                else:
-                    if g1 < f1:
-                        f1, g1 = g1, f1
-                    k1 = (f1 << 32 | g1) << 19 | op
-                    r1 = cache.get(k1)
-                    if r1 is not None:
-                        hits += 1
-                if negate is not None and r0 is not None:
-                    r1 = self._ite3(negate, 0, 1, depth)
-                if r0 is None:
-                    if r1 is None:
-                        push((1, top, key))
-                        push((5, negate) if negate is not None else (4, f1, g1, k1))
-                        push((4, f0, g0, k0))
-                    else:
-                        push((3, top, key, r1))
-                        push((4, f0, g0, k0))
-                    continue
-                if r1 is None:
-                    push((2, top, key, r0))
-                    push((4, f1, g1, k1))
-                    continue
-                lo = r0
-                hi = r1
-            elif tag == 5:
-                rpush(self._ite3(t[1], 0, 1, depth))
-                continue
-            elif tag == 1:
-                hi = rpop()
-                lo = rpop()
-                key = t[2]
-                top = t[1]
-            elif tag == 2:
-                tag, top, key, lo = t
-                hi = rpop()
-            else:
-                tag, top, key, hi = t
-                lo = rpop()
-            # --- shared reduce tail (see _ite3) ------------------------
-            if lo == hi:
-                r = lo
-            else:
-                sub = table.get(top)
-                if sub is None:
-                    sub = table[top] = {}
-                k2 = lo << 32 | hi
-                if free:
-                    r = sub.get(k2)
-                    if r is None:
-                        r = free.pop()
-                        level[r] = top
-                        low[r] = lo
-                        high[r] = hi
-                        sub[k2] = r
-                else:
-                    # Single-probe cons (see _ite3's reduce tail).
-                    n = len(level)
-                    r = sub.setdefault(k2, n)
-                    if r == n:
-                        level.append(top)
-                        low.append(lo)
-                        high.append(hi)
-            cache[key] = r
-            if bounded and len(cache) > limit:
-                self._drop_cache(cache)
-            rpush(r)
-        self._cache_hits += hits
-        self._cache_misses += misses
-        return results[0]
 
     # ------------------------------------------------------------------
     # Signature interning (variable-set keys for the op cache)

@@ -40,7 +40,13 @@ from typing import (
 )
 
 from .. import telemetry
-from .kernel import BDDKernel, OP_EXISTS, OP_FORALL, SnapshotError
+from .kernel import (
+    BDDKernel,
+    OP_EXISTS,
+    OP_FORALL,
+    SnapshotError,
+    fit_recursion_limit,
+)
 from .node import BDD
 
 #: C-level weak reference constructor (hot in :meth:`BDDManager._wrap`).
@@ -119,7 +125,7 @@ class BDDManager(BDDKernel):
                 if name not in level_of:
                     level_of[name] = len(name_of)
                     name_of.append(name)
-            self._depth_hint = len(name_of)
+            fit_recursion_limit(len(name_of))
 
     # ------------------------------------------------------------------
     # Kernel hooks & wrapper interning
@@ -332,7 +338,7 @@ class BDDManager(BDDKernel):
         super().adopt_image(image)
         self._name_of = names.copy()
         self._level_of = dict(zip(names, range(len(names))))
-        self._depth_hint = len(names)
+        fit_recursion_limit(len(names))
         wrap = self._wrap
         return [wrap(handle) for handle in roots]
 
@@ -349,7 +355,7 @@ class BDDManager(BDDKernel):
             return
         self._level_of[name] = len(self._name_of)
         self._name_of.append(name)
-        self._depth_hint = len(self._name_of)
+        fit_recursion_limit(len(self._name_of))
 
     def declare_all(self, names: Iterable[str]) -> None:
         """Declare several variables in the given order."""
@@ -450,8 +456,7 @@ class BDDManager(BDDKernel):
 
         All binary Boolean connectives are expressed through ``ite``,
         which plays the role of the recursive *apply* operation of
-        Section 3.2 (here: one ITE core over the arrays with two gears,
-        bounded recursion and an explicit stack for deep expansions, see
+        Section 3.2 (here: one recursive ITE core over the arrays, see
         :meth:`~repro.bdd.kernel.BDDKernel._ite3`).
         """
         return self._wrap(self._ite3(f._h, g._h, h._h))

@@ -2,7 +2,7 @@
 
 The kernel (:mod:`repro.bdd.kernel`) stores nodes in parallel arrays
 addressed by integer handles, reclaims dead handles by mark-and-sweep
-into a free-list, and serves every operation from one iterative ITE
+into a free-list, and serves every operation from one recursive ITE
 core.  These tests pin the properties the rest of the repo builds on:
 
 * free-list reuse never *resurrects* a reclaimed handle — once swept, a
@@ -21,14 +21,16 @@ All randomness is seeded; the suite is deterministic.
 """
 
 import json
+import os
 import pathlib
 import random
+import subprocess
 import sys
 
 import pytest
 
 from repro.bdd import BDDManager
-from repro.bdd.kernel import ITE_FAST_DEPTH, BDDKernel, unique_key
+from repro.bdd.kernel import BDDKernel, fit_recursion_limit, unique_key
 
 SEED = 20260730
 
@@ -550,17 +552,24 @@ def stack_depth():
 
 
 class TestFastPathBudget:
-    """One recursion budget bounds every nested fast-path call.
+    """The apply recursion never runs deeper than the level count.
 
-    The diagrams are 3000 levels deep, far past the budget, so any
-    nested call that restarted at a full budget (XOR's inline negations
-    inside an XOR that already spent part of it) would stack two
-    budgets of frames.  The raw kernel keeps no depth hint, so nothing
-    but the budget routes its expansions to the explicit stack.
+    :func:`~repro.bdd.kernel.fit_recursion_limit` sizes the recursion
+    limit from the level count alone, which holds only if every
+    operation, XOR's inline negations included, takes at most one frame
+    per level plus a constant.  The diagrams are 3000 levels deep, three
+    times CPython's default limit.  Each operation runs under a limit of
+    the caller's frames plus the level count plus ``SLACK`` and must
+    give the results and arena of a build under a generous limit.
     """
 
     LEVELS = 3000
-    HEADROOM = ITE_FAST_DEPTH + 50
+    #: The test's frames between ``stack_depth()`` and the kernel
+    #: (``operations`` and its lambda), the apply's entry frame, and the
+    #: C-level calls on pytest's stack, which count toward the limit
+    #: without a Python frame: 9 in all when measured, so 25 leaves room
+    #: while still failing any operation that recurses twice per level.
+    SLACK = 25
 
     def build(self, factory):
         """Parity, AND-of-odd-levels and OR-of-even-levels chains."""
@@ -603,17 +612,98 @@ class TestFastPathBudget:
         ids=["kernel", "manager"],
     )
     def test_deep_operations_fit_in_one_budget(self, factory):
-        shallow, roots = self.build(factory)
-        expected = self.operations(shallow, roots)
-        deep, deep_roots = self.build(factory)
-        assert deep_roots == roots
+        # The raw kernel declares no variables, so it sizes the limit
+        # the way a manager's declare does.
+        fit_recursion_limit(self.LEVELS)
+        generous, roots = self.build(factory)
+        expected = self.operations(generous, roots)
+        tight, tight_roots = self.build(factory)
+        assert tight_roots == roots
         limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(stack_depth() + self.HEADROOM)
+        sys.setrecursionlimit(stack_depth() + self.LEVELS + self.SLACK)
         try:
-            results = self.operations(deep, deep_roots)
+            results = self.operations(tight, tight_roots)
         finally:
             sys.setrecursionlimit(limit)
         assert results == expected
-        assert deep._level == shallow._level
-        assert deep._low == shallow._low
-        assert deep._high == shallow._high
+        assert tight._level == generous._level
+        assert tight._low == generous._low
+        assert tight._high == generous._high
+
+
+#: Run in a fresh interpreter, so the recursion limit starts at
+#: CPython's default, as it does in a parallel campaign's worker.
+RAISE_SCRIPT = """
+import sys
+from repro.bdd import BDDManager
+
+DEFAULT = sys.getrecursionlimit()
+LEVELS = 3000
+names = [f"v{i}" for i in range(LEVELS)]
+assert DEFAULT < LEVELS, DEFAULT
+
+
+def chains(manager):
+    parity, conj = manager.zero, manager.one
+    for name in reversed(names):
+        x = manager.var(name)
+        parity = manager.apply_xor(x, parity)
+        conj = manager.apply_and(x, conj)
+    return parity, conj
+
+
+def deep_operations(manager, parity, conj):
+    # Cold caches: each call recurses through every level.
+    manager.clear_caches()
+    mixed = manager.apply_xor(parity, conj)
+    manager.clear_caches()
+    assert manager.apply_xor(mixed, conj) is parity
+    manager.clear_caches()
+    chosen = manager.ite(parity, conj, manager.apply_not(conj))
+    assert chosen is manager.apply_xnor(parity, conj)
+
+
+# The constructor's declare loop; no caller touches the limit.
+built = BDDManager(names)
+assert sys.getrecursionlimit() >= LEVELS
+parity, conj = chains(built)
+deep_operations(built, parity, conj)
+
+sys.setrecursionlimit(DEFAULT)
+declared = BDDManager()
+declared.declare_all(names)
+assert sys.getrecursionlimit() >= LEVELS
+deep_operations(declared, *chains(declared))
+
+image = built.arena_image()
+sys.setrecursionlimit(DEFAULT)
+adopter = BDDManager()
+adopted = adopter.adopt_image(image, [parity.node_id, conj.node_id])
+assert sys.getrecursionlimit() >= LEVELS
+deep_operations(adopter, *adopted)
+
+# The limit is process-global: nothing smaller or released lowers it.
+raised = sys.getrecursionlimit()
+small = BDDManager(["a", "b"])
+small.declare("c")
+small.adopt_image(BDDManager(["a", "b", "c"]).arena_image())
+for manager in (small, built, declared, adopter):
+    manager.release()
+assert sys.getrecursionlimit() == raised
+print("ok")
+"""
+
+
+def test_managers_raise_the_recursion_limit_for_their_levels():
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    child = subprocess.run(
+        [sys.executable, "-c", RAISE_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "ok"

@@ -11,8 +11,9 @@ and what it relies on:
   signature ``SIG_INTERN_LIMIT - 1``, every opcode), the hot paths key
   the live caches with exactly these layouts, and ``restore`` refuses a
   payload that could push handles past ``2**32``;
-* the recursive and the explicit-stack ITE gears book the same cache
-  hits, misses and allocations for one build.
+* the standard-triple normalisation puts every argument order of one
+  connective, and every trivially reducible triple, on one cache line
+  or none.
 
 All randomness is seeded; the suite is deterministic.
 """
@@ -152,11 +153,16 @@ class TestKeyFieldBounds:
         triples = list(itertools.product(self.HANDLES, repeat=3))
         keys = [ite_key(f, g, h) for f, g, h in triples]
         assert len(set(keys)) == len(triples)
-        low64 = (1 << 64) - 1
-        for (f, g, h), key in zip(triples, keys):
-            # The stack gear's negation test and operand extraction.
-            assert (key & low64 == 1) == (g == 0 and h == 1)
-            assert key >> 64 == f
+        # A negation is cached in both directions: NOT f under f's key,
+        # and f under the key of its result, so negating back is a hit.
+        manager = BDDManager(["x0", "x1", "x2"])
+        f = manager.apply_xor(manager.var("x0"), manager.var("x2"))
+        negated = manager.apply_not(f)
+        assert manager._ite_cache[ite_key(f._h, 0, 1)] == negated._h
+        assert manager._ite_cache[ite_key(negated._h, 0, 1)] == f._h
+        misses = manager.cache_statistics()["misses"]
+        assert manager.apply_not(negated) is f
+        assert manager.cache_statistics()["misses"] == misses
 
     def test_op_cache_keys_distinct_across_every_opcode(self):
         # All these layouts share one dict, so they must not collide
@@ -234,69 +240,6 @@ class TestKeyFieldBounds:
         assert (list(kernel._level), {k: dict(v) for k, v in kernel._table.items()}) == before
 
 
-class TestGearInvariantAccounting:
-    """Both ITE gears book one build's probes identically."""
-
-    NUM_VARS = 16
-
-    def build_pool(self, stack_only, seed, ops=6):
-        manager = BDDManager([f"x{i}" for i in range(self.NUM_VARS)])
-        if stack_only:
-            # Every expansion is deeper than the budget: the explicit
-            # stack does all the work.
-            manager._depth_hint = 10**6
-        rng = random.Random(seed)
-        pool = fresh_pool(manager)
-        for _ in range(120):
-            f, g, h = rng.choice(pool), rng.choice(pool), rng.choice(pool)
-            op = rng.randrange(ops)
-            if op == 0:
-                r = manager.ite(f, g, h)
-            elif op == 1:
-                r = manager.apply_and(f, g)
-            elif op == 2:
-                r = manager.apply_or(f, g)
-            elif op == 3:
-                r = manager.apply_xor(f, g)
-            elif op == 4:
-                r = manager.apply_xnor(f, g)
-            else:
-                r = manager.apply_not(f)
-            pool.append(r)
-        return manager, pool
-
-    def build(self, stack_only, seed):
-        manager, pool = self.build_pool(stack_only, seed)
-        stats = manager.cache_statistics()
-        sizes = [manager.count_nodes(f) for f in pool]
-        return stats["hits"], stats["misses"], manager._nodes_allocated, sizes
-
-    @pytest.mark.parametrize("seed", [SEED, SEED + 1, SEED + 2])
-    def test_recursive_and_stack_gears_agree(self, seed):
-        recursive = self.build(False, seed)
-        stack = self.build(True, seed)
-        assert recursive[0] > 0 and recursive[1] > 0
-        assert recursive == stack
-
-    @pytest.mark.parametrize("ops", [5, 6])
-    def test_recursive_and_stack_gears_number_nodes_alike(self, ops):
-        # ops=5 leaves NOT out, so XOR/XNOR carry more of the mix.  The
-        # stack gear negates a high cofactor only after the low subtree,
-        # as the recursive gear does; otherwise the handle lists differ.
-        for seed in range(SEED, SEED + 25):
-            recursive = [f._h for f in self.build_pool(False, seed, ops)[1]]
-            stack = [f._h for f in self.build_pool(True, seed, ops)[1]]
-            assert recursive == stack, f"seed {seed}"
-
-    def test_ite_of_one_operand_reduces_in_both_gears(self):
-        # ite(f, f, f) = f: resolved by normalisation, never cached.
-        manager = BDDManager([f"x{i}" for i in range(4)])
-        f = manager.apply_xor(manager.var("x0"), manager.var("x3"))
-        entries = len(manager._ite_cache)
-        assert manager.ite(f, f, f) is f
-        assert len(manager._ite_cache) == entries
-
-
 class TestStandardTripleSharing:
     """AND, OR and NAND are ITE triples sharing the ITE cache.
 
@@ -332,3 +275,11 @@ class TestStandardTripleSharing:
         assert after["hits"] > stats["hits"]
         assert after["misses"] == stats["misses"]
         assert manager._nodes_allocated == allocated
+
+    def test_ite_of_one_operand_reduces_without_caching(self):
+        # ite(f, f, f) = f: resolved by normalisation, never cached.
+        manager = BDDManager([f"x{i}" for i in range(4)])
+        f = manager.apply_xor(manager.var("x0"), manager.var("x3"))
+        entries = len(manager._ite_cache)
+        assert manager.ite(f, f, f) is f
+        assert len(manager._ite_cache) == entries
