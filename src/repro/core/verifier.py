@@ -39,7 +39,7 @@ adapter over that single engine code path — the same one that campaigns
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..bdd import BDDManager
 from ..logic import BitVec
@@ -57,6 +57,17 @@ class StimulusPlan:
     slot_instructions: List[BitVec] = field(default_factory=list)
     delay_instructions: Dict[int, List[BitVec]] = field(default_factory=dict)
     free_variable_count: int = 0
+
+    def labelled_vectors(self) -> List[Tuple[str, BitVec]]:
+        """``(label, vector)`` pairs: every slot, then the delay words by slot."""
+        labelled = [
+            (f"instr{index}", vector) for index, vector in enumerate(self.slot_instructions)
+        ]
+        for index, delay_list in sorted(self.delay_instructions.items()):
+            labelled.extend(
+                (f"delay{index}.{slot}", vector) for slot, vector in enumerate(delay_list)
+            )
+        return labelled
 
 
 def build_stimulus(

@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..bdd import BDDManager, distinguisher, find_distinguishing_assignment
+from ..bdd import BDDManager, distinguisher
 from ..isa import vsm as vsm_isa
 from ..logic import BitVec
 from ..strings import (
@@ -174,42 +174,6 @@ def _drive_implementation(
     return samples, ordered_cycles, total
 
 
-def _simulate_specification(
-    specification,
-    plan,
-    siminfo: SimulationInfo,
-    observation: ObservationSpec,
-) -> Tuple[List[Dict[str, BitVec]], List[int], int]:
-    """Run the unpipelined machine; return (samples, sample cycles, total cycles)."""
-    return _drive_specification(
-        plan,
-        siminfo,
-        specification.cycles_per_instruction,
-        step=specification.execute_instruction,
-        sample=lambda: observation.select(specification.observe()),
-    )
-
-
-def _simulate_implementation(
-    implementation,
-    architecture: Architecture,
-    plan,
-    siminfo: SimulationInfo,
-    observation: ObservationSpec,
-) -> Tuple[List[Dict[str, BitVec]], List[int], int]:
-    """Run the pipelined machine; return (samples, sample cycles, total cycles)."""
-    return _drive_implementation(
-        implementation.manager,
-        architecture,
-        plan,
-        siminfo,
-        step=lambda instruction, fetch_valid: implementation.step(
-            instruction, fetch_valid=fetch_valid
-        ),
-        sample=lambda: observation.select(implementation.observe()),
-    )
-
-
 def run_beta(
     architecture: Architecture,
     siminfo: SimulationInfo,
@@ -240,25 +204,23 @@ def run_beta(
 
     manager = manager if manager is not None else BDDManager()
     observation = observation if observation is not None else architecture.observation_spec()
-    models = None
-    if effective_beta_backend(relational) == BETA_RELATIONAL:
-        models = architecture.make_models(manager, impl_kwargs=impl_kwargs)
-        if all(supports_state_injection(model) for model in models):
-            return _run_beta_relational(
-                architecture,
-                siminfo,
-                manager,
-                impl_kwargs,
-                observation,
-                models,
-                snapshot_store=snapshot_store,
-                relation_templates=relation_templates,
-            )
-        # The design's models predate the state-injection protocol —
-        # fall through to the classical path on the same (still
-        # declaration-free) manager, reusing the constructed models.
-    return _run_beta_compose(
-        architecture, siminfo, manager, impl_kwargs, observation, models
+    if effective_beta_backend(relational) == BETA_COMPOSE:
+        return _run_beta_compose(architecture, siminfo, manager, impl_kwargs, observation)
+    models = architecture.make_models(manager, impl_kwargs=impl_kwargs)
+    if not all(supports_state_injection(model) for model in models):
+        raise TypeError(
+            f"{architecture.name}: the models lack the state-injection protocol; "
+            "run them with RelationalPolicy(beta_backend='compose')"
+        )
+    return _run_beta_relational(
+        architecture,
+        siminfo,
+        manager,
+        impl_kwargs,
+        observation,
+        models,
+        snapshot_store=snapshot_store,
+        relation_templates=relation_templates,
     )
 
 
@@ -300,13 +262,10 @@ def _run_beta_compose(
     manager: BDDManager,
     impl_kwargs: Optional[dict],
     observation: ObservationSpec,
-    models=None,
 ) -> VerificationReport:
     """The classical beta path: functional simulation by composition."""
-    specification, implementation = (
-        models
-        if models is not None
-        else architecture.make_models(manager, impl_kwargs=impl_kwargs)
+    specification, implementation = architecture.make_models(
+        manager, impl_kwargs=impl_kwargs
     )
     plan, initial_state = _declare_stimulus(manager, architecture, siminfo)
     specification.reset(**initial_state)
@@ -314,15 +273,26 @@ def _run_beta_compose(
 
     started = time.perf_counter()
     with telemetry.span("beta.spec", manager=manager, backend=BETA_COMPOSE):
-        spec_samples, spec_cycles, spec_total = _simulate_specification(
-            specification, plan, siminfo, observation
+        spec_samples, spec_cycles, spec_total = _drive_specification(
+            plan,
+            siminfo,
+            specification.cycles_per_instruction,
+            step=specification.execute_instruction,
+            sample=lambda: observation.select(specification.observe()),
         )
     spec_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
     with telemetry.span("beta.impl", manager=manager, backend=BETA_COMPOSE):
-        impl_samples, impl_cycles, impl_total = _simulate_implementation(
-            implementation, architecture, plan, siminfo, observation
+        impl_samples, impl_cycles, impl_total = _drive_implementation(
+            manager,
+            architecture,
+            plan,
+            siminfo,
+            step=lambda instruction, fetch_valid: implementation.step(
+                instruction, fetch_valid=fetch_valid
+            ),
+            sample=lambda: observation.select(implementation.observe()),
         )
     impl_seconds = time.perf_counter() - started
 
@@ -332,7 +302,7 @@ def _run_beta_compose(
             manager,
             architecture,
             observation,
-            plan,
+            plan.labelled_vectors(),
             spec_samples,
             impl_samples,
             spec_cycles,
@@ -469,7 +439,7 @@ def _run_beta_relational(
             manager,
             architecture,
             observation,
-            plan,
+            plan.labelled_vectors(),
             spec_samples,
             impl_samples,
             spec_cycles,
@@ -502,7 +472,7 @@ def _compare_samples(
     manager: BDDManager,
     architecture: Architecture,
     observation: ObservationSpec,
-    plan,
+    labelled_vectors: Sequence[Tuple[str, BitVec]],
     spec_samples: Sequence[Dict[str, BitVec]],
     impl_samples: Sequence[Dict[str, BitVec]],
     spec_cycles: Sequence[int],
@@ -511,23 +481,17 @@ def _compare_samples(
 ) -> List[Mismatch]:
     """Pairwise canonical comparison of the sampled observables.
 
-    Shared by both beta backends: the samples are canonical ROBDDs of
+    Shared by the beta and events checks: the samples are canonical ROBDDs of
     the same Boolean functions, so the mismatch *set* cannot depend on
-    the backend — only witness don't-cares can, since the minimal
-    witness follows the variable order.  Witnesses are walked in the
-    order ``witness_order()`` returns when given (called at the first
-    mismatch, so passing runs never build it), in ``manager``'s own
-    order otherwise.  All witnesses of one comparison share one
-    :func:`~repro.bdd.distinguisher`, so they walk shared logic once.
+    the backend or the variable order — only witness don't-cares can,
+    since the minimal witness follows the walk order.  Witnesses are
+    walked in the order ``witness_order()`` returns when given (called
+    at the first mismatch, so passing runs never build it), in
+    ``manager``'s own order otherwise, and decoded against the
+    ``(label, stimulus vector)`` pairs of ``labelled_vectors``.  All
+    witnesses of one comparison share one :func:`~repro.bdd.distinguisher`,
+    so they walk shared logic once.
     """
-    labelled_vectors = [
-        (f"instr{index}", vector) for index, vector in enumerate(plan.slot_instructions)
-    ]
-    for index, delay_list in sorted(plan.delay_instructions.items()):
-        labelled_vectors.extend(
-            (f"delay{index}.{slot}", vector) for slot, vector in enumerate(delay_list)
-        )
-
     mismatches: List[Mismatch] = []
     if len(spec_samples) != len(impl_samples):
         raise RuntimeError(
@@ -628,12 +592,20 @@ def run_events(
     implementation must squash the following fetch and redirect to the
     handler, and the filtering function treats the slot like a
     control-transfer slot (its delay slot is irrelevant).
+
+    The diagrams are built under the beta backend's selector-first
+    order (:func:`~repro.relational.beta.beta_stimulus_order`, each
+    slot's squashed fetches directly above it) and compared by
+    :func:`_compare_samples`, which walks the witnesses in stimulus build
+    order: every slot's free instruction bits, then the squashed words
+    by slot, then the register file.
     """
     from ..processors import symbolic_register_file
     from ..processors.interrupts import (
         SymbolicPipelinedVSMWithEvents,
         SymbolicUnpipelinedVSMWithEvents,
     )
+    from ..relational.beta import beta_stimulus_order
 
     manager = manager if manager is not None else BDDManager()
     observation = observation if observation is not None else vsm_observables()
@@ -650,6 +622,8 @@ def run_events(
 
     k = vsm_isa.PIPELINE_DEPTH
     delay_slots = vsm_isa.DELAY_SLOTS
+    architecture = VSMArchitecture()
+    width = architecture.instruction_width
 
     # Effective slot kinds for the filtering functions: an event slot
     # squashes the fetch behind it exactly like a control transfer.
@@ -658,38 +632,51 @@ def run_events(
         for index, kind in enumerate(siminfo.slots)
     )
 
-    # Stimulus: instruction variables above the register data variables.
-    instructions: List[BitVec] = []
-    free_bits = 0
-    for index, kind in enumerate(siminfo.slots):
-        bits = []
-        for bit in range(vsm_isa.INSTRUCTION_WIDTH):
-            if kind == CONTROL and bit in (10, 11, 12):
-                bits.append(manager.constant(bit == 12))
-            elif kind == NORMAL and bit == 12:
-                bits.append(manager.zero)
-            else:
-                bits.append(manager.var(f"instr{index}[{bit}]"))
-                free_bits += 1
-        instructions.append(BitVec.from_bits(manager, bits))
     # Squashed (smoothed) words behind every control-transfer or event slot.
     # Events are taken when the affected instruction reaches the execute
     # stage, so two younger fetch slots are squashed; ordinary branches
     # squash one (the architectural delay slot).
-    squashed = {}
+    squashed_labels = {
+        index: [f"squashed{index}.{j}" for j in range(2 if index in event_set else 1)]
+        for index, kind in enumerate(effective_kinds)
+        if kind == CONTROL
+    }
+    manager.declare_all(beta_stimulus_order(architecture, siminfo, squashed_labels))
+    instructions: List[BitVec] = []
     for index, kind in enumerate(siminfo.slots):
-        count = 2 if index in event_set else (1 if kind == CONTROL else 0)
-        if count:
-            squashed[index] = [
-                BitVec.inputs(manager, f"squashed{index}.{j}", vsm_isa.INSTRUCTION_WIDTH)
-                for j in range(count)
-            ]
-            free_bits += count * vsm_isa.INSTRUCTION_WIDTH
+        cube = architecture.instruction_class_cube(kind)
+        instructions.append(
+            BitVec.from_bits(
+                manager,
+                [
+                    manager.constant(cube[bit]) if bit in cube
+                    else manager.var(f"instr{index}[{bit}]")
+                    for bit in range(width)
+                ],
+            )
+        )
+    squashed = {
+        index: [BitVec.inputs(manager, label, width) for label in labels]
+        for index, labels in squashed_labels.items()
+    }
+    labelled_vectors = [
+        (f"instr{index}", vector) for index, vector in enumerate(instructions)
+    ]
+    for index, labels in squashed_labels.items():
+        labelled_vectors.extend(zip(labels, squashed[index]))
+    # The witness walk order: the stimulus literals, then the register
+    # file, in build order (slot-major, squashed words below every
+    # instruction bit), whatever order the manager declared them in.
+    literals = [
+        bit for _, vector in labelled_vectors for bit in vector.bits if not bit.is_terminal
+    ]
+    free_bits = len(literals)
 
+    registers = None
     if symbolic_initial_state:
         registers = symbolic_register_file(manager, vsm_isa.NUM_REGISTERS, vsm_isa.DATA_WIDTH)
-    else:
-        registers = None
+        literals.extend(bit for word in registers for bit in word.bits)
+
     specification = SymbolicUnpipelinedVSMWithEvents(manager)
     implementation = SymbolicPipelinedVSMWithEvents(manager, **impl_kwargs)
     specification.reset(initial_registers=registers)
@@ -747,41 +734,20 @@ def run_events(
     impl_filter = tuple(1 if c in wanted or c == siminfo.reset_cycles - 1 else 0
                         for c in range(impl_total))
 
-    labelled_vectors = [
-        (f"instr{index}", vector) for index, vector in enumerate(instructions)
-    ]
-    for index, squashed_list in sorted(squashed.items()):
-        labelled_vectors.extend(
-            (f"squashed{index}.{j}", vector) for j, vector in enumerate(squashed_list)
-        )
-    disassembler = VSMArchitecture()
-
-    # --- Comparison ---------------------------------------------------------
     started = time.perf_counter()
-    mismatches: List[Mismatch] = []
     spec_cycles = [siminfo.reset_cycles - 1 + k * i for i in range(siminfo.num_slots + 1)]
     with telemetry.span("events.compare", manager=manager):
-        for index, (spec_obs, impl_obs) in enumerate(zip(spec_samples, impl_samples)):
-            for name in observation:
-                if spec_obs[name].identical(impl_obs[name]):
-                    continue
-                witness = find_distinguishing_assignment(
-                    manager, spec_obs[name].bits, impl_obs[name].bits
-                )
-                decoded, words = decode_counterexample(
-                    disassembler, labelled_vectors, witness or {}
-                )
-                mismatches.append(
-                    Mismatch(
-                        sample_index=index,
-                        observable=name,
-                        specification_cycle=spec_cycles[index],
-                        implementation_cycle=ordered[index],
-                        counterexample=witness or {},
-                        decoded_instructions=decoded,
-                        instruction_words=words,
-                    )
-                )
+        mismatches = _compare_samples(
+            manager,
+            architecture,
+            observation,
+            labelled_vectors,
+            spec_samples,
+            impl_samples,
+            spec_cycles,
+            ordered,
+            witness_order=lambda: [manager.name_at_level(bit.level) for bit in literals],
+        )
     comparison_seconds = time.perf_counter() - started
 
     return VerificationReport(

@@ -371,9 +371,9 @@ class Scenario:
             return ("verifier", "model:vsm", "model:superscalar")
         if self.kind == EVENTS:
             # The event models subclass the symbolic VSM models, so both
-            # model components are inputs; the relational beta backend
-            # never runs for events scenarios.
-            return ("bdd", "verifier", "model:vsm", "model:interrupts")
+            # model components are inputs; the stimulus order comes from
+            # the relational subsystem's beta_stimulus_order.
+            return ("bdd", "verifier", "relational", "model:vsm", "model:interrupts")
         # BETA: the backend dispatch (and the default relational
         # formulation) lives in the relational subsystem either way.
         model = "model:vsm" if self.design == VSM else "model:alpha0"

@@ -138,31 +138,39 @@ def relation_declares(
     return names
 
 
-def beta_stimulus_order(architecture, siminfo) -> List[str]:
-    """Selector-above-data stimulus variable order for the beta backend.
+def beta_stimulus_order(
+    architecture, siminfo, extra_words: Optional[Mapping[int, Sequence[str]]] = None
+) -> List[str]:
+    """Selector-above-data stimulus variable order for the symbolic checks.
 
     Later slots' instruction bits act as selectors (register addresses,
     opcodes) over datapath formulae built from the *earlier* slots, so
     they are declared first — the reverse of the classical slot-major
-    order — with each control slot's fully symbolic delay words directly
-    above it.  On the k=4 late-branch window this order alone shrinks
-    the functional construction by an order of magnitude; the relational
-    backend both declares it and exploits it.  (Initial-state variables
-    stay below all instruction variables, exactly as on the classical
-    path.)  The relation variables sit *above* this whole block: the
-    executor acquires the relations first, so they keep the same levels
-    and handles on every manager of a design.  Relation and stimulus
-    functions share no variable, so that placement changes no
-    diagram's shape.
+    order — with the fully symbolic words fed behind each slot directly
+    above it.  ``extra_words`` maps a slot index to those words' labels:
+    each control slot's delay words ``delay{i}.{j}`` by default, the
+    squashed fetches behind control and event slots for
+    :func:`~repro.engine.executor.run_events`.  On the k=4 late-branch
+    window this order alone shrinks the functional construction by an
+    order of magnitude, and on 4-slot interrupt storms by 40x.
+    (Initial-state variables stay below all instruction variables,
+    exactly as on the classical path.)  The beta relation variables sit
+    *above* this whole block: the executor acquires the relations first,
+    so they keep the same levels and handles on every manager of a
+    design.  Relation and stimulus functions share no variable, so that
+    placement changes no diagram's shape.
     """
     width = architecture.instruction_width
+    if extra_words is None:
+        extra_words = {
+            index: [f"delay{index}.{slot}" for slot in range(architecture.delay_slots)]
+            for index, kind in enumerate(siminfo.slots)
+            if kind == CONTROL
+        }
     names: List[str] = []
     for index in reversed(range(siminfo.num_slots)):
-        if siminfo.slots[index] == CONTROL and architecture.delay_slots:
-            for slot in range(architecture.delay_slots):
-                names.extend(
-                    f"delay{index}.{slot}[{bit}]" for bit in range(width)
-                )
+        for label in extra_words.get(index, ()):
+            names.extend(f"{label}[{bit}]" for bit in range(width))
         names.extend(f"instr{index}[{bit}]" for bit in range(width))
     return names
 

@@ -378,10 +378,12 @@ class TestProtocolCompleteness:
 
 
 class TestBackendDispatch:
-    """run_beta routes, falls back and marks backends correctly."""
+    """run_beta routes, refuses protocol-less models and marks backends."""
 
-    def test_custom_architecture_falls_back_to_compose(self):
-        """Models without the protocol run classically, same as ever."""
+    def test_custom_architecture_without_the_protocol_raises(self):
+        """A relational run on models that lack the state-injection
+        protocol raises instead of falling through to the compose path;
+        the compose backend still runs them when asked for."""
 
         class Stripped(VSMArchitecture):
             def make_models(self, manager, impl_kwargs=None):
@@ -400,8 +402,11 @@ class TestBackendDispatch:
 
                 return Opaque(specification), Opaque(implementation)
 
+        siminfo = SimulationInfo(reset_cycles=1, slots=(NORMAL,))
+        with pytest.raises(TypeError, match="state-injection protocol"):
+            verify_beta_relation(Stripped(), siminfo)
         report = verify_beta_relation(
-            Stripped(), SimulationInfo(reset_cycles=1, slots=(NORMAL,))
+            Stripped(), siminfo, relational=RelationalPolicy(beta_backend=BETA_COMPOSE)
         )
         assert report.passed
         assert report.backend == "compose"
@@ -442,7 +447,7 @@ class TestBackendDispatch:
         siminfo = SimulationInfo(reset_cycles=1, slots=slots)
         manager = BDDManager()
         _run_beta_compose(
-            architecture, siminfo, manager, None, architecture.observation_spec(), None
+            architecture, siminfo, manager, None, architecture.observation_spec()
         )
         assert _compose_variable_order(architecture, siminfo) == tuple(manager._name_of)
 

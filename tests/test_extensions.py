@@ -2,6 +2,8 @@
 dynamic scheduling (5.6), superscalar issue (5.7) and the Burch-Dill style
 flushing comparison point."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -10,6 +12,9 @@ from repro.bdd import BDDManager
 from repro.core import SimulationInfo, VSMArchitecture, all_normal, vsm_default
 from repro.core.dynamic_beta import verify_superscalar_schedule, verify_with_events
 from repro.core.flushing import verify_by_flushing
+from repro.engine import Scenario, execute_scenario
+from repro.engine.executor import run_events
+from repro.engine.scenario import EVENTS, VSM
 from repro.isa import VSMInstruction, assemble_vsm
 from repro.isa import vsm as isa
 from repro.logic import BitVec
@@ -22,6 +27,7 @@ from repro.processors.interrupts import (
 from repro.processors.scoreboard import ScoreboardVSM
 from repro.processors.superscalar import SuperscalarVSM
 from repro.processors.vsm_unpipelined import UnpipelinedVSM
+from repro.relational.beta import beta_stimulus_order
 from repro.strings import CONTROL, NORMAL
 
 
@@ -66,6 +72,72 @@ class TestInterruptModels:
         report = verify_with_events(all_normal(4), event_slots=[0])
         assert report.slot_kinds[0] == CONTROL
         assert report.implementation_cycles == len(report.implementation_filter)
+
+
+def storm(slots, event_slots, symbolic_initial_state=False):
+    return Scenario(
+        name="storm",
+        kind=EVENTS,
+        design=VSM,
+        slots=slots,
+        event_slots=event_slots,
+        break_event_link=True,
+        symbolic_initial_state=symbolic_initial_state,
+    )
+
+
+N, C = NORMAL, CONTROL
+
+#: Failing interrupt storms and the SHA-256 of their canonical verdict
+#: JSON, recorded when ``run_events`` still declared its stimulus
+#: slot-major and walked witnesses in its manager's order.  The
+#: selector-first order must not move a witness byte.
+STORM_VERDICT_PINS = [
+    ((N, N, N, N), (3,), False, "492cabd825b65afcfc94d6e604957f8047fc237db781393a6fcf76075978d9f1"),
+    ((N, N, N, N), (1,), False, "37632fb13597f5134dadbb1c4efe5adf741fca68ad4cfe5d7068807fc558c2d3"),
+    ((N, N, N, C), (1,), False, "b8ca9cd1a42f87d407b517e9db5104dc18fe45eca3d88afed9c551f1fbc6d9c1"),
+    ((N, C, N, N), (3,), False, "ba2501833fe80b38ea400ca7d94f4d6ada34046fa4b0f1e3b4e479f47501878a"),
+    ((N, C, N), (2,), False, "dfbb8555e603c79331e5417abb26e6897f06f0a1400032d859b2f6b6a266e217"),
+    ((N, N, N), (1,), True, "9713ad81f309989018bda336ff2f491cdb99872d9a0e370338fccadf283dd1c2"),
+    ((C, N, N), (1,), True, "4e4578157d43f1e22dc6a731631b18a8de8d3fef5eca7dca780b0bc261e13f81"),
+]
+
+
+class TestEventsOnTheBetaPath:
+    """``run_events`` builds under the beta stimulus order and compares
+    through the beta path's shared distinguisher."""
+
+    @pytest.mark.parametrize("slots,event_slots,symbolic,digest", STORM_VERDICT_PINS)
+    def test_storm_witness_bytes_are_pinned(self, slots, event_slots, symbolic, digest):
+        outcome = execute_scenario(storm(slots, event_slots, symbolic))
+        assert not outcome.passed and outcome.mismatches
+        verdict = json.dumps(outcome.verdict(), sort_keys=True).encode()
+        assert hashlib.sha256(verdict).hexdigest() == digest
+
+    def test_four_slot_storm_stays_small(self):
+        """Slot-major, this storm built 1,471,088 nodes."""
+        outcome = execute_scenario(storm((N, N, N, N), (3,)))
+        assert not outcome.passed
+        assert outcome.bdd_nodes < 100_000
+
+    def test_stimulus_is_declared_selector_first(self):
+        siminfo = SimulationInfo(reset_cycles=1, slots=(N, C, N))
+        squashed = {1: ["squashed1.0"], 2: ["squashed2.0", "squashed2.1"]}
+        manager = BDDManager()
+        run_events(siminfo, event_slots=[2], manager=manager, symbolic_initial_state=True)
+        order = beta_stimulus_order(VSMArchitecture(), siminfo, squashed)
+        assert manager.variables[: len(order)] == tuple(order)
+        assert all(name.startswith("init.") for name in manager.variables[len(order):])
+
+    def test_witnesses_do_not_follow_the_manager_order(self):
+        """Witnesses walk the stimulus in build order, so a manager that
+        declared the same variables upside down yields the same bytes."""
+        scenario = storm((C, N, N), (1,))
+        fresh_manager = BDDManager()
+        fresh = execute_scenario(scenario, manager=fresh_manager)
+        manager = BDDManager()
+        manager.declare_all(reversed(fresh_manager.variables))
+        assert execute_scenario(scenario, manager=manager).verdict() == fresh.verdict()
 
 
 class TestSuperscalarVSM:

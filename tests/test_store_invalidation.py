@@ -136,6 +136,18 @@ class TestSurgicalInvalidation:
         assert warm.store["results"]["hits"] == 1
         assert warm.outcome(ALPHA0_NAME).store["status"] == "hit"
 
+    def test_relational_edit_invalidates_beta_and_events(self, tmp_path):
+        """``run_events`` declares its stimulus through the relational
+        subsystem's order function, so a relational edit takes the events
+        record down with the three beta runs."""
+        cold = run_with_store(tmp_path)
+        codehash.set_override("relational", "edited")
+        warm = run_with_store(tmp_path)
+        assert warm.verdict_json() == cold.verdict_json()
+        assert warm.store["results"]["invalidated"] == len(MIXED)
+        assert warm.store["results"]["hits"] == 0
+        assert warm.outcome(EVENTS_NAME).store["status"] == "invalidated"
+
     def test_unrelated_component_edit_keeps_every_record_warm(self, tmp_path):
         """The headline fix: the old monolithic salt would have lost
         everything here; the component vector loses nothing."""
