@@ -20,8 +20,8 @@ import time
 
 import pytest
 
-from repro.engine import CampaignRunner, RelationalPolicy, Scenario
-from repro.relational import BETA_COMPOSE
+from repro.engine import CampaignRunner, Scenario
+from repro.relational import BETA_COMPOSE, BETA_RELATIONAL
 from repro.strings import CONTROL, NORMAL
 
 from _bench_utils import record_paper_comparison
@@ -31,14 +31,11 @@ LATE_BRANCH_K4 = (NORMAL, NORMAL, NORMAL, CONTROL)
 #: Smoke-tier window: same shape, sub-second on both backends.
 LATE_BRANCH_K2 = (NORMAL, CONTROL)
 
-#: The compose (classical functional-simulation) opt-out.
-COMPOSE = RelationalPolicy(beta_backend=BETA_COMPOSE)
 
-
-def run_backend(slots, policy=None, bug=None):
+def run_backend(slots, beta_backend=BETA_RELATIONAL, bug=None):
     """One scenario through a fresh runner; returns (report, seconds)."""
     scenario = Scenario(
-        name="beta-backend", slots=slots, bug=bug, relational=policy
+        name="beta-backend", slots=slots, bug=bug, beta_backend=beta_backend
     )
     runner = CampaignRunner()
     started = time.perf_counter()
@@ -55,7 +52,7 @@ def test_k4_late_branch_relational_vs_compose(benchmark):
     relational_report, relational_seconds = benchmark.pedantic(
         relational_run, rounds=1, iterations=1
     )
-    compose_report, compose_seconds = run_backend(LATE_BRANCH_K4, COMPOSE)
+    compose_report, compose_seconds = run_backend(LATE_BRANCH_K4, BETA_COMPOSE)
 
     assert relational_report.passed and compose_report.passed
     assert relational_report.verdict_json() == compose_report.verdict_json()
@@ -87,7 +84,7 @@ def test_refuting_window_byte_identical(benchmark):
 
     def both():
         relational_report, _ = run_backend((CONTROL, NORMAL), bug="no_annul")
-        compose_report, _ = run_backend((CONTROL, NORMAL), COMPOSE, bug="no_annul")
+        compose_report, _ = run_backend((CONTROL, NORMAL), BETA_COMPOSE, bug="no_annul")
         return relational_report, compose_report
 
     relational_report, compose_report = benchmark.pedantic(both, rounds=1, iterations=1)
@@ -109,12 +106,12 @@ def test_refuting_window_byte_identical(benchmark):
 def test_smoke_backends_byte_identical_pass_and_fail():
     """Fast tier: k=2 late-branch verdicts byte-identical across backends."""
     relational_report, relational_seconds = run_backend(LATE_BRANCH_K2)
-    compose_report, compose_seconds = run_backend(LATE_BRANCH_K2, COMPOSE)
+    compose_report, compose_seconds = run_backend(LATE_BRANCH_K2, BETA_COMPOSE)
     assert relational_report.passed
     assert relational_report.verdict_json() == compose_report.verdict_json()
 
     failing_rel, _ = run_backend((NORMAL,), bug="and_becomes_or")
-    failing_comp, _ = run_backend((NORMAL,), COMPOSE, bug="and_becomes_or")
+    failing_comp, _ = run_backend((NORMAL,), BETA_COMPOSE, bug="and_becomes_or")
     assert not failing_rel.passed
     assert failing_rel.verdict_json() == failing_comp.verdict_json()
 
@@ -123,7 +120,7 @@ def test_smoke_backends_byte_identical_pass_and_fail():
 def test_smoke_relational_backend_is_not_slower():
     """Fast tier: the default backend must not regress the k=2 window."""
     relational_report, relational_seconds = run_backend(LATE_BRANCH_K2)
-    compose_report, compose_seconds = run_backend(LATE_BRANCH_K2, COMPOSE)
+    compose_report, compose_seconds = run_backend(LATE_BRANCH_K2, BETA_COMPOSE)
     assert relational_report.passed and compose_report.passed
     # Both are sub-second; guard only against gross regression (the k=4
     # 10x acceptance assertion lives in the full tier above).

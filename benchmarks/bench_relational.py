@@ -3,21 +3,16 @@
 The ROADMAP names variable-k late-branch placements (control transfer in
 the last slot of a k=4 window) as the wall-clock bottleneck and "better
 orders, early quantification" as the attack.  This benchmark measures
-the relational subsystem on exactly that workload, in two layers:
-
-* **Image computation** — the k=4 late-branch window formulated over the
-  pipelined VSM's cycle-level transition relation (99 state bits + the
-  instruction word), computed with the partitioned early-quantification
-  schedule versus the classical build-then-smooth loop (conjoin the
-  frontier with every per-bit relation, smooth once at the end).  The
-  results are canonically identical; wall-clock and peak live BDD nodes
-  are not remotely.  (The even older baseline — prebuild the one-BDD
-  monolithic relation — does not terminate on this machine at all, which
-  is why the frontier-constrained conjunction is the baseline measured.)
-
-* **Campaign verdicts** — the same late-branch scenario run through the
-  campaign engine with a relational policy attached (partitioning
-  knobs) must reproduce the plain run's verdict byte for byte.
+the relational subsystem's image computation on exactly that workload:
+the k=4 late-branch window formulated over the pipelined VSM's
+cycle-level transition relation (99 state bits + the instruction word),
+computed with the partitioned early-quantification schedule versus the
+classical build-then-smooth loop (conjoin the frontier with every
+per-bit relation, smooth once at the end).  The results are canonically
+identical; wall-clock and peak live BDD nodes are not remotely.  (The
+even older baseline — prebuild the one-BDD monolithic relation — does
+not terminate on this machine at all, which is why the
+frontier-constrained conjunction is the baseline measured.)
 """
 
 import time
@@ -26,7 +21,6 @@ import pytest
 
 from repro.bdd import BDDManager
 from repro.core.architectures import VSMArchitecture
-from repro.engine import CampaignRunner, RelationalPolicy, Scenario
 from repro.logic import random_netlist
 from repro.fsm import SymbolicFSM
 from repro.relational import (
@@ -41,8 +35,8 @@ from _bench_utils import record_paper_comparison
 
 #: The ROADMAP bottleneck: branch in the last slot of the k=4 window.
 LATE_BRANCH_K4 = (NORMAL, NORMAL, NORMAL, CONTROL)
-#: Clustering bounds used for the processor-scale relation.
-IMAGE_POLICY = RelationalPolicy(max_cluster_size=8, cluster_node_limit=2000)
+#: Cluster node bound used for the processor-scale relation.
+CLUSTER_NODE_LIMIT = 2000
 #: How many window cycles the build-then-smooth baseline is driven
 #: through head-to-head (each baseline cycle costs tens of seconds; the
 #: partitioned path does the whole window in about a second).
@@ -80,7 +74,7 @@ def test_late_branch_image_partitioned_vs_build_then_smooth(benchmark):
     """The acceptance comparison: early quantification on the k=4 window."""
     manager = BDDManager()
     relation, reset = pipelined_vsm_relation(manager)
-    computer = ImageComputer(relation, IMAGE_POLICY)
+    computer = ImageComputer(relation, cluster_node_limit=CLUSTER_NODE_LIMIT)
     cubes = window_cubes(manager, LATE_BRANCH_K4)
     reset_cube = manager.cube(reset)
 
@@ -113,39 +107,6 @@ def test_late_branch_image_partitioned_vs_build_then_smooth(benchmark):
     )
 
 
-def test_late_branch_campaign_verdict_identical_with_policy(benchmark):
-    """k=4 late-branch through the engine: relational policy, same bytes.
-
-    The partitioning half of the policy parameterises the relational
-    image layer, not the functional beta path, so the policy run does
-    the same verification work as the plain run — this test pins down
-    that carrying the policy (serialisation, pooling keys, memo keys)
-    is verdict-neutral at the acceptance workload, and doubles as the
-    k=4 late-branch wall-clock record.
-    """
-    plain = Scenario(name="variable-k/late-branch", slots=LATE_BRANCH_K4)
-    with_policy = Scenario(
-        name="variable-k/late-branch",
-        slots=LATE_BRANCH_K4,
-        relational=IMAGE_POLICY,
-    )
-
-    def run_both():
-        reference = CampaignRunner().run([plain])
-        candidate = CampaignRunner().run([with_policy])
-        return reference, candidate
-
-    reference, candidate = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    assert reference.passed and candidate.passed
-    assert reference.verdict_json() == candidate.verdict_json()
-    record_paper_comparison(
-        benchmark,
-        experiment="k=4 late-branch campaign, relational policy attached",
-        paper="verification verdicts must not depend on engine tuning",
-        measured="verdict JSON byte-identical with and without the policy",
-    )
-
-
 # ----------------------------------------------------------------------
 # Smoke tier
 # ----------------------------------------------------------------------
@@ -169,7 +130,7 @@ def test_smoke_pipelined_relation_partitioned_window():
     """Fast tier: the processor relation's k=2 late-branch window."""
     manager = BDDManager()
     relation, reset = pipelined_vsm_relation(manager)
-    computer = ImageComputer(relation, IMAGE_POLICY)
+    computer = ImageComputer(relation, cluster_node_limit=CLUSTER_NODE_LIMIT)
     cubes = window_cubes(manager, (NORMAL, CONTROL))
     frontiers, seconds, peak = drive(computer, manager.cube(reset), cubes, "partitioned")
     assert all(manager.is_satisfiable(f) for f in frontiers)

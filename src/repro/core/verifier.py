@@ -43,6 +43,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..bdd import BDDManager
 from ..logic import BitVec
+from ..relational.beta import BETA_RELATIONAL
 from ..strings import CONTROL
 from .architectures import Architecture
 from .observation import ObservationSpec
@@ -108,7 +109,7 @@ def verify_beta_relation(
     manager: Optional[BDDManager] = None,
     impl_kwargs: Optional[dict] = None,
     observation: Optional[ObservationSpec] = None,
-    relational=None,
+    beta_backend: str = BETA_RELATIONAL,
 ) -> VerificationReport:
     """Verify the pipelined implementation against the unpipelined specification.
 
@@ -119,9 +120,8 @@ def verify_beta_relation(
     measure identical work.  By default the check runs on the relational
     backend (:mod:`repro.relational.beta`: per-bit beta-correspondence
     relations, cofactor-specialised products, selector-above-data
-    stimulus order); ``relational`` — a
-    :class:`~repro.relational.RelationalPolicy` — selects the classical
-    compose path (``beta_backend="compose"``).  Verdicts are
+    stimulus order); ``beta_backend="compose"`` selects the classical
+    compose path, kept as the differential reference.  Verdicts are
     byte-identical across backends: passing reports carry no witnesses,
     and a refuting relational run walks its witnesses in the compose
     path's variable order on its own manager.
@@ -134,5 +134,5 @@ def verify_beta_relation(
         manager=manager,
         impl_kwargs=impl_kwargs,
         observation=observation,
-        relational=relational,
+        beta_backend=beta_backend,
     )

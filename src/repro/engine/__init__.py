@@ -29,7 +29,6 @@ failures into the engine's seams for testing — re-exported here for
 convenience.
 """
 
-from ..relational.policy import RelationalPolicy
 from ..resilience import CampaignJournal, FaultPlan, FaultSpec, SupervisionPolicy
 from . import codehash
 from .executor import execute_scenario, run_beta, run_events, run_superscalar
@@ -72,7 +71,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "ManagerPool",
-    "RelationalPolicy",
     "ResultStore",
     "SupervisionPolicy",
     "SUPERSCALAR",

@@ -39,12 +39,7 @@ from ..core.architectures import Architecture, VSMArchitecture
 from ..core.observation import ObservationSpec, vsm_observables
 from ..core.report import Mismatch, VerificationReport
 from ..core.siminfo import SimulationInfo
-from ..relational.policy import (
-    BETA_COMPOSE,
-    BETA_RELATIONAL,
-    RelationalPolicy,
-    effective_beta_backend,
-)
+from ..relational.beta import BETA_BACKENDS, BETA_COMPOSE, BETA_RELATIONAL
 from .. import telemetry
 from . import codehash
 from .report import ScenarioOutcome
@@ -180,7 +175,7 @@ def run_beta(
     manager: Optional[BDDManager] = None,
     impl_kwargs: Optional[dict] = None,
     observation: Optional[ObservationSpec] = None,
-    relational: Optional[RelationalPolicy] = None,
+    beta_backend: str = BETA_RELATIONAL,
     snapshot_store=None,
     relation_templates=None,
 ) -> VerificationReport:
@@ -189,11 +184,10 @@ def run_beta(
     This is the Figure-8 algorithm generalised to variable ``k`` (delay
     slots) per Section 5.3 — the code path behind
     :func:`repro.core.verifier.verify_beta_relation` and every BETA
-    campaign scenario.  ``relational`` carries the
-    :class:`~repro.relational.RelationalPolicy` knobs: which beta
-    backend runs the check (the relational formulation by default, the
-    classical compose path as the differential opt-out — verdicts are
-    byte-identical either way, see :mod:`repro.relational.beta`).
+    campaign scenario.  ``beta_backend`` selects which backend runs the
+    check: the relational formulation by default, or ``"compose"``, the
+    classical path kept as the differential reference.  Verdicts are
+    byte-identical either way (see :mod:`repro.relational.beta`).
     ``snapshot_store`` lets the relational backend rehydrate its beta
     relations from persistent arena snapshots instead of re-extracting,
     and ``relation_templates`` lets a fresh manager clone relations an
@@ -202,15 +196,17 @@ def run_beta(
     """
     from ..relational.beta import supports_state_injection
 
+    if beta_backend not in BETA_BACKENDS:
+        raise ValueError(f"unknown beta backend {beta_backend!r}; valid: {BETA_BACKENDS}")
     manager = manager if manager is not None else BDDManager()
     observation = observation if observation is not None else architecture.observation_spec()
-    if effective_beta_backend(relational) == BETA_COMPOSE:
+    if beta_backend == BETA_COMPOSE:
         return _run_beta_compose(architecture, siminfo, manager, impl_kwargs, observation)
     models = architecture.make_models(manager, impl_kwargs=impl_kwargs)
     if not all(supports_state_injection(model) for model in models):
         raise TypeError(
             f"{architecture.name}: the models lack the state-injection protocol; "
-            "run them with RelationalPolicy(beta_backend='compose')"
+            'run them with beta_backend="compose"'
         )
     return _run_beta_relational(
         architecture,
@@ -1001,7 +997,7 @@ def _dispatch_scenario(
             manager=manager,
             impl_kwargs=scenario.impl_kwargs(),
             observation=scenario.observation(),
-            relational=scenario.relational,
+            beta_backend=scenario.beta_backend,
             snapshot_store=snapshot_store,
             relation_templates=relation_templates,
         )

@@ -29,7 +29,7 @@ from ..core.observation import ObservationSpec
 from ..core.siminfo import SimulationInfo
 from ..isa import vsm as vsm_isa
 from ..processors import SymbolicAlpha0Options
-from ..relational.policy import RelationalPolicy
+from ..relational.beta import BETA_BACKENDS, BETA_RELATIONAL
 from ..strings import CONTROL, NORMAL
 
 #: Scenario kinds (which driver executes the scenario).
@@ -126,9 +126,10 @@ class Scenario:
     #: SUPERSCALAR only: encoded instruction words of the concrete program.
     program: Tuple[int, ...] = ()
     issue_width: int = 2
-    #: Relational-subsystem policy (partitioning bounds, beta backend);
-    #: ``None`` selects the defaults.
-    relational: Optional[RelationalPolicy] = None
+    #: BETA only: which backend runs the check, the relational
+    #: formulation (default) or the classical compose path (the
+    #: differential reference); see :data:`BETA_BACKENDS`.
+    beta_backend: str = BETA_RELATIONAL
     #: Implementation-model mutation knobs as sorted ``(knob, value)``
     #: pairs (see :data:`MUTATION_KNOBS`).  Part of the scenario's
     #: content — mutations enter :meth:`cache_key` and
@@ -167,18 +168,14 @@ class Scenario:
             raise ValueError("break_event_link is only meaningful for events scenarios")
         if self.reset_cycles < 1:
             raise ValueError("at least one reset cycle is required")
-        if isinstance(self.relational, dict):
-            object.__setattr__(
-                self, "relational", RelationalPolicy.from_dict(self.relational)
-            )
-        if self.relational is not None and not isinstance(
-            self.relational, RelationalPolicy
-        ):
-            raise TypeError("relational must be a RelationalPolicy, dict or None")
-        if self.relational is not None and self.kind == SUPERSCALAR:
+        if self.beta_backend not in BETA_BACKENDS:
             raise ValueError(
-                "superscalar scenarios run concretely (no BDD manager); "
-                "a relational policy would be silently ignored"
+                f"unknown beta backend {self.beta_backend!r}; valid: {BETA_BACKENDS}"
+            )
+        if self.beta_backend != BETA_RELATIONAL and self.kind != BETA:
+            raise ValueError(
+                f"{self.kind} scenarios have one driver; "
+                f"beta_backend={self.beta_backend!r} would be silently ignored"
             )
         if self.bug is not None and self.kind == SUPERSCALAR:
             raise ValueError(
@@ -319,9 +316,7 @@ class Scenario:
             # in different orders (the relational backend pre-declares a
             # selector-above-data stimulus order plus per-machine
             # relation variables), so they must never share a manager.
-            from ..relational.policy import effective_beta_backend
-
-            base = base + ("beta", effective_beta_backend(self.relational))
+            base = base + ("beta", self.beta_backend)
         if self.design == ALPHA0:
             # The instruction-class opcodes only change which stimulus bits
             # are *constants*; the free-variable set and order depend on the
@@ -423,9 +418,11 @@ class Scenario:
             "observe": list(self.observe) if self.observe is not None else None,
             "program": list(self.program),
             "issue_width": self.issue_width,
-            "relational": self.relational.to_dict()
-            if self.relational is not None
-            else None,
+            # The default backend serialises as null: the golden and
+            # corpus records are keyed by fingerprints of such payloads.
+            "relational": None
+            if self.beta_backend == BETA_RELATIONAL
+            else {"beta_backend": self.beta_backend},
             "tags": list(self.tags),
         }
         if self.mutations:
@@ -516,12 +513,10 @@ class Scenario:
         else:
             alpha0 = Alpha0Spec()
         observe = payload.get("observe")
-        relational_payload = payload.get("relational")
-        relational = (
-            RelationalPolicy.from_dict(relational_payload)
-            if relational_payload is not None
-            else None
-        )
+        # Older payloads carry retired keys beside ``beta_backend``
+        # (partitioning bounds, reordering, kernel and product knobs);
+        # no driver reads them, so they are dropped.
+        relational = payload.get("relational") or {}
         return cls(
             name=payload["name"],
             kind=payload.get("kind", BETA),
@@ -536,7 +531,7 @@ class Scenario:
             observe=tuple(observe) if observe is not None else None,
             program=tuple(payload.get("program", ())),
             issue_width=payload.get("issue_width", 2),
-            relational=relational,
+            beta_backend=relational.get("beta_backend", BETA_RELATIONAL),
             mutations=tuple(
                 (knob, value) for knob, value in payload.get("mutations", ())
             ),

@@ -35,15 +35,14 @@ def check_equivalence(
     right: SymbolicFSM,
     max_iterations: Optional[int] = None,
     relation=None,
-    policy=None,
 ) -> EquivalenceResult:
     """Check strict input/output equivalence of two machines.
 
     The traversal runs over the partitioned transition relation with
     early quantification by default (see
     :func:`~repro.fsm.reachability.reachable_states`); pass an explicit
-    monolithic ``relation`` to measure the classical baseline, or a
-    ``policy`` to tune the clustering.
+    ``relation`` over the product machine to measure the classical
+    monolithic baseline or to tune the clustering.
 
     Returns an :class:`EquivalenceResult`; when the machines differ, the
     counterexample gives a reachable product state and an input
@@ -51,9 +50,7 @@ def check_equivalence(
     construction, though the witness input string is not reconstructed).
     """
     product = build_product(left, right)
-    reach = reachable_states(
-        product, relation, max_iterations=max_iterations, policy=policy
-    )
+    reach = reachable_states(product, relation, max_iterations=max_iterations)
     manager = product.manager
     equal = product.outputs[EQUAL_OUTPUT]
     # Outputs must agree for every reachable state and every input:

@@ -44,7 +44,6 @@ def reachable_states(
     relation=None,
     input_constraint: Optional[BDDNode] = None,
     max_iterations: Optional[int] = None,
-    policy=None,
 ) -> ReachabilityResult:
     """Fixpoint of breadth-first image computation from the reset state.
 
@@ -55,8 +54,9 @@ def reachable_states(
     :class:`~repro.relational.ImageComputer`.  When omitted, the
     traversal runs over the **partitioned** relation with early
     quantification — the relational subsystem is the default image
-    engine; ``policy`` (a :class:`~repro.relational.RelationalPolicy`)
-    tunes its clustering.
+    engine, with its default clustering bounds; pass an
+    :class:`~repro.relational.ImageComputer` built with other bounds
+    to tune them.
 
     ``input_constraint`` limits the inputs considered at every step;
     ``max_iterations`` aborts long traversals (used by benchmarks to
@@ -68,7 +68,7 @@ def reachable_states(
         from ..relational import ImageComputer
         from ..relational import TransitionRelation as PartitionedRelation
 
-        relation = ImageComputer(PartitionedRelation.from_fsm(machine), policy=policy)
+        relation = ImageComputer(PartitionedRelation.from_fsm(machine))
     current = machine.reset_cube()
     counts = [manager.sat_count(current, machine.state_names)]
     sizes = [manager.count_nodes(current)]

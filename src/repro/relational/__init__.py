@@ -17,14 +17,18 @@ conjunction.  It is layered:
   symbolic processor models;
 * :mod:`repro.relational.beta` — the relational beta backend:
   :class:`MachineStepper` extracts each machine's per-bit relation once
-  (no policy involved) and advances it by cofactoring and composing in
-  one shared-memo walk per machine per cycle;
-* :mod:`repro.relational.policy` — :class:`RelationalPolicy`, the pure-
-  data knob bundle that campaign :class:`~repro.engine.scenario.Scenario`
-  objects carry.
+  and advances it by cofactoring and composing in one shared-memo walk
+  per machine per cycle.  It also names the two beta backends
+  (:data:`BETA_BACKENDS`): the relational formulation, which is the
+  default, and the classical compose path, kept as the differential
+  reference.  A campaign :class:`~repro.engine.scenario.Scenario`
+  carries its choice as ``beta_backend``.
 """
 
 from .beta import (
+    BETA_BACKENDS,
+    BETA_COMPOSE,
+    BETA_RELATIONAL,
     MachineStepper,
     beta_stimulus_order,
     cached_extract_steppers,
@@ -35,16 +39,6 @@ from .beta import (
 from .image import ImageComputer, ImageStats
 from .models import pipelined_vsm_relation, unpipelined_vsm_relation
 from .partition import Cluster, ConjunctivePartition
-from .policy import (
-    BETA_BACKENDS,
-    BETA_COMPOSE,
-    BETA_RELATIONAL,
-    COMPOSE_BETA_POLICY,
-    MONOLITHIC_POLICY,
-    PARTITIONED_POLICY,
-    RelationalPolicy,
-    effective_beta_backend,
-)
 from .relation import NEXT_SUFFIX, TransitionRelation
 from .schedule import QuantificationSchedule, ScheduleStep
 
@@ -52,21 +46,16 @@ __all__ = [
     "BETA_BACKENDS",
     "BETA_COMPOSE",
     "BETA_RELATIONAL",
-    "COMPOSE_BETA_POLICY",
     "Cluster",
     "ConjunctivePartition",
     "ImageComputer",
     "ImageStats",
-    "MONOLITHIC_POLICY",
     "MachineStepper",
     "NEXT_SUFFIX",
-    "PARTITIONED_POLICY",
     "QuantificationSchedule",
-    "RelationalPolicy",
     "ScheduleStep",
     "TransitionRelation",
     "beta_stimulus_order",
-    "effective_beta_backend",
     "cached_extract_steppers",
     "extract_steppers",
     "extraction_cache_statistics",

@@ -38,7 +38,7 @@ child, so dead cones are never visited, and one memo is shared by all
 next-state bits, so a cone common to many bits is substituted once.
 Latch fields gated by a constant-0 validity guard (:meth:`state_guards`)
 are not computed at all: canonicity guarantees the observables cannot
-depend on them.  Neither extraction nor the advance takes a policy: a
+depend on them.  Neither extraction nor the advance takes an option: a
 relation is a pure function of the model it was extracted from.
 
 The relation variables follow the same selector-above-data rule, in one
@@ -82,6 +82,14 @@ from ..bdd.kernel import SnapshotError, pack_snapshot
 from ..logic import BitVec
 from ..strings import CONTROL
 from .. import telemetry
+
+#: Beta-relation verification backends.  ``relational`` drives both
+#: machines through per-bit transition relations extracted via the
+#: state-injection protocol; ``compose`` is the classical
+#: functional-simulation path, kept as the differential reference.
+BETA_RELATIONAL = "relational"
+BETA_COMPOSE = "compose"
+BETA_BACKENDS = (BETA_RELATIONAL, BETA_COMPOSE)
 
 #: Relation-variable prefixes (one family per machine role).
 SPEC_PREFIX = "beta.s."
@@ -710,10 +718,8 @@ def cached_extract_steppers(
     the default 267-state-bit Alpha0 condensation).  Keys must identify
     the model construction exactly: the executor derives them from the
     architecture (name + condensation options) and, for the
-    implementation, the injected-bug kwargs.  No policy is part of the
-    key: extraction takes none, so a relation is the same under every
-    policy.  Acquired relations are re-bound to the fresh model
-    instances.  Each role (specification first, then implementation)
+    implementation, the injected-bug kwargs.  Acquired relations are
+    re-bound to the fresh model instances.  Each role (specification first, then implementation)
     is served by the first tier that has it:
 
     1. **Session cache** (``manager.session_cache``): a repeated

@@ -2,9 +2,11 @@
 
 :class:`ImageComputer` is the execution layer of the relational
 subsystem: it takes a :class:`~repro.relational.relation.TransitionRelation`,
-clusters it per the :class:`~repro.relational.policy.RelationalPolicy`,
-builds one :class:`~repro.relational.schedule.QuantificationSchedule`
-per direction (image / preimage) and then answers image queries by
+clusters it under the greedy bounds of
+:meth:`~repro.relational.partition.ConjunctivePartition.build` (the
+constructor's ``max_cluster_size`` and ``cluster_node_limit``), builds
+one :class:`~repro.relational.schedule.QuantificationSchedule` per
+direction (image / preimage) and then answers image queries by
 interleaving ``and_exists`` along the schedule — every intermediate
 product stays near the frontier's size instead of passing through the
 monolithic conjunction.
@@ -24,7 +26,6 @@ from typing import Dict, List, Optional
 from ..bdd import BDDNode
 from .. import telemetry
 from .partition import ConjunctivePartition
-from .policy import RelationalPolicy
 from .relation import TransitionRelation
 from .schedule import QuantificationSchedule
 
@@ -48,13 +49,16 @@ class ImageComputer:
     def __init__(
         self,
         relation: TransitionRelation,
-        policy: Optional[RelationalPolicy] = None,
+        max_cluster_size: int = 8,
+        cluster_node_limit: Optional[int] = 5000,
     ) -> None:
         self.relation = relation
         self.manager = relation.manager
-        self.policy = policy if policy is not None else RelationalPolicy()
-        self.partition = ConjunctivePartition.from_policy(
-            self.manager, relation.parts, self.policy
+        self.partition = ConjunctivePartition.build(
+            self.manager,
+            relation.parts,
+            max_cluster_size=max_cluster_size,
+            cluster_node_limit=cluster_node_limit,
         )
         self._schedules: Dict[str, QuantificationSchedule] = {}
         self.last_stats = ImageStats()
@@ -85,7 +89,7 @@ class ImageComputer:
     def _product(self, frontier: BDDNode, direction: str) -> BDDNode:
         manager = self.manager
         schedule = self._schedule(direction)
-        stats = ImageStats(strategy="partitioned" if self.policy.partition else "monolithic")
+        stats = ImageStats()
         with telemetry.span(
             "image.step", manager=manager, direction=direction
         ) as image_span:
@@ -182,6 +186,5 @@ class ImageComputer:
             "clusters": len(self.partition),
             "largest_cluster_nodes": self.partition.largest_cluster_nodes(),
             "total_cluster_nodes": self.partition.total_nodes(),
-            "policy": self.policy.to_dict(),
         }
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..bdd import BDDManager, BDDNode
-from .policy import RelationalPolicy
 
 
 @dataclass
@@ -100,35 +99,6 @@ class ConjunctivePartition:
                     Cluster(function=part, members=(index,), support=support)
                 )
         return cls(manager=manager, clusters=clusters)
-
-    @classmethod
-    def from_policy(
-        cls, manager: BDDManager, parts: Sequence[BDDNode], policy: RelationalPolicy
-    ) -> "ConjunctivePartition":
-        """Build a partition as the policy prescribes.
-
-        With ``policy.partition`` false every part lands in one single
-        cluster — the monolithic conjunction, kept for baseline runs.
-        """
-        if not policy.partition:
-            function = manager.conjoin(parts)
-            support = frozenset(manager.support(function))
-            return cls(
-                manager=manager,
-                clusters=[
-                    Cluster(
-                        function=function,
-                        members=tuple(range(len(parts))),
-                        support=support,
-                    )
-                ],
-            )
-        return cls.build(
-            manager,
-            parts,
-            max_cluster_size=policy.max_cluster_size,
-            cluster_node_limit=policy.cluster_node_limit,
-        )
 
     # ------------------------------------------------------------------
     def supports(self) -> Tuple[frozenset, ...]:

@@ -291,7 +291,7 @@ class TestGoldenByteIdentityUnderGC:
             manager=manager,
             impl_kwargs=scenario.impl_kwargs(),
             observation=scenario.observation(),
-            relational=scenario.relational,
+            beta_backend=scenario.beta_backend,
         )
         assert not report.passed
         assert len(report.mismatches) == entry["mismatch_count"]

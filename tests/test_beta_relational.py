@@ -33,7 +33,6 @@ from repro.processors.sym_alpha0 import decode_fields, encode_fields
 from repro.relational import (
     BETA_COMPOSE,
     MachineStepper,
-    RelationalPolicy,
     beta_stimulus_order,
     extract_steppers,
     supports_state_injection,
@@ -405,9 +404,7 @@ class TestBackendDispatch:
         siminfo = SimulationInfo(reset_cycles=1, slots=(NORMAL,))
         with pytest.raises(TypeError, match="state-injection protocol"):
             verify_beta_relation(Stripped(), siminfo)
-        report = verify_beta_relation(
-            Stripped(), siminfo, relational=RelationalPolicy(beta_backend=BETA_COMPOSE)
-        )
+        report = verify_beta_relation(Stripped(), siminfo, beta_backend=BETA_COMPOSE)
         assert report.passed
         assert report.backend == "compose"
 
@@ -416,7 +413,7 @@ class TestBackendDispatch:
         relational = verify_beta_relation(VSMArchitecture(), siminfo)
         assert relational.backend == "relational"
         compose = verify_beta_relation(
-            VSMArchitecture(), siminfo, relational=RelationalPolicy(beta_backend=BETA_COMPOSE)
+            VSMArchitecture(), siminfo, beta_backend=BETA_COMPOSE
         )
         assert compose.backend == "compose"
         failing = verify_beta_relation(

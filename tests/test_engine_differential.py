@@ -26,7 +26,7 @@ import random
 import pytest
 
 from repro.engine import Alpha0Spec, Scenario, execute_scenario
-from repro.relational import BETA_COMPOSE, RelationalPolicy
+from repro.relational import BETA_COMPOSE
 from repro.isa import alpha0 as alpha0_isa
 from repro.isa import vsm as vsm_isa
 from repro.processors import (
@@ -208,11 +208,7 @@ def run_both_backends(**scenario_kwargs):
         Scenario(name="backend-diff", **scenario_kwargs)
     )
     compose = execute_scenario(
-        Scenario(
-            name="backend-diff",
-            relational=RelationalPolicy(beta_backend=BETA_COMPOSE),
-            **scenario_kwargs,
-        )
+        Scenario(name="backend-diff", beta_backend=BETA_COMPOSE, **scenario_kwargs)
     )
     return relational, compose
 
@@ -263,21 +259,24 @@ class TestBetaBackendDifferential:
 
     def test_legacy_reorder_keys_change_no_refutation(self):
         """A payload that still carries the retired reordering keys loads
-        as the plain policy: same fingerprint, and a refuting window
+        as the plain scenario: same fingerprint, and a refuting window
         reports the relational backend's verdict, byte-equal to compose."""
         kwargs = {"name": "backend-diff", "slots": (NORMAL, NORMAL), "bug": "no_bypass"}
-        payload = Scenario(relational=RelationalPolicy(), **kwargs).to_dict()
+        payload = Scenario(**kwargs).to_dict()
         legacy = dict(payload)
-        legacy["relational"] = dict(
-            payload["relational"], reorder="sift", reorder_threshold=0
-        )
+        legacy["relational"] = {
+            "partition": True,
+            "max_cluster_size": 8,
+            "cluster_node_limit": 5000,
+            "beta_backend": "relational",
+            "reorder": "sift",
+            "reorder_threshold": 0,
+        }
         scenario = Scenario.from_dict(legacy)
         assert scenario.fingerprint("") == Scenario.from_dict(payload).fingerprint("")
         relational = execute_scenario(scenario)
         plain = execute_scenario(Scenario(**kwargs))
-        compose = execute_scenario(
-            Scenario(relational=RelationalPolicy(beta_backend=BETA_COMPOSE), **kwargs)
-        )
+        compose = execute_scenario(Scenario(beta_backend=BETA_COMPOSE, **kwargs))
         assert not relational.passed
         assert relational.backend == "relational"
         assert verdict_bytes(relational) == verdict_bytes(plain)

@@ -61,14 +61,10 @@ class TestExtractionCache:
         assert second.memoized
 
     def test_classical_backend_reports_no_extraction(self):
-        from repro.relational import BETA_COMPOSE, RelationalPolicy
+        from repro.relational import BETA_COMPOSE
 
         outcome = execute_scenario(
-            Scenario(
-                name="vsm/compose",
-                slots=(NORMAL,),
-                relational=RelationalPolicy(beta_backend=BETA_COMPOSE),
-            )
+            Scenario(name="vsm/compose", slots=(NORMAL,), beta_backend=BETA_COMPOSE)
         )
         assert outcome.passed
         assert outcome.extraction_cache == {}

@@ -16,7 +16,6 @@ from repro.relational import (
     ConjunctivePartition,
     ImageComputer,
     QuantificationSchedule,
-    RelationalPolicy,
     TransitionRelation,
 )
 
@@ -60,9 +59,7 @@ def some_frontiers(manager, machine, seed):
 def test_partitioned_image_identical_to_naive_smoothing(seed):
     manager, machine = machine_for_seed(seed)
     relation = TransitionRelation.from_fsm(machine)
-    computer = ImageComputer(
-        relation, RelationalPolicy(max_cluster_size=3, cluster_node_limit=200)
-    )
+    computer = ImageComputer(relation, max_cluster_size=3, cluster_node_limit=200)
     for frontier in some_frontiers(manager, machine, seed):
         expected = naive_image(manager, relation, frontier)
         assert computer.image(frontier) is expected

@@ -49,14 +49,10 @@ class TestFingerprint:
         assert a.fingerprint("s1") != a.fingerprint("s2")
 
     def test_backend_choice_separates_fingerprints(self):
-        from repro.relational import BETA_COMPOSE, RelationalPolicy
+        from repro.relational import BETA_COMPOSE
 
         fast = Scenario(name="a", slots=(NORMAL,))
-        compose = Scenario(
-            name="a",
-            slots=(NORMAL,),
-            relational=RelationalPolicy(beta_backend=BETA_COMPOSE),
-        )
+        compose = Scenario(name="a", slots=(NORMAL,), beta_backend=BETA_COMPOSE)
         assert fast.fingerprint("s") != compose.fingerprint("s")
 
 
