@@ -64,6 +64,7 @@ import sys
 from array import array
 from typing import Dict, Iterable, List, Optional
 
+from ..telemetry.registry import with_rates
 from .node import TERMINAL_LEVEL
 
 #: Opcodes of the shared op cache (low 3 bits of every key; 4 is free).
@@ -1282,19 +1283,19 @@ class BDDKernel:
         and-exists entries — since those walkers share one memo table
         in the array kernel; composition memoises per call instead.
         """
-        lookups = self._cache_hits + self._cache_misses
-        return {
-            "limit": self._cache_limit,
-            "ite_entries": len(self._ite_cache),
-            "quantify_entries": len(self._op_cache),
-            "total_entries": self.cache_size(),
-            "hits": self._cache_hits,
-            "misses": self._cache_misses,
-            "lookups": lookups,
-            "hit_rate": (self._cache_hits / lookups) if lookups else 0.0,
-            "evicted_entries": self._cache_evicted_entries,
-            "clears": self._cache_clears,
-        }
+        return with_rates(
+            {
+                "limit": self._cache_limit,
+                "ite_entries": len(self._ite_cache),
+                "quantify_entries": len(self._op_cache),
+                "total_entries": self.cache_size(),
+                "hits": self._cache_hits,
+                "misses": self._cache_misses,
+                "lookups": self._cache_hits + self._cache_misses,
+                "evicted_entries": self._cache_evicted_entries,
+                "clears": self._cache_clears,
+            }
+        )
 
     def arena_statistics(self) -> Dict[str, int]:
         """Arena accounting: live vs. allocated vs. free-listed handles.

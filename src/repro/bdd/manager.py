@@ -887,17 +887,3 @@ class BDDManager(BDDKernel):
         for lvl, value in items:
             h = self._mk_int(lvl, 0, h) if value else self._mk_int(lvl, h, 0)
         return self._wrap(h)
-
-    # ------------------------------------------------------------------
-    # Statistics
-    # ------------------------------------------------------------------
-    def statistics(self) -> Dict[str, int]:
-        """Basic manager statistics for reporting."""
-        return {
-            "variables": self.num_vars(),
-            "unique_table_nodes": self._live,
-            "ite_cache_entries": len(self._ite_cache),
-            "quantify_cache_entries": len(self._op_cache),
-            "cache_hits": self._cache_hits,
-            "cache_misses": self._cache_misses,
-        }

@@ -933,21 +933,6 @@ def _serialize_mismatch(mismatch: Mismatch) -> Dict[str, object]:
     }
 
 
-def _cache_delta(before: Dict[str, object], after: Dict[str, object]) -> Dict[str, object]:
-    hits = after["hits"] - before["hits"]
-    misses = after["misses"] - before["misses"]
-    lookups = hits + misses
-    return {
-        "hits": hits,
-        "misses": misses,
-        "hit_rate": (hits / lookups) if lookups else 0.0,
-        "evicted_entries": after["evicted_entries"] - before["evicted_entries"],
-        "clears": after["clears"] - before["clears"],
-        # Absolute size after the run (a pooled manager carries entries over).
-        "entries_after": after["total_entries"],
-    }
-
-
 def execute_scenario(
     scenario: Scenario,
     manager: Optional[BDDManager] = None,
@@ -978,8 +963,8 @@ def execute_scenario(
         )
     outcome.seconds = time.perf_counter() - started
 
-    if manager is not None and cache_before is not None:
-        outcome.cache = _cache_delta(cache_before, manager.cache_statistics())
+    if cache_before is not None:
+        outcome.cache = telemetry.delta(cache_before, manager.cache_statistics())
     return outcome
 
 

@@ -47,6 +47,29 @@ from .. import telemetry
 from ..bdd import BDDManager
 from ..relational.beta import RelationTemplates
 
+#: The keys the pool reports of each manager's arena and cache statistics.
+_REPORTED = {
+    "arena": (
+        "live",
+        "capacity",
+        "free",
+        "peak_live",
+        "allocated_total",
+        "gc_runs",
+        "gc_reclaimed",
+    ),
+    "cache": ("hits", "misses", "evicted_entries", "clears", "total_entries"),
+}
+
+
+def _manager_record(manager: BDDManager) -> Dict[str, Dict[str, int]]:
+    """The reported part of ``manager``'s arena and cache statistics."""
+    stats = {"arena": manager.arena_statistics(), "cache": manager.cache_statistics()}
+    return {
+        family: {key: stats[family][key] for key in keys}
+        for family, keys in _REPORTED.items()
+    }
+
 
 class ManagerPool:
     """Managers keyed by variable-order signature, created on demand."""
@@ -68,13 +91,13 @@ class ManagerPool:
         self._acquisitions = 0
         self._reuses = 0
         self._created = 0
-        #: Cache activity of managers retired from the pool, folded into
+        #: Counters of the managers retired from the pool, summed into
         #: :meth:`statistics` so campaign deltas never go negative when
-        #: managers are released mid-campaign.
-        self._retired_cache = {"hits": 0, "misses": 0, "evicted_entries": 0, "clears": 0}
-        #: Arena counters of retired managers (same folding rule: the
-        #: monotonic counters survive retirement; sizes do not).
-        self._retired_arena = {"allocated_total": 0, "gc_runs": 0, "gc_reclaimed": 0}
+        #: managers are released mid-campaign.  Sizes do not survive
+        #: retirement, so the level keys stay 0.
+        self._retired = {
+            family: dict.fromkeys(keys, 0) for family, keys in _REPORTED.items()
+        }
         #: The pool's live-node high-water mark as of the last release.
         self._peak_live = 0
 
@@ -101,15 +124,17 @@ class ManagerPool:
             manager.arena_statistics()["peak_live"] for manager in self._managers.values()
         )
 
+    def _fold(self, record: Dict[str, Dict[str, int]]) -> None:
+        """Add ``record``'s counters to the retired managers'."""
+        for family, stats in record.items():
+            for key, value in stats.items():
+                if key not in telemetry.LEVEL_KEYS:
+                    self._retired[family][key] += value
+
     def _retire(self, manager: BDDManager) -> None:
         """Fold a departing manager's counters in, then free its storage."""
         with telemetry.span("pool.release"):
-            stats = manager.cache_statistics()
-            for key in self._retired_cache:
-                self._retired_cache[key] += stats[key]
-            arena = manager.arena_statistics()
-            for key in self._retired_arena:
-                self._retired_arena[key] += arena[key]
+            self._fold(_manager_record(manager))
             manager.release()
 
     def release(self, signature: Tuple) -> None:
@@ -141,10 +166,7 @@ class ManagerPool:
         self._acquisitions += other._acquisitions
         self._reuses += other._reuses
         self._created += other._created
-        for key in self._retired_cache:
-            self._retired_cache[key] += other._retired_cache[key]
-        for key in self._retired_arena:
-            self._retired_arena[key] += other._retired_arena[key]
+        self._fold(other._retired)
         self._peak_live = max(self._peak_live, other._peak_live)
 
     def clear_caches(self) -> None:
@@ -186,49 +208,19 @@ class ManagerPool:
         pool's simultaneous footprint.  ``templates`` counts the
         relation templates held, captured and cloned.
         """
-        arena = {
-            "live": 0,
-            "capacity": 0,
-            "free": 0,
-            "peak_live": max(self._peak_live, self._pooled_peak()),
-        }
-        for key, value in self._retired_arena.items():
-            arena[key] = value
-        total_nodes = 0
-        for manager in self._managers.values():
-            stats = manager.arena_statistics()
-            # ``live`` counts the terminals; the pool's node total keeps
-            # the historical unique-table meaning (non-terminals only).
-            total_nodes += stats["live"] - 2
-            arena["live"] += stats["live"]
-            arena["capacity"] += stats["capacity"]
-            arena["free"] += stats["free"]
-            arena["allocated_total"] += stats["allocated_total"]
-            arena["gc_runs"] += stats["gc_runs"]
-            arena["gc_reclaimed"] += stats["gc_reclaimed"]
-        cache = {
-            "hits": self._retired_cache["hits"],
-            "misses": self._retired_cache["misses"],
-            "evicted_entries": self._retired_cache["evicted_entries"],
-            "clears": self._retired_cache["clears"],
-            "total_entries": 0,
-        }
-        for manager in self._managers.values():
-            stats = manager.cache_statistics()
-            cache["hits"] += stats["hits"]
-            cache["misses"] += stats["misses"]
-            cache["evicted_entries"] += stats["evicted_entries"]
-            cache["clears"] += stats["clears"]
-            cache["total_entries"] += stats["total_entries"]
-        lookups = cache["hits"] + cache["misses"]
-        cache["hit_rate"] = (cache["hits"] / lookups) if lookups else 0.0
+        summed = telemetry.total(
+            [self._retired] + [_manager_record(m) for m in self._managers.values()]
+        )
+        arena = summed["arena"]
+        arena["peak_live"] = max(self._peak_live, arena["peak_live"])
         return {
             "managers": len(self._managers),
             "created": self._created,
             "acquisitions": self._acquisitions,
             "reuses": self._reuses,
-            "total_nodes": total_nodes,
-            "arena": arena,
-            "cache": cache,
+            # ``live`` counts each manager's two terminals; the node
+            # total keeps the unique-table meaning (non-terminals only).
+            "total_nodes": arena["live"] - 2 * len(self._managers),
+            **summed,
             "templates": self.relation_templates.statistics(),
         }

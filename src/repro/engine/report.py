@@ -47,7 +47,9 @@ class ScenarioOutcome:
     timings: Dict[str, float] = field(default_factory=dict)
     bdd_nodes: int = 0
     bdd_variables: int = 0
-    #: Operation-cache activity attributable to this run (delta).
+    #: Operation-cache activity attributable to this run: the
+    #: :func:`~repro.telemetry.registry.delta` of the manager's
+    #: ``cache_statistics()`` (counters subtracted, sizes as after).
     cache: Dict[str, object] = field(default_factory=dict)
     #: Relational-extraction cache activity (measurement, not verdict):
     #: hit/miss of the session-cached beta relations plus session

@@ -74,6 +74,20 @@ from ..telemetry import report as trace_report
 
 ScenarioLike = Union[Scenario, str]
 
+#: ``report.resilience`` key -> the registry counter that counts it.
+_SUPERVISION_COUNTERS = (
+    ("retries", "scenario.retries"),
+    ("write_retries", "store.write_retries"),
+    ("write_failures", "store.write_failures"),
+)
+#: ``report.resilience["workers"]`` key -> registry counter.
+_WORKER_COUNTERS = (
+    ("respawned", "workers.respawned"),
+    ("redispatched_units", "workers.redispatched_units"),
+    ("hung_terminated", "workers.hung_terminated"),
+)
+
+
 def _failed_outcome(
     scenario: Scenario, error: BaseException, trace: Optional[str] = None
 ) -> ScenarioOutcome:
@@ -86,27 +100,6 @@ def _failed_outcome(
         error=f"{type(error).__name__}: {error}",
         traceback=trace,
     )
-
-
-#: Store lookup counter -> per-scenario ``store["status"]`` value.  Every
-#: refusal class is surfaced so a campaign report shows *why* a scenario
-#: recomputed (a stale salt, an invalidated component, a damaged file).
-_LOOKUP_STATUSES = (
-    ("misses", "miss"),
-    ("stale", "stale"),
-    ("invalidated", "invalidated"),
-    ("corrupt", "corrupt"),
-)
-
-
-def _lookup_status(
-    before: Dict[str, object], after: Dict[str, object]
-) -> str:
-    """Classify one failed store lookup by which counter it bumped."""
-    for counter, status in _LOOKUP_STATUSES:
-        if after.get(counter, 0) > before.get(counter, 0):
-            return status
-    return "miss"
 
 
 # ----------------------------------------------------------------------
@@ -147,30 +140,12 @@ def _outcome_from_record(
         return None
 
 
-def _fresh_sup_stats() -> Dict[str, int]:
-    """Per-campaign supervision activity counters (one dict per holder)."""
-    return {"retries": 0, "write_retries": 0, "write_failures": 0}
-
-
-def _merge_sup_stats(
-    into: Dict[str, int], other: Optional[Dict[str, object]]
-) -> None:
-    """Fold one worker's supervision counters into a campaign total."""
-    if not other:
-        return
-    for name in into:
-        value = other.get(name, 0)
-        if isinstance(value, int):
-            into[name] += value
-
-
 def _execute_pooled(
     scenario: Scenario,
     pool: ManagerPool,
     memo: Optional[Dict[Tuple, ScenarioOutcome]],
     store: Optional[ResultStore] = None,
     supervision: Optional[SupervisionPolicy] = None,
-    sup_stats: Optional[Dict[str, int]] = None,
 ) -> Tuple[ScenarioOutcome, bool]:
     """Run one scenario against a pool + memo + store; returns (outcome, memo_hit).
 
@@ -180,8 +155,10 @@ def _execute_pooled(
     failed store publish is retried up to ``max_write_attempts`` times
     before degrading to an unpublished outcome (``store["status"] ==
     "write_failed"``) — the verdict never depends on a write landing.
-    ``sup_stats`` (when given) accumulates retry activity for the
-    campaign report.
+    Each retry and each abandoned write is counted once, in the
+    metrics registry (``scenario.retries``, ``store.write_retries``,
+    ``store.write_failures``), from which the campaign report reads
+    them.
     """
     key = (scenario.order_signature(), scenario.cache_key()) if memo is not None else None
     if key is not None and key in memo:
@@ -207,8 +184,7 @@ def _execute_pooled(
     if store is not None:
         started = time.perf_counter()
         fingerprint = scenario.fingerprint(store.salt)
-        counters_before = store.statistics()["results"]
-        record = store.load_result(fingerprint, dependencies)
+        record, lookup_status = store.load_result(fingerprint, dependencies)
         if record is not None:
             outcome = _outcome_from_record(scenario, record)
             if outcome is not None:
@@ -220,7 +196,8 @@ def _execute_pooled(
                     # Seed the memo so in-process repeats skip the disk.
                     memo[key] = copy.deepcopy(outcome)
                 return outcome, False
-        lookup_status = _lookup_status(counters_before, store.statistics()["results"])
+            # A misshapen verdict record recomputes like a miss.
+            lookup_status = "miss"
     attempts = supervision.max_attempts if supervision is not None else 1
     outcome: Optional[ScenarioOutcome] = None
     for attempt in range(1, attempts + 1):
@@ -250,8 +227,6 @@ def _execute_pooled(
                 and attempt < attempts
                 and supervision.retryable(error)
             ):
-                if sup_stats is not None:
-                    sup_stats["retries"] += 1
                 telemetry.get_registry().counter("scenario.retries").inc()
                 delay = supervision.backoff_seconds(scenario.name, attempt)
                 with telemetry.span(
@@ -284,8 +259,7 @@ def _execute_pooled(
             except OSError as error:
                 write_error = f"{type(error).__name__}: {error}"
                 if write_attempt < write_attempts:
-                    if sup_stats is not None:
-                        sup_stats["write_retries"] += 1
+                    telemetry.get_registry().counter("store.write_retries").inc()
                     delay = (
                         supervision.backoff_seconds(
                             f"{scenario.name}/write", write_attempt
@@ -297,7 +271,7 @@ def _execute_pooled(
                         time.sleep(delay)
         if written is not None:
             outcome.store = {
-                "status": lookup_status or "miss",
+                "status": lookup_status,
                 "bytes_written": written,
                 "seconds": round(time.perf_counter() - started, 4),
             }
@@ -305,8 +279,6 @@ def _execute_pooled(
             # Publishing is an optimisation, never part of the verdict:
             # a store that cannot be written degrades this scenario to
             # unpublished and the campaign carries on.
-            if sup_stats is not None:
-                sup_stats["write_failures"] += 1
             telemetry.get_registry().counter("store.write_failures").inc()
             outcome.store = {
                 "status": "write_failed",
@@ -317,117 +289,6 @@ def _execute_pooled(
         # Store an isolated copy: the returned object stays caller-owned.
         memo[key] = copy.deepcopy(outcome)
     return outcome, False
-
-
-def _pool_campaign_delta(
-    before: Dict[str, object], after: Dict[str, object]
-) -> Dict[str, object]:
-    """Pool statistics attributable to one campaign run.
-
-    Counters (managers created, acquisitions, reuses, cache activity)
-    are reported as the delta over the campaign; sizes (live nodes,
-    cache entries) and the ``peak_live`` high-water mark are the
-    absolute state after it.
-    """
-    cache_before, cache_after = before["cache"], after["cache"]
-    hits = cache_after["hits"] - cache_before["hits"]
-    misses = cache_after["misses"] - cache_before["misses"]
-    lookups = hits + misses
-    arena_before = before.get("arena", {})
-    arena_after = after.get("arena", {})
-    templates_before = before.get("templates", {})
-    templates_after = after.get("templates", {})
-    arena = {
-        # Sizes are the absolute post-campaign state; counters are the
-        # campaign's delta (monotonic thanks to the pool's fold-in of
-        # retired managers).
-        "live": arena_after.get("live", 0),
-        "capacity": arena_after.get("capacity", 0),
-        "free": arena_after.get("free", 0),
-        "peak_live": arena_after.get("peak_live", 0),
-        "allocated_total": arena_after.get("allocated_total", 0)
-        - arena_before.get("allocated_total", 0),
-        "gc_runs": arena_after.get("gc_runs", 0) - arena_before.get("gc_runs", 0),
-        "gc_reclaimed": arena_after.get("gc_reclaimed", 0)
-        - arena_before.get("gc_reclaimed", 0),
-    }
-    return {
-        "managers": after["created"] - before["created"],
-        "acquisitions": after["acquisitions"] - before["acquisitions"],
-        "reuses": after["reuses"] - before["reuses"],
-        "total_nodes": after["total_nodes"],
-        "arena": arena,
-        "templates": {
-            "held": templates_after.get("held", 0),
-            "captures": templates_after.get("captures", 0)
-            - templates_before.get("captures", 0),
-            "clones": templates_after.get("clones", 0)
-            - templates_before.get("clones", 0),
-        },
-        "cache": {
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": (hits / lookups) if lookups else 0.0,
-            "evicted_entries": cache_after["evicted_entries"]
-            - cache_before["evicted_entries"],
-            "clears": cache_after["clears"] - cache_before["clears"],
-            "total_entries": cache_after["total_entries"],
-        },
-    }
-
-
-def _store_campaign_delta(
-    before: Dict[str, object], after: Dict[str, object]
-) -> Dict[str, object]:
-    """Store statistics attributable to one campaign run (pure deltas)."""
-    delta: Dict[str, object] = {"results": {}, "snapshots": {}}
-    for family in ("results", "snapshots"):
-        for name, value in after[family].items():
-            if name in _DERIVED_RATE_KEYS:
-                continue
-            delta[family][name] = value - before[family].get(name, 0)
-        _derive_store_rates(delta[family])
-    delta["tmp_swept"] = after.get("tmp_swept", 0) - before.get("tmp_swept", 0)
-    return delta
-
-
-#: Keys in a store-family dict that are derived ratios, not summable
-#: counters — delta/merge arithmetic must skip and then re-derive them.
-_DERIVED_RATE_KEYS = ("hit_rate", "survival_rate")
-
-
-def _derive_store_rates(results: Dict[str, object]) -> None:
-    """Attach hit/survival rates to a campaign's result-family counters.
-
-    ``survival_rate`` is the invalidation headline: of the records that
-    were *ours* and subject to the component check (served + component-
-    refused), the fraction that survived the current code delta.  A
-    fully warm re-run after an unrelated edit keeps it at 1.0; the old
-    monolithic salt bump would have driven it to 0.0 for every record.
-    """
-    lookups = sum(
-        results.get(k, 0) for k in ("hits", "misses", "stale", "invalidated", "corrupt")
-    )
-    results["hit_rate"] = (results.get("hits", 0) / lookups) if lookups else 0.0
-    checked = results.get("hits", 0) + results.get("invalidated", 0)
-    results["survival_rate"] = (results.get("hits", 0) / checked) if checked else 1.0
-
-
-def _merge_store_stats(stats_list: Sequence[Optional[Dict[str, object]]]) -> Dict[str, object]:
-    """Sum per-worker store statistics into one campaign record."""
-    merged: Dict[str, object] = {"results": {}, "snapshots": {}, "tmp_swept": 0}
-    for stats in stats_list:
-        if not stats:
-            continue
-        for family in ("results", "snapshots"):
-            for name, value in stats.get(family, {}).items():
-                if name in _DERIVED_RATE_KEYS or not isinstance(value, (int, float)):
-                    continue
-                merged[family][name] = merged[family].get(name, 0) + value
-        merged["tmp_swept"] += stats.get("tmp_swept", 0)
-    _derive_store_rates(merged["results"])
-    _derive_store_rates(merged["snapshots"])
-    return merged
 
 
 # ----------------------------------------------------------------------
@@ -549,16 +410,15 @@ def _affinity_worker(
     verdicts to serial mode.  The pool's managers are released when a
     unit ends, so every unit starts on an empty pool (its relation
     templates stay); the final ``("close", id, record)`` message
-    carries the worker's pool/store/supervision statistics for the
-    campaign report — and, when the parent traced the campaign, this
-    worker's in-memory trace events and registry snapshot, which the
-    parent merges keyed by the ``w<id>`` worker tag.
+    carries the worker's pool and store statistics and its registry
+    counters for the campaign report — and, when the parent traced the
+    campaign, this worker's in-memory trace events and registry
+    snapshot, which the parent merges keyed by the ``w<id>`` worker tag.
     """
     telemetry.configure(telemetry_state, worker=f"w{worker_id}")
-    if telemetry.enabled():
-        # A forked worker inherits the parent registry's counts; start
-        # from zero so the shipped snapshot is this worker's own work.
-        telemetry.get_registry().clear()
+    # A forked worker inherits the parent registry's counts; start from
+    # zero so the shipped counters are this worker's own work.
+    telemetry.get_registry().clear()
     faults.configure_from_state(fault_state)
     policy = (
         SupervisionPolicy.from_dict(supervision_state) if supervision_state else None
@@ -568,7 +428,6 @@ def _affinity_worker(
     pool.attach_store(store)
     memo: Optional[Dict[Tuple, ScenarioOutcome]] = {} if memoize else None
     units_run = 0
-    sup_stats = _fresh_sup_stats()
     try:
         results.send(("ready", worker_id))
         while True:
@@ -589,12 +448,7 @@ def _affinity_worker(
             with telemetry.span("worker.drain", unit_size=len(payload)):
                 for index, scenario in payload:
                     outcome, _ = _execute_pooled(
-                        scenario,
-                        pool,
-                        memo,
-                        store=store,
-                        supervision=policy,
-                        sup_stats=sup_stats,
+                        scenario, pool, memo, store=store, supervision=policy
                     )
                     results.send(("outcome", worker_id, index, outcome))
             pool.release_all()
@@ -605,7 +459,7 @@ def _affinity_worker(
             "units": units_run,
             "pool": pool.statistics(),
             "store": store.statistics() if store is not None else None,
-            "supervision": sup_stats,
+            "counters": telemetry.get_registry().snapshot()["counters"],
         }
         tracer = telemetry.get_tracer()
         if tracer is not None:
@@ -731,6 +585,8 @@ class CampaignRunner:
         tracer = telemetry.get_tracer()
         trace_start = tracer.event_count() if tracer is not None else 0
         started = time.perf_counter()
+        registry = telemetry.get_registry()
+        counters_before = registry.snapshot()["counters"]
         store_before = self.store.statistics() if self.store is not None else None
         if self.store is not None:
             # One opportunistic orphan sweep per campaign: a store that
@@ -751,10 +607,7 @@ class CampaignRunner:
                 fsync=self.store.fsync,
             )
             journal_replayed = len(journal_obj.completed)
-        store_stats: Dict[str, object] = {}
-        worker_telemetry: Dict[str, object] = {}
-        sup_stats = _fresh_sup_stats()
-        parallel_resilience: Dict[str, object] = {}
+        worker_records: List[Dict[str, object]] = []
         try:
             with telemetry.span(
                 "campaign.run",
@@ -762,13 +615,7 @@ class CampaignRunner:
                 parallel=parallel,
             ):
                 if parallel:
-                    (
-                        outcomes,
-                        pool_stats,
-                        store_stats,
-                        worker_telemetry,
-                        parallel_resilience,
-                    ) = self._run_parallel_affinity(
+                    outcomes, pool_stats, worker_records = self._run_parallel_affinity(
                         resolved,
                         max_workers,
                         mp_context,
@@ -777,7 +624,6 @@ class CampaignRunner:
                         fingerprints,
                         _jobs if self.store is not None else (),
                     )
-                    _merge_sup_stats(sup_stats, parallel_resilience)
                     if self.memoize:
                         # Leave the memo as a serial run would, so later
                         # run_one calls (the minimizer's) see the same
@@ -803,7 +649,6 @@ class CampaignRunner:
                             self._memo if self.memoize else None,
                             store=self.store,
                             supervision=supervision,
-                            sup_stats=sup_stats,
                         )
                         outcomes.append(outcome)
                         signature = scenario.order_signature()
@@ -815,15 +660,23 @@ class CampaignRunner:
                             # instant has journalled exactly the work
                             # that completed before the kill.
                             journal_obj.mark(index, fingerprints[index])
-                    pool_stats = _pool_campaign_delta(before, self.pool.statistics())
-                    if store_before is not None:
-                        store_stats = _store_campaign_delta(
-                            store_before, self.store.statistics()
-                        )
+                    pool_stats = telemetry.delta(before, self.pool.statistics())
+                    # The report counts the managers the campaign created.
+                    pool_stats["managers"] = pool_stats.pop("created")
                     mode = "serial"
         finally:
             if journal_obj is not None:
                 journal_obj.close()
+        store_stats: Dict[str, object] = {}
+        if store_before is not None:
+            store_stats = telemetry.total(
+                [telemetry.delta(store_before, self.store.statistics())]
+                + [record.get("store") for record in worker_records]
+            )
+        counters = telemetry.total(
+            [telemetry.delta(counters_before, registry.snapshot()["counters"])]
+            + [record.get("counters") for record in worker_records]
+        )
         report = CampaignReport(
             outcomes=outcomes,
             mode=mode,
@@ -833,11 +686,11 @@ class CampaignRunner:
             store=store_stats,
         )
         report.resilience = self._resilience_section(
-            supervision, sup_stats, parallel_resilience, journal_obj, journal_replayed
+            supervision, counters, journal_obj, journal_replayed
         )
         if tracer is not None:
             report.telemetry = self._telemetry_section(
-                tracer, trace_start, pool_stats, store_stats, worker_telemetry
+                tracer, trace_start, worker_records
             )
             tracer.flush()
         return report
@@ -845,8 +698,7 @@ class CampaignRunner:
     @staticmethod
     def _resilience_section(
         supervision: Optional[SupervisionPolicy],
-        sup_stats: Dict[str, int],
-        parallel_resilience: Dict[str, object],
+        counters: Dict[str, object],
         journal_obj: Optional[CampaignJournal],
         journal_replayed: int,
     ) -> Dict[str, object]:
@@ -855,15 +707,17 @@ class CampaignRunner:
         Present exactly when the campaign was supervised, journalled,
         fault-injected, or saw any retry/respawn activity — the plain
         fault-free unsupervised run keeps an empty section and an
-        unchanged report.
+        unchanged report.  ``counters`` are the registry counters the
+        campaign moved, in this process and in its workers.
         """
         section: Dict[str, object] = {}
         if supervision is not None:
             section["policy"] = supervision.to_dict()
-        if any(sup_stats.values()):
-            section.update(sup_stats)
-        workers = parallel_resilience.get("workers")
-        if workers and any(workers.values()):
+        supervised = {key: counters.get(name, 0) for key, name in _SUPERVISION_COUNTERS}
+        if any(supervised.values()):
+            section.update(supervised)
+        workers = {key: counters.get(name, 0) for key, name in _WORKER_COUNTERS}
+        if any(workers.values()):
             section["workers"] = workers
         if journal_obj is not None:
             stats = journal_obj.statistics()
@@ -874,31 +728,29 @@ class CampaignRunner:
             section["faults"] = fault_stats
         return section
 
+    @staticmethod
     def _telemetry_section(
-        self,
-        tracer,
-        trace_start: int,
-        pool_stats: Dict[str, object],
-        store_stats: Dict[str, object],
-        worker_telemetry: Dict[str, object],
+        tracer, trace_start: int, worker_records: Sequence[Dict[str, object]]
     ) -> Dict[str, object]:
         """The report's ``telemetry`` section for one traced campaign.
 
-        Folds the campaign's pool/store statistics into the metrics
-        registry as dotted-path gauges — the unification that gives all
-        the per-layer statistics islands one queryable schema — then
-        summarises the campaign's slice of the trace (the events
-        recorded since ``trace_start``, worker events already merged).
+        Summarises the campaign's slice of the trace (the events
+        recorded since ``trace_start``, worker events already merged)
+        and carries this process's registry snapshot, plus each traced
+        worker's under ``workers.registries``.  The pool and store
+        counts are in ``report.pool`` and ``report.store``.
         """
-        registry = telemetry.get_registry()
-        registry.absorb("pool", pool_stats)
-        registry.absorb("store", store_stats)
         section: Dict[str, object] = {
             "trace": trace_report.summarize(tracer.events_from(trace_start)),
-            "registry": registry.snapshot(),
+            "registry": telemetry.get_registry().snapshot(),
         }
-        if worker_telemetry:
-            section["workers"] = worker_telemetry
+        registries = {
+            f"w{record.get('worker')}": record["telemetry"]["registry"]
+            for record in worker_records
+            if record.get("telemetry")
+        }
+        if registries:
+            section["workers"] = {"registries": registries}
         return section
 
     # ------------------------------------------------------------------
@@ -925,13 +777,7 @@ class CampaignRunner:
         journal: Optional[CampaignJournal] = None,
         fingerprints: Optional[List[str]] = None,
         jobs: Sequence[Job] = (),
-    ) -> Tuple[
-        List[ScenarioOutcome],
-        Dict[str, object],
-        Dict[str, object],
-        Dict[str, object],
-        Dict[str, object],
-    ]:
+    ) -> Tuple[List[ScenarioOutcome], Dict[str, object], List[Dict[str, object]]]:
         """The supervised affinity scheduler (parent-side dispatch).
 
         The parent owns all dispatch bookkeeping: each worker gets a
@@ -955,6 +801,11 @@ class CampaignRunner:
         judges a worker in a job like one in a unit.  Once every verdict
         is in, a worker finishes the job in hand and stops; undispatched
         jobs are dropped, and so is the job of a worker that dies.
+
+        Returns the outcomes, the report's pool section and the
+        workers' closing records (their store statistics and registry
+        counters); the traced workers' events are merged into this
+        process's tracer.
         """
         context = multiprocessing.get_context(mp_context)
         workers = self._worker_count(scenarios, max_workers)
@@ -1026,8 +877,6 @@ class CampaignRunner:
         worker_records: List[Dict[str, object]] = []
         idle: List[int] = []
         respawned = 0
-        redispatched_units = 0
-        hung_terminated = 0
 
         def dispatch(wid: int) -> bool:
             """Hand worker ``wid`` the next unit, else a job (False: neither)."""
@@ -1057,7 +906,7 @@ class CampaignRunner:
 
         def handle_gone(wid: int, cause: str) -> None:
             """A worker died or was terminated: re-dispatch, then respawn."""
-            nonlocal respawned, redispatched_units, next_unit_id
+            nonlocal respawned, next_unit_id
             state = worker_states[wid]
             state["state"] = "dead"
             if wid in idle:
@@ -1076,7 +925,7 @@ class CampaignRunner:
                         "redispatches": entry["redispatches"] + 1,
                     }
                     pending.insert(0, new_uid)
-                    redispatched_units += 1
+                    telemetry.get_registry().counter("workers.redispatched_units").inc()
                 elif remaining:
                     for index in remaining:
                         collected[index] = _failed_outcome(
@@ -1182,7 +1031,6 @@ class CampaignRunner:
                         and (state["unit"] is not None or state["job"])
                         and now - state["last_seen"] > policy.soft_timeout
                     ):
-                        hung_terminated += 1
                         telemetry.get_registry().counter("workers.hung_terminated").inc()
                         terminate(wid, "hung (terminated by watchdog)")
                 if len(collected) < total and not any(
@@ -1216,15 +1064,6 @@ class CampaignRunner:
                 reader.close()
 
         outcomes = [collected[index] for index in range(total)]
-        sup_stats = _fresh_sup_stats()
-        for record in worker_records:
-            _merge_sup_stats(sup_stats, record.get("supervision"))
-        parallel_resilience: Dict[str, object] = dict(sup_stats)
-        parallel_resilience["workers"] = {
-            "respawned": respawned,
-            "redispatched_units": redispatched_units,
-            "hung_terminated": hung_terminated,
-        }
         pool_stats = {
             "managers": None,
             "workers": workers,
@@ -1241,27 +1080,13 @@ class CampaignRunner:
                 )
             ],
         }
-        store_stats = (
-            _merge_store_stats([record.get("store") for record in worker_records])
-            if self.store is not None
-            else {}
-        )
         # Merge the workers' in-memory traces into the parent tracer —
-        # (worker, id) stays globally unique thanks to the w<id> tags —
-        # and keep each worker's registry snapshot for the report.
-        worker_telemetry: Dict[str, object] = {}
+        # (worker, id) stays globally unique thanks to the w<id> tags.
         tracer = telemetry.get_tracer()
         if tracer is not None:
-            registries: Dict[str, object] = {}
             for record in worker_records:
-                shipped = record.get("telemetry")
-                if not shipped:
-                    continue
-                tracer.absorb(shipped.get("events", []))
-                registries[f"w{record.get('worker')}"] = shipped.get("registry")
-            if registries:
-                worker_telemetry["registries"] = registries
-        return outcomes, pool_stats, store_stats, worker_telemetry, parallel_resilience
+                tracer.absorb((record.get("telemetry") or {}).get("events", []))
+        return outcomes, pool_stats, worker_records
 
 
 def run_campaign(

@@ -177,6 +177,18 @@ class Scenario:
                 f"{self.kind} scenarios have one driver; "
                 f"beta_backend={self.beta_backend!r} would be silently ignored"
             )
+        if self.issue_width != 2 and self.kind != SUPERSCALAR:
+            raise ValueError(
+                f"issue_width={self.issue_width} would be silently ignored: "
+                "only superscalar scenarios read it"
+            )
+        if self.kind == SUPERSCALAR and (
+            self.reset_cycles != 1 or self.symbolic_initial_state
+        ):
+            raise ValueError(
+                "superscalar scenarios run a concrete program from reset; "
+                "reset_cycles and symbolic_initial_state would be silently ignored"
+            )
         if self.bug is not None and self.kind == SUPERSCALAR:
             raise ValueError(
                 "superscalar scenarios take no bug code; perturb the issue "

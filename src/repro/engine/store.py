@@ -424,15 +424,16 @@ class ResultStore:
         self,
         fingerprint: str,
         dependencies: Optional[Iterable[str]] = None,
-    ) -> Optional[Dict[str, object]]:
-        """The stored result payload for ``fingerprint``, or ``None``.
+    ) -> Tuple[Optional[Dict[str, object]], str]:
+        """The stored result payload for ``fingerprint`` and the lookup status.
 
         ``dependencies`` names the code components the caller's verdict
         depends on; the record is refused (as *invalidated*) unless its
         recorded dependency vector matches those components' current
-        hashes.  Counts the access as hit / miss / stale / invalidated /
-        corrupt; any failure mode returns ``None`` so callers simply
-        recompute.
+        hashes.  The status is ``"hit"``, ``"miss"``, ``"stale"``,
+        ``"invalidated"`` or ``"corrupt"``, each counted in
+        :meth:`statistics`; on anything but a hit the payload is
+        ``None``, so callers simply recompute.
         """
         counters = self._stats["results"]
         path = self.result_path(fingerprint)
@@ -443,7 +444,7 @@ class ResultStore:
             except OSError:
                 counters["misses"] += 1
                 read_span.set(status="miss")
-                return None
+                return None, "miss"
             counters["bytes_read"] += len(data)
             data = faults.mangle("store.corrupt.results", data)
             try:
@@ -452,7 +453,7 @@ class ResultStore:
                 counters["corrupt"] += 1
                 self._quarantine(path, fingerprint, "corrupt", counters)
                 read_span.set(status="corrupt", bytes=len(data))
-                return None
+                return None, "corrupt"
             payload, status = self._check_envelope(
                 envelope,
                 fingerprint,
@@ -463,7 +464,7 @@ class ResultStore:
             if payload is not None:
                 counters["hits"] += 1
             read_span.set(status=status, bytes=len(data))
-            return payload
+            return payload, status
 
     def save_result(
         self,
@@ -568,29 +569,14 @@ class ResultStore:
     # ------------------------------------------------------------------
     def statistics(self) -> Dict[str, object]:
         """Access counters of this store handle (hits/misses/bytes, per family)."""
-        families: Dict[str, Dict[str, object]] = {}
-        for family in ("results", "snapshots"):
-            counters = dict(self._stats[family])
-            lookups = sum(
-                counters[k]
-                for k in ("hits", "misses", "stale", "invalidated", "corrupt")
-            )
-            counters["hit_rate"] = (counters["hits"] / lookups) if lookups else 0.0
-            # Of the records that were ours and subject to the component
-            # check (served + component-refused), the fraction that
-            # survived the current code delta — same derivation the
-            # campaign-level delta applies (see runner._derive_store_rates).
-            checked = counters["hits"] + counters["invalidated"]
-            counters["survival_rate"] = (
-                (counters["hits"] / checked) if checked else 1.0
-            )
-            families[family] = counters
         return {
             "root": str(self.root),
             "salt": self.salt,
             "tmp_swept": self._tmp_swept,
-            "results": families["results"],
-            "snapshots": families["snapshots"],
+            **{
+                family: telemetry.with_rates(dict(counters))
+                for family, counters in self._stats.items()
+            },
         }
 
     def disk_statistics(self) -> Dict[str, object]:

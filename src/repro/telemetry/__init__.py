@@ -1,17 +1,21 @@
 """Unified telemetry: metrics registry, structured tracing, profiling.
 
-This package is the observability substrate of the campaign engine —
-the common schema behind what used to be per-layer statistics islands
-(kernel arena counters, pool cache stats, store hit rates and
-extraction-cache records).  It is deliberately zero-dependency and
-knows nothing about BDDs or scenarios: the engine layers import *it*,
-never the reverse.
+This package is the observability substrate of the campaign engine:
+the one counter arithmetic behind every layer's statistics (kernel
+arena and cache counters, pool and store counters), the registry of
+events no instance owns, and tracing.  It is deliberately
+zero-dependency and knows nothing about BDDs or scenarios: the kernel
+and the engine layers import *it*, never the reverse.
 
 Three pieces:
 
 * :mod:`repro.telemetry.registry` — process-local, thread-safe
   instruments (counters, gauges, fixed-bucket histograms) with a
-  JSON-serialisable :meth:`~repro.telemetry.registry.MetricsRegistry.snapshot`.
+  JSON-serialisable :meth:`~repro.telemetry.registry.MetricsRegistry.snapshot`,
+  and the counter arithmetic every layer's statistics share
+  (:func:`~repro.telemetry.registry.delta`,
+  :func:`~repro.telemetry.registry.total`,
+  :func:`~repro.telemetry.registry.with_rates`).
 * :mod:`repro.telemetry.tracing` — nestable spans emitted as JSONL
   trace events with parent/child ids and per-span arena/cache deltas.
   Off by default; a disabled :func:`span` is one global read returning
@@ -40,11 +44,15 @@ endpoint payload, the JSONL events are the progress stream.
 
 from .registry import (
     DEFAULT_BUCKETS,
+    LEVEL_KEYS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
+    delta,
     get_registry,
+    total,
+    with_rates,
 )
 from .tracing import (
     NULL_SPAN,
@@ -62,6 +70,7 @@ from .tracing import (
 
 __all__ = [
     "DEFAULT_BUCKETS",
+    "LEVEL_KEYS",
     "Counter",
     "Gauge",
     "Histogram",
@@ -71,11 +80,14 @@ __all__ = [
     "Tracer",
     "config_state",
     "configure",
+    "delta",
     "disable",
     "enable",
     "enabled",
     "get_registry",
     "get_tracer",
     "span",
+    "total",
+    "with_rates",
     "write_events",
 ]

@@ -1,38 +1,50 @@
-"""Process-local metrics registry: counters, gauges, histograms.
+"""Process-local metrics registry, and the one home of counter arithmetic.
 
-The verification engine grew five performance-critical layers — the BDD
-kernel, the relational products, the snapshot store, the affinity
-sharded runner and the component invalidation — and each grew its own
-ad-hoc statistics island (``arena_statistics()``, ``outcome.store``,
-``extraction_cache``) with its own key spellings.
-This module is the common substrate those islands are re-exposed
-through: a zero-dependency, thread-safe registry of named instruments
-whose :meth:`MetricsRegistry.snapshot` is one JSON-serialisable dict.
+Two things live here.
 
-Three instrument kinds, deliberately minimal:
+**Counter arithmetic.**  Every layer keeps its counters on its own
+instances — the BDD kernel (``cache_statistics()``,
+``arena_statistics()``), the manager pool, each store handle — because
+those counts are per instance and the kernel's sit on its hot path.
+What the layers share is the arithmetic over the nested numeric dicts
+their ``statistics()`` return, and that is written once, here:
+
+* :data:`LEVEL_KEYS` names the keys that are levels (sizes, high-water
+  marks); every other numeric key is a monotonic counter.
+* :func:`delta` is what a campaign or a scenario did: counters are
+  subtracted, levels are taken from ``after``.
+* :func:`total` sums records, such as the parallel workers' closing
+  records.
+* :func:`with_rates` derives ``hit_rate`` (and ``survival_rate``).
+  Rates are never summed or subtracted; :func:`delta` and
+  :func:`total` skip them and derive them again.
+
+**The registry.**  A zero-dependency, thread-safe registry of named
+instruments whose :meth:`MetricsRegistry.snapshot` is one
+JSON-serialisable dict.  It holds the events no instance owns:
+supervision retries and abandoned writes, worker respawns, quarantined
+records, fuzz-campaign totals and the tracer's span histograms.  Three
+instrument kinds, deliberately minimal:
 
 * :class:`Counter` — a monotonically increasing integer
   (``inc(n)``).  Use for event counts (spans entered, records read).
-* :class:`Gauge` — a point-in-time number (``set(v)``).  Use for sizes
-  and snapshots of other layers' counters (see
-  :meth:`MetricsRegistry.absorb`).
+* :class:`Gauge` — a point-in-time number (``set(v)``).  Use for sizes.
 * :class:`Histogram` — fixed bucket boundaries chosen at registration,
   per-bucket counts plus count/sum/min/max (``observe(v)``).
   Use for durations; the tracer feeds one histogram per span name.
 
-Instrument names are dotted paths (``store.results.hits``,
-``span.beta.extract.seconds``).  The canonical spellings of the stats
-absorbed from the existing layers are exactly the source dict keys,
-flattened with ``.`` — the registry is the single place where
-``pool.arena.gc_runs`` and ``store.results.hit_rate`` live side by
-side under one schema.
+Instrument names are dotted paths (``scenario.retries``,
+``span.beta.extract.seconds``).  A campaign's supervision counts are
+the :func:`delta` of the registry's counters over the run, plus the
+:func:`total` of the counters each parallel worker ships back.
 
 Thread safety: one re-entrant lock per registry guards instrument
 creation and snapshots; each instrument carries its own lock for
 updates, so two threads hammering different counters never contend on
 the registry.  Registries are process-local by design — the parallel
 campaign runner's worker *processes* each build their own and ship
-snapshots back to the parent (see ``CampaignReport.telemetry``).
+their counters back to the parent (see ``CampaignReport.resilience``
+and ``CampaignReport.telemetry``).
 """
 
 from __future__ import annotations
@@ -41,6 +53,99 @@ import threading
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 Number = Union[int, float]
+
+#: Keys of a statistics dict that hold levels (sizes, high-water marks,
+#: bounds) rather than monotonic counters: a :func:`delta` takes them
+#: from ``after``.
+LEVEL_KEYS = frozenset(
+    {
+        "live",
+        "capacity",
+        "free",
+        "peak_live",
+        "total_nodes",
+        "total_entries",
+        "ite_entries",
+        "quantify_entries",
+        "limit",
+        "held",
+        "managers",
+    }
+)
+
+#: Derived ratios: :func:`with_rates` sets them, nothing sums them.
+RATE_KEYS = frozenset({"hit_rate", "survival_rate"})
+
+#: The counters a lookup bumps exactly one of.
+_LOOKUP_KEYS = ("hits", "misses", "stale", "invalidated", "corrupt")
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def with_rates(record: Dict[str, object]) -> Dict[str, object]:
+    """Set ``record``'s rates from its counters and return it.
+
+    ``hit_rate`` is hits over every lookup (a hit, miss, stale,
+    invalidated or corrupt read; an absent counter is 0), and 0.0
+    without lookups.  Where ``invalidated`` exists,
+    ``survival_rate`` is the fraction of the records subject to the
+    component check (served plus invalidated) that survived the
+    current code, and 1.0 when none was checked.  A record without
+    ``hits`` gets no rate.
+    """
+    if "hits" not in record:
+        return record
+    hits = record["hits"]
+    lookups = sum(record.get(key, 0) for key in _LOOKUP_KEYS)
+    record["hit_rate"] = hits / lookups if lookups else 0.0
+    if "invalidated" in record:
+        checked = hits + record["invalidated"]
+        record["survival_rate"] = hits / checked if checked else 1.0
+    return record
+
+
+def delta(
+    before: Mapping[str, object], after: Mapping[str, object]
+) -> Dict[str, object]:
+    """What happened between two snapshots of one nested statistics dict.
+
+    Counters are ``after - before`` (a key new in ``after`` counts from
+    0), levels (:data:`LEVEL_KEYS`) are ``after``'s, nested dicts
+    recurse, and non-numeric leaves (names, notes, lists) and rates are
+    skipped; the rates are derived again from the deltas.
+    """
+    out: Dict[str, object] = {}
+    for key, value in after.items():
+        if isinstance(value, Mapping):
+            out[key] = delta(before.get(key) or {}, value)
+        elif key in RATE_KEYS or not _is_number(value):
+            continue
+        elif key in LEVEL_KEYS:
+            out[key] = value
+        else:
+            out[key] = value - before.get(key, 0)
+    return with_rates(out)
+
+
+def total(records: Iterable[Optional[Mapping[str, object]]]) -> Dict[str, object]:
+    """The key-by-key sum of nested statistics dicts (``None`` skipped).
+
+    Non-numeric leaves and rates are skipped; the rates are derived
+    again from the sums.
+    """
+    out: Dict[str, object] = {}
+    nested: Dict[str, List[Mapping[str, object]]] = {}
+    for record in records:
+        for key, value in (record or {}).items():
+            if isinstance(value, Mapping):
+                nested.setdefault(key, []).append(value)
+            elif key not in RATE_KEYS and _is_number(value):
+                out[key] = out.get(key, 0) + value
+    for key, values in nested.items():
+        out[key] = total(values)
+    return with_rates(out)
 
 #: Default histogram bucket upper bounds (seconds).  Spans range from
 #: sub-millisecond store reads to minute-scale extractions; a fixed
@@ -216,29 +321,6 @@ class MetricsRegistry:
                 self._check_free(name, self._histograms)
                 instrument = self._histograms[name] = Histogram(name, buckets)
             return instrument
-
-    # ------------------------------------------------------------------
-    # Absorption of foreign statistics dicts
-    # ------------------------------------------------------------------
-    def absorb(self, prefix: str, stats: Mapping[str, object]) -> None:
-        """Mirror a nested statistics dict into gauges under ``prefix``.
-
-        This is how the existing per-layer ``statistics()`` APIs are
-        unified without being rewritten: the campaign runner absorbs
-        ``pool.statistics()`` as ``pool.*``, the store counters as
-        ``store.*`` and so on.  Numeric leaves become gauges named by
-        the flattened dotted path; non-numeric leaves (strings, notes)
-        are skipped.  Nested dicts recurse; lists are skipped (per-item
-        records belong in traces, not gauges).
-        """
-        for key, value in stats.items():
-            name = f"{prefix}.{key}" if prefix else str(key)
-            if isinstance(value, Mapping):
-                self.absorb(name, value)
-            elif isinstance(value, bool):
-                self.gauge(name).set(int(value))
-            elif isinstance(value, (int, float)):
-                self.gauge(name).set(value)
 
     # ------------------------------------------------------------------
     # Snapshot / reset

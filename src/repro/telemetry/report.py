@@ -33,6 +33,8 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from .registry import with_rates
+
 #: Spans with fewer cache lookups than this are ignored by the
 #: hit-rate anomaly (tiny denominators make rates meaningless).
 HIT_RATE_MIN_LOOKUPS = 1000
@@ -179,9 +181,9 @@ def find_anomalies(events: Sequence[Dict[str, object]]) -> List[Dict[str, object
     rated: List[Tuple[Dict[str, object], float]] = []
     for event in spans:
         deltas = event.get("deltas") or {}
-        lookups = deltas.get("cache_hits", 0) + deltas.get("cache_misses", 0)
-        if lookups >= HIT_RATE_MIN_LOOKUPS:
-            rated.append((event, deltas.get("cache_hits", 0) / lookups))
+        cache = {"hits": deltas.get("cache_hits", 0), "misses": deltas.get("cache_misses", 0)}
+        if cache["hits"] + cache["misses"] >= HIT_RATE_MIN_LOOKUPS:
+            rated.append((event, with_rates(cache)["hit_rate"]))
     if rated:
         mean = sum(rate for _event, rate in rated) / len(rated)
         for event, rate in rated:

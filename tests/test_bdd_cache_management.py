@@ -52,9 +52,9 @@ class TestClearCaches:
             manager.apply_and(manager.var("a"), manager.var("b")), manager.var("c")
         )
         smoothed = manager.exists(["a"], f)
-        assert manager.statistics()["quantify_cache_entries"] > 0
+        assert manager.cache_statistics()["quantify_entries"] > 0
         manager.clear_caches()
-        assert manager.statistics()["quantify_cache_entries"] == 0
+        assert manager.cache_statistics()["quantify_entries"] == 0
         assert manager.exists(["a"], f) is smoothed
 
 
@@ -129,9 +129,8 @@ class TestAccounting:
         assert stats["total_entries"] == (
             stats["ite_entries"] + stats["quantify_entries"]
         )
-        legacy = manager.statistics()
-        assert legacy["ite_cache_entries"] == stats["ite_entries"]
-        assert legacy["cache_hits"] == stats["hits"]
+        assert stats["ite_entries"] > 0 and stats["quantify_entries"] > 0
+        assert stats["lookups"] == stats["hits"] + stats["misses"] > 0
 
     def test_random_identity_checks_with_aggressive_bounding(self):
         """Stress: tiny caches + periodic clears never change node identity."""

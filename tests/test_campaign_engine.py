@@ -67,6 +67,23 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario(name="x", kind="superscalar")  # needs a program
 
+    def test_fields_their_kind_never_reads_are_rejected(self):
+        # Each would otherwise enter the fingerprint and split one job
+        # into two store records.
+        program = (0,)
+        with pytest.raises(ValueError, match="issue_width"):
+            Scenario(name="b", slots=(NORMAL,), issue_width=4)
+        with pytest.raises(ValueError, match="issue_width"):
+            Scenario(name="e", kind="events", event_slots=(0,), issue_width=3)
+        with pytest.raises(ValueError, match="reset_cycles"):
+            Scenario(name="s", kind="superscalar", program=program, reset_cycles=3)
+        with pytest.raises(ValueError, match="symbolic_initial_state"):
+            Scenario(
+                name="s", kind="superscalar", program=program, symbolic_initial_state=True
+            )
+        Scenario(name="s", kind="superscalar", program=program, issue_width=4)
+        Scenario(name="b", reset_cycles=2, symbolic_initial_state=True)
+
     def test_json_round_trip(self):
         scenarios = (
             mixed_campaign(alpha0=SMALL_ALPHA0)

@@ -245,8 +245,8 @@ class TestStatistics:
         snapshot_fp = content_fingerprint("snapshot-key", salt=store.salt)
         store.save_result(result_fp, {"verdict": {}})
         store.save_snapshot(snapshot_fp, {"arena": {}})
-        assert store.load_result(result_fp) is not None
-        assert store.load_result("0" * 64) is None
+        assert store.load_result(result_fp)[0] is not None
+        assert store.load_result("0" * 64)[0] is None
         for _ in range(3):
             assert store.load_snapshot(snapshot_fp) is not None
         assert store.load_snapshot("0" * 64) is None
@@ -266,7 +266,7 @@ class TestStatistics:
         codehash.set_override("bdd", "edited")
         try:
             fresh = ResultStore(tmp_path / "store")
-            assert fresh.load_result(fingerprint, dependencies=("bdd",)) is None
+            assert fresh.load_result(fingerprint, dependencies=("bdd",))[0] is None
             stats = fresh.statistics()
             assert stats["results"]["invalidated"] == 1
             assert stats["results"]["hit_rate"] == 0.0
@@ -313,7 +313,7 @@ class TestTmpSweep:
         assert all(not orphan.exists() for orphan in orphans)
         assert store.statistics()["tmp_swept"] == len(orphans)
         # The published record survived its own directory's sweep.
-        assert store.load_result("ab" + "0" * 62) is not None
+        assert store.load_result("ab" + "0" * 62)[0] is not None
 
     def test_campaign_reports_swept_orphans(self, tmp_path):
         self.seed_orphans(tmp_path)

@@ -28,7 +28,7 @@ from repro.engine import CampaignRunner, Scenario, execute_scenario
 from repro.engine.report import REPORT_SCHEMA_VERSION, CampaignReport, ScenarioOutcome
 from repro.engine.store import ResultStore
 from repro.telemetry import report as trace_report
-from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.registry import MetricsRegistry, delta, total, with_rates
 from repro.telemetry.tracing import Tracer
 
 
@@ -81,23 +81,51 @@ class TestRegistry:
         with pytest.raises(ValueError):
             registry.gauge("x")
 
-    def test_absorb_flattens_nested_statistics(self):
-        registry = MetricsRegistry()
-        registry.absorb(
-            "pool",
-            {
-                "managers": 2,
-                "cache": {"hits": 10, "hit_rate": 0.5},
-                "note": "not numeric",
-                "per_worker": [1, 2],
+    def test_delta_subtracts_counters_and_keeps_levels(self):
+        before = {
+            "acquisitions": 2,
+            "note": "not numeric",
+            "cache": {"hits": 10, "misses": 10, "total_entries": 50, "hit_rate": 0.5},
+        }
+        after = {
+            "acquisitions": 5,
+            "note": "not numeric",
+            "per_worker": [1, 2],
+            "cache": {"hits": 13, "misses": 11, "total_entries": 40, "hit_rate": 0.55},
+            "arena": {"live": 7, "allocated_total": 9},
+        }
+        assert delta(before, after) == {
+            "acquisitions": 3,
+            "cache": {"hits": 3, "misses": 1, "total_entries": 40, "hit_rate": 0.75},
+            "arena": {"live": 7, "allocated_total": 9},
+        }
+
+    def test_total_sums_records_and_derives_rates_again(self):
+        workers = [
+            {"results": {"hits": 1, "misses": 3, "invalidated": 0, "hit_rate": 0.25}},
+            None,
+            {"results": {"hits": 3, "misses": 1, "invalidated": 2, "hit_rate": 0.5}},
+            {"tmp_swept": 2, "root": "/somewhere"},
+        ]
+        assert total(workers) == {
+            "tmp_swept": 2,
+            "results": {
+                "hits": 4,
+                "misses": 4,
+                "invalidated": 2,
+                "hit_rate": 0.4,
+                "survival_rate": 4 / 6,
             },
-        )
-        snap = registry.snapshot()
-        assert snap["gauges"]["pool.managers"] == 2
-        assert snap["gauges"]["pool.cache.hits"] == 10
-        assert snap["gauges"]["pool.cache.hit_rate"] == 0.5
-        assert "pool.note" not in snap["gauges"]
-        assert "pool.per_worker" not in snap["gauges"]
+        }
+
+    def test_rates_of_records_without_lookups(self):
+        assert with_rates({"hits": 0, "misses": 0}) == {
+            "hits": 0,
+            "misses": 0,
+            "hit_rate": 0.0,
+        }
+        assert with_rates({"hits": 0, "invalidated": 0})["survival_rate"] == 1.0
+        assert with_rates({"live": 3}) == {"live": 3}
 
     def test_snapshot_is_json_serialisable_and_sorted(self):
         registry = MetricsRegistry()
@@ -344,8 +372,11 @@ class TestEngineIntegration:
         assert "vsm/default" in trace["phases"]
         names = {row["name"] for row in trace["top_spans"]}
         assert "scenario.execute" in names or "campaign.run" in names
-        assert "pool.acquisitions" in section["registry"]["gauges"]
-        assert "store.results.hit_rate" in section["registry"]["gauges"]
+        assert "span.campaign.run.seconds" in section["registry"]["histograms"]
+        # The pool and store counts live in their own report sections.
+        assert "pool.acquisitions" not in section["registry"]["gauges"]
+        assert report.pool["acquisitions"] == 1
+        assert report.store["results"]["misses"] == 1
         events = trace_report.load_events(tmp_path / "trace.jsonl")
         assert any(event["name"] == "campaign.run" for event in events)
         assert any(event["name"] == "store.write" for event in events)
@@ -366,9 +397,9 @@ class TestEngineIntegration:
 
     def test_store_statistics_normalized_rates(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        assert store.load_result("00" * 32) is None
+        assert store.load_result("00" * 32)[0] is None
         store.save_result("00" * 32, {"verdict": {}})
-        assert store.load_result("00" * 32) is not None
+        assert store.load_result("00" * 32)[0] is not None
         stats = store.statistics()
         for family in ("results", "snapshots"):
             assert "hit_rate" in stats[family]
@@ -405,6 +436,14 @@ class TestEngineIntegration:
         assert registries  # one snapshot per traced worker
         for snapshot in registries.values():
             assert "counters" in snapshot
+
+    def test_clean_campaign_raises_no_anomaly_flags(self):
+        telemetry.enable()
+        report = CampaignRunner().run(
+            ["vsm/default", "vsm/bug/no_bypass", "vsm/event/slot0"]
+        )
+        telemetry.disable()
+        assert report.telemetry["trace"]["anomalies"] == []
 
     def test_plain_refutation_has_no_fallback(self):
         tracer = telemetry.enable()
