@@ -269,7 +269,7 @@ def measure_snapshot_rehydration(alpha0_spec: Alpha0Spec, slots) -> dict:
     manager.declare_all(beta_stimulus_order(architecture, siminfo))
     started = time.perf_counter()
     spec_stepper, impl_stepper = extract_steppers(
-        manager, specification, implementation, architecture.instruction_width
+        manager, specification, implementation, architecture.instruction_bit_order
     )
     extract_seconds = time.perf_counter() - started
 
@@ -293,7 +293,10 @@ def measure_snapshot_rehydration(alpha0_spec: Alpha0Spec, slots) -> dict:
     started = time.perf_counter()
     restored = {
         prefix: _deserialize_stepper_payload(
-            target, json.loads(zlib.decompress(data)), prefix
+            target,
+            json.loads(zlib.decompress(data)),
+            prefix,
+            architecture.instruction_bit_order,
         )
         for prefix, data in encoded.items()
     }

@@ -13,7 +13,7 @@ experimental design of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import ClassVar, Dict, Optional, Tuple
 
 from ..bdd import BDDManager
 from ..isa import alpha0 as alpha0_isa
@@ -39,6 +39,11 @@ class Architecture:
     order_k: int = 1
     delay_slots: int = 0
     instruction_width: int = 0
+    #: The ISA's decode-first BDD order of instruction bits, a
+    #: permutation of ``range(instruction_width)`` (see
+    #: :data:`repro.isa.vsm.INSTRUCTION_BIT_ORDER`).  An architecture
+    #: run on the relational beta backend must set it.
+    instruction_bit_order: ClassVar[Tuple[int, ...]] = ()
 
     def make_models(self, manager: BDDManager, impl_kwargs: Optional[dict] = None):
         """Build the (specification, implementation) symbolic models."""
@@ -94,6 +99,7 @@ class VSMArchitecture(Architecture):
     order_k: int = vsm_isa.PIPELINE_DEPTH
     delay_slots: int = vsm_isa.DELAY_SLOTS
     instruction_width: int = vsm_isa.INSTRUCTION_WIDTH
+    instruction_bit_order: ClassVar[Tuple[int, ...]] = vsm_isa.INSTRUCTION_BIT_ORDER
 
     def make_models(self, manager: BDDManager, impl_kwargs: Optional[dict] = None):
         impl_kwargs = impl_kwargs or {}
@@ -153,6 +159,7 @@ class Alpha0Architecture(Architecture):
     order_k: int = alpha0_isa.PIPELINE_DEPTH
     delay_slots: int = alpha0_isa.DELAY_SLOTS
     instruction_width: int = alpha0_isa.INSTRUCTION_WIDTH
+    instruction_bit_order: ClassVar[Tuple[int, ...]] = alpha0_isa.INSTRUCTION_BIT_ORDER
 
     def make_models(self, manager: BDDManager, impl_kwargs: Optional[dict] = None):
         impl_kwargs = impl_kwargs or {}

@@ -9,13 +9,16 @@ by splitting the code version into per-component content hashes:
 * ``bdd`` — the BDD kernel (``src/repro/bdd/``): node representation,
   ITE core, GC, snapshots.
 * ``relational`` — the relational subsystem (``src/repro/relational/``):
-  beta-relation extraction, the relational product, policies.
+  beta-relation extraction, the relational product and image
+  computation, snapshot (de)serialisation.
 * ``verifier`` — the verdict path itself: the executor, the core
   verification/observation/report modules, the filtering-string and
   logic layers, and the ISA definitions.
 * ``model:vsm`` / ``model:alpha0`` / ``model:interrupts`` /
   ``model:superscalar`` / ``model:scoreboard`` — each architecture's
-  symbolic (or concrete) processor models under ``src/repro/processors/``.
+  symbolic (or concrete) processor models under ``src/repro/processors/``;
+  the VSM and Alpha0 entries also cover their ISA module, whose
+  instruction-bit order shapes the extracted relations.
 
 A component hash is a SHA-256 over the *source text* of the component's
 module files, so it changes exactly when the code changes — no manual
@@ -72,6 +75,7 @@ COMPONENTS: Dict[str, Tuple[str, ...]] = {
         "processors/sym_vsm.py",
         "processors/vsm_pipelined.py",
         "processors/vsm_unpipelined.py",
+        "isa/vsm.py",
     ),
     "model:alpha0": (
         "processors/state.py",
@@ -79,6 +83,7 @@ COMPONENTS: Dict[str, Tuple[str, ...]] = {
         "processors/sym_alpha0.py",
         "processors/alpha0_pipelined.py",
         "processors/alpha0_unpipelined.py",
+        "isa/alpha0.py",
     ),
     "model:interrupts": ("processors/interrupts.py",),
     "model:superscalar": ("processors/superscalar.py",),

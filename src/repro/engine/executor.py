@@ -371,7 +371,7 @@ def _run_beta_relational(
             manager,
             specification,
             implementation,
-            architecture.instruction_width,
+            architecture.instruction_bit_order,
             spec_key=("beta_spec_relation", arch_sig),
             impl_key=("beta_impl_relation", arch_sig, kwargs_sig),
             snapshot_store=snapshot_store,

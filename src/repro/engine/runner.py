@@ -184,20 +184,22 @@ def _execute_pooled(
     if store is not None:
         started = time.perf_counter()
         fingerprint = scenario.fingerprint(store.salt)
-        record, lookup_status = store.load_result(fingerprint, dependencies)
-        if record is not None:
-            outcome = _outcome_from_record(scenario, record)
-            if outcome is not None:
-                outcome.store = {
-                    "status": "hit",
-                    "seconds": round(time.perf_counter() - started, 4),
-                }
-                if key is not None:
-                    # Seed the memo so in-process repeats skip the disk.
-                    memo[key] = copy.deepcopy(outcome)
-                return outcome, False
-            # A misshapen verdict record recomputes like a miss.
-            lookup_status = "miss"
+        # A record whose verdict is misshapen counts (and is
+        # quarantined) as corrupt, and recomputes.
+        stored, lookup_status = store.load_result(
+            fingerprint,
+            dependencies,
+            lambda record: _outcome_from_record(scenario, record),
+        )
+        if stored is not None:
+            stored.store = {
+                "status": "hit",
+                "seconds": round(time.perf_counter() - started, 4),
+            }
+            if key is not None:
+                # Seed the memo so in-process repeats skip the disk.
+                memo[key] = copy.deepcopy(stored)
+            return stored, False
     attempts = supervision.max_attempts if supervision is not None else 1
     outcome: Optional[ScenarioOutcome] = None
     for attempt in range(1, attempts + 1):

@@ -60,7 +60,7 @@ import tempfile
 import time
 import zlib
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from . import codehash
 from .. import telemetry
@@ -424,16 +424,20 @@ class ResultStore:
         self,
         fingerprint: str,
         dependencies: Optional[Iterable[str]] = None,
-    ) -> Tuple[Optional[Dict[str, object]], str]:
-        """The stored result payload for ``fingerprint`` and the lookup status.
+        parse: Optional[Callable[[Dict[str, object]], object]] = None,
+    ) -> Tuple[Optional[object], str]:
+        """The stored result for ``fingerprint`` and the lookup status.
 
         ``dependencies`` names the code components the caller's verdict
         depends on; the record is refused (as *invalidated*) unless its
         recorded dependency vector matches those components' current
-        hashes.  The status is ``"hit"``, ``"miss"``, ``"stale"``,
-        ``"invalidated"`` or ``"corrupt"``, each counted in
-        :meth:`statistics`; on anything but a hit the payload is
-        ``None``, so callers simply recompute.
+        hashes.  ``parse`` turns a payload into what the caller serves
+        (the payload itself by default); a payload it rejects by
+        returning ``None`` counts as corrupt and is quarantined.  The
+        status is ``"hit"``, ``"miss"``, ``"stale"``, ``"invalidated"``
+        or ``"corrupt"``, each counted once in :meth:`statistics`; on
+        anything but a hit the result is ``None``, so callers simply
+        recompute.
         """
         counters = self._stats["results"]
         path = self.result_path(fingerprint)
@@ -461,6 +465,14 @@ class ResultStore:
                 self.component_vector(dependencies),
                 path=path,
             )
+            if payload is not None and parse is not None:
+                payload = parse(payload)
+                if payload is None:
+                    # A well-formed envelope around a verdict the caller
+                    # cannot read: as corrupt as unparseable bytes.
+                    status = "corrupt"
+                    counters["corrupt"] += 1
+                    self._quarantine(path, fingerprint, "corrupt", counters)
             if payload is not None:
                 counters["hits"] += 1
             read_span.set(status=status, bytes=len(data))

@@ -40,6 +40,21 @@ FUNCTION_WIDTH = 7
 MEMORY_DISP_WIDTH = 16
 BRANCH_DISP_WIDTH = 21
 
+#: The decode-first BDD order of an instruction word's bits: the opcode
+#: (31..26), the function code (11..5), the literal flag (12), Rc
+#: (4..0), Ra (25..21) and Rb/literal (20..13), each MSB-first.  The
+#: symbolic checks declare every instruction word in this order (the
+#: beta relations' input word and instruction latches, every stimulus
+#: word).
+INSTRUCTION_BIT_ORDER: Tuple[int, ...] = (
+    tuple(range(31, 25, -1))
+    + tuple(range(11, 4, -1))
+    + (12,)
+    + tuple(range(4, -1, -1))
+    + tuple(range(25, 20, -1))
+    + tuple(range(20, 12, -1))
+)
+
 
 class Alpha0EncodingError(ValueError):
     """Raised for malformed Alpha0 instructions or encodings."""

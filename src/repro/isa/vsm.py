@@ -42,6 +42,11 @@ PC_WIDTH = 5
 DELAY_SLOTS = 1
 #: Pipeline depth of the pipelined implementation (order of definiteness k).
 PIPELINE_DEPTH = 4
+#: The decode-first BDD order of an instruction word's bits: Rc, the
+#: opcode MSB-first, L, then Rb/Lit and Ra/Disp.  The symbolic checks
+#: declare every instruction word in this order (the beta relations'
+#: input word and instruction latches, every stimulus word).
+INSTRUCTION_BIT_ORDER: Tuple[int, ...] = (0, 1, 2, 12, 11, 10, 9, 3, 4, 5, 6, 7, 8)
 
 #: Opcode encodings (Table 1).
 OPCODES: Dict[str, int] = {

@@ -459,6 +459,10 @@ class SymbolicUnpipelinedAlpha0(_Alpha0SymbolicBase):
             f"mem{i}" for i in range(options.memory_words)
         ]
 
+    def instruction_fields(self) -> List[str]:
+        """The :meth:`state_layout` fields that latch instruction words: none."""
+        return []
+
     def state_guards(self) -> Dict[str, Tuple[str, ...]]:
         """No validity-gated state: the architectural machine is all live."""
         return {}
@@ -873,6 +877,12 @@ class SymbolicPipelinedAlpha0(_Alpha0SymbolicBase):
             + [f"mem{i}" for i in range(options.memory_words)]
             + ["id.a", "id.b", "ex.value", "wb.value"]
         )
+
+    def instruction_fields(self) -> List[str]:
+        """The :meth:`state_layout` fields that latch instruction words:
+        the fetch latch and the decode latch's stored word (see the VSM
+        twin)."""
+        return ["if.word", "id.word"]
 
     def state_guards(self) -> Dict[str, Tuple[str, ...]]:
         """Validity bits and the latch fields they gate (see the VSM twin)."""

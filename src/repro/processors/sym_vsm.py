@@ -221,6 +221,10 @@ class SymbolicUnpipelinedVSM:
         """The :meth:`state_layout` fields that hold datapath words."""
         return [f"reg{i}" for i in range(NUM_REGISTERS)]
 
+    def instruction_fields(self) -> List[str]:
+        """The :meth:`state_layout` fields that latch instruction words: none."""
+        return []
+
     def state_guards(self) -> Dict[str, Tuple[str, ...]]:
         """No validity-gated state: the architectural machine is all live."""
         return {}
@@ -551,6 +555,15 @@ class SymbolicPipelinedVSM:
         that select over these words.
         """
         return [f"reg{i}" for i in range(NUM_REGISTERS)] + ["id.a", "id.b", "ex.value"]
+
+    def instruction_fields(self) -> List[str]:
+        """The :meth:`state_layout` fields that latch instruction words.
+
+        The relation declares their bits in the ISA's decode-first order
+        (:data:`repro.isa.vsm.INSTRUCTION_BIT_ORDER`); the decode latch
+        already holds its fields apart.
+        """
+        return ["if.word"]
 
     def state_guards(self) -> Dict[str, Tuple[str, ...]]:
         """Validity bits and the latch fields they gate.

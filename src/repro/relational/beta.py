@@ -61,6 +61,23 @@ order changes no verdict: relation functions are canonical, relation
 variables are composed away every cycle, and the whole relation block
 still sits above the stimulus block.
 
+Within every instruction word the bits follow the ISA's one
+decode-first order (``INSTRUCTION_BIT_ORDER`` in :mod:`repro.isa.vsm`
+and :mod:`repro.isa.alpha0`): the bits that choose the operation and
+the destination (opcode, function code, literal flag, Rc) above the
+operand specifiers they steer.  That covers the input word, the
+instruction latches each model names (``instruction_fields()``:
+``if.word``, and Alpha0's ``id.word``) and every stimulus word
+(:func:`beta_stimulus_order`).  In plain bit order ``0..n-1`` Alpha0's
+opcode and function code sat at the bottom of the word and VSM's
+opcode below its source fields, so each operand-select path below them
+carried its own copy of the decode.  The decode-first order takes the
+same four relations from 79,342 to 26,720 shared nodes (280,032 under
+raw layout order) and the ``FUZZ_ALPHA0_SPEC`` extraction from 175.6k
+to 31.7k ITE misses; at the default Alpha0 condensation the pair falls
+from 865k to 305k nodes.  Declaring the VSM input word MSB-first
+instead grows the VSM specification relation eightfold.
+
 Because every observable the backend produces is the canonical ROBDD of
 the same Boolean function the functional path builds, the sampled
 observations — and therefore the pass/fail verdict — are *node
@@ -103,6 +120,7 @@ PROTOCOL_METHODS = (
     "observable_fields",
     "state_guards",
     "datapath_fields",
+    "instruction_fields",
 )
 
 
@@ -117,15 +135,23 @@ def relation_declares(
     fetch_valid_name: Optional[str],
     layout: Sequence[Tuple[str, int]],
     datapath: Sequence[str],
+    instruction_fields: Sequence[str],
+    bit_order: Sequence[int],
 ) -> List[str]:
     """The declaration sequence of one beta relation's variables.
 
-    The input word, then the fetch-valid bit, then the control fields of
-    ``layout`` in layout order, then the ``datapath`` word fields
-    bit-interleaved: bit 0 of every datapath field, then bit 1, and so
-    on.  :meth:`MachineStepper.extract` declares exactly this sequence,
-    and a snapshot restore replays it.  Raises :class:`ValueError` when
-    ``datapath`` is not a list of distinct ``layout`` fields.
+    The input word in ``bit_order``, then the fetch-valid bit, then the
+    control fields of ``layout`` in layout order, each
+    ``instruction_fields`` word in ``bit_order`` too, then the
+    ``datapath`` word fields bit-interleaved: bit 0 of every datapath
+    field, then bit 1, and so on.  ``input_names`` lists the input word
+    bit 0 first; ``bit_order`` is the ISA's decode-first instruction-bit
+    order.  :meth:`MachineStepper.extract` declares exactly this
+    sequence, and a snapshot restore replays it.  Raises
+    :class:`ValueError` when ``datapath`` is not a list of distinct
+    ``layout`` fields, ``bit_order`` is not a permutation of the input
+    word's bits, or an instruction field is not a control field of the
+    input word's width.
     """
     widths = dict(layout)
     words = set(datapath)
@@ -133,11 +159,27 @@ def relation_declares(
         raise ValueError(
             f"datapath fields {list(datapath)!r} are not distinct layout fields"
         )
-    names = list(input_names)
+    order = list(bit_order)
+    if sorted(order) != list(range(len(input_names))):
+        raise ValueError(
+            f"bit order {order!r} is not a permutation of the "
+            f"{len(input_names)}-bit input word"
+        )
+    instructions = set(instruction_fields)
+    if instructions & words or any(
+        widths.get(field) != len(order) for field in instructions
+    ):
+        raise ValueError(
+            f"instruction fields {list(instruction_fields)!r} are not "
+            f"{len(order)}-bit control fields"
+        )
+    names = [input_names[bit] for bit in order]
     if fetch_valid_name is not None:
         names.append(fetch_valid_name)
     for field, width in layout:
-        if field not in words:
+        if field in instructions:
+            names.extend(f"{prefix}{field}[{bit}]" for bit in order)
+        elif field not in words:
             names.extend(f"{prefix}{field}[{bit}]" for bit in range(width))
     for bit in range(max((widths[field] for field in datapath), default=0)):
         names.extend(
@@ -155,7 +197,9 @@ def beta_stimulus_order(
     opcodes) over datapath formulae built from the *earlier* slots, so
     they are declared first — the reverse of the classical slot-major
     order — with the fully symbolic words fed behind each slot directly
-    above it.  ``extra_words`` maps a slot index to those words' labels:
+    above it.  Every word is declared in the ISA's decode-first bit
+    order (``architecture.instruction_bit_order``), as in the relations.
+    ``extra_words`` maps a slot index to those words' labels:
     each control slot's delay words ``delay{i}.{j}`` by default, the
     squashed fetches behind control and event slots for
     :func:`~repro.engine.executor.run_events`.  On the k=4 late-branch
@@ -168,7 +212,7 @@ def beta_stimulus_order(
     design.  Relation and stimulus functions share no variable, so that
     placement changes no diagram's shape.
     """
-    width = architecture.instruction_width
+    bit_order = architecture.instruction_bit_order
     if extra_words is None:
         extra_words = {
             index: [f"delay{index}.{slot}" for slot in range(architecture.delay_slots)]
@@ -178,8 +222,8 @@ def beta_stimulus_order(
     names: List[str] = []
     for index in reversed(range(siminfo.num_slots)):
         for label in extra_words.get(index, ()):
-            names.extend(f"{label}[{bit}]" for bit in range(width))
-        names.extend(f"instr{index}[{bit}]" for bit in range(width))
+            names.extend(f"{label}[{bit}]" for bit in bit_order)
+        names.extend(f"instr{index}[{bit}]" for bit in bit_order)
     return names
 
 
@@ -199,6 +243,8 @@ class MachineStepper:
         prefix: str,
         layout: Sequence[Tuple[str, int]],
         datapath: Sequence[str],
+        instruction_fields: Sequence[str],
+        bit_order: Sequence[int],
         input_names: Sequence[str],
         fetch_valid_name: Optional[str],
         next_functions: Dict[Tuple[str, int], BDDNode],
@@ -208,6 +254,8 @@ class MachineStepper:
         self.prefix = prefix
         self.layout = list(layout)
         self.datapath = list(datapath)
+        self.instruction_fields = list(instruction_fields)
+        self.bit_order = list(bit_order)
         self.input_names = list(input_names)
         self.fetch_valid_name = fetch_valid_name
         self.next_functions = next_functions
@@ -246,23 +294,34 @@ class MachineStepper:
         manager: BDDManager,
         model,
         prefix: str,
-        input_width: int,
+        bit_order: Sequence[int],
         advance: Callable,
         with_fetch_valid: bool,
     ) -> "MachineStepper":
         """Derive the per-bit relation via the state-injection protocol.
 
-        ``advance(model, word, fetch_valid)`` drives the machine through
-        one relation step (one pipeline cycle, or one full instruction
-        window for the specification).  The model's latches are restored
-        afterwards; callers typically ``reset`` it anyway.
+        ``bit_order`` is the ISA's instruction-bit order (its length is
+        the input word's width).  ``advance(model, word, fetch_valid)``
+        drives the machine through one relation step (one pipeline
+        cycle, or one full instruction window for the specification).
+        The model's latches are restored afterwards; callers typically
+        ``reset`` it anyway.
         """
         layout = model.state_layout()
         datapath = model.datapath_fields()
-        input_names = [f"{prefix}in[{bit}]" for bit in range(input_width)]
+        instruction_fields = model.instruction_fields()
+        input_names = [f"{prefix}in[{bit}]" for bit in range(len(bit_order))]
         fetch_valid_name = f"{prefix}fetch_valid" if with_fetch_valid else None
         manager.declare_all(
-            relation_declares(prefix, input_names, fetch_valid_name, layout, datapath)
+            relation_declares(
+                prefix,
+                input_names,
+                fetch_valid_name,
+                layout,
+                datapath,
+                instruction_fields,
+                bit_order,
+            )
         )
 
         saved = model.state_formulae()
@@ -293,6 +352,8 @@ class MachineStepper:
             prefix,
             layout,
             datapath,
+            instruction_fields,
+            bit_order,
             input_names,
             fetch_valid_name,
             next_functions,
@@ -398,20 +459,22 @@ def extract_steppers(
     manager: BDDManager,
     specification,
     implementation,
-    instruction_width: int,
+    bit_order: Sequence[int],
 ) -> Tuple[MachineStepper, MachineStepper]:
     """Extract the (specification, implementation) stepper pair.
 
     The specification's relation is instruction-level (one step = one
     ``execute_instruction`` window); the implementation's is cycle-level
-    with the fetch-valid control input.  Extraction order is fixed so
-    pooled managers see one deterministic declaration sequence.
+    with the fetch-valid control input.  ``bit_order`` is the ISA's
+    instruction-bit order (``architecture.instruction_bit_order``).
+    Extraction order is fixed so pooled managers see one deterministic
+    declaration sequence.
     """
     spec_stepper = MachineStepper.extract(
         manager,
         specification,
         SPEC_PREFIX,
-        instruction_width,
+        bit_order,
         lambda model, word, fetch_valid: model.execute_instruction(word),
         with_fetch_valid=False,
     )
@@ -419,7 +482,7 @@ def extract_steppers(
         manager,
         implementation,
         IMPL_PREFIX,
-        instruction_width,
+        bit_order,
         lambda model, word, fetch_valid: model.step(word, fetch_valid=fetch_valid),
         with_fetch_valid=True,
     )
@@ -445,6 +508,8 @@ def _stepper_payload(stepper: MachineStepper) -> Dict[str, object]:
     return {
         "layout": list(stepper.layout),
         "datapath": list(stepper.datapath),
+        "instruction_fields": list(stepper.instruction_fields),
+        "bit_order": list(stepper.bit_order),
         "input_names": list(stepper.input_names),
         "fetch_valid_name": stepper.fetch_valid_name,
         "next_functions": dict(stepper.next_functions),
@@ -467,6 +532,8 @@ def _stepper_from_payload(
         prefix,
         payload["layout"],
         payload["datapath"],
+        payload["instruction_fields"],
+        payload["bit_order"],
         payload["input_names"],
         payload["fetch_valid_name"],
         payload["next_functions"],
@@ -498,6 +565,8 @@ def _stepper_declares(payload: Dict[str, object], prefix: str) -> List[str]:
         payload["fetch_valid_name"],
         payload["layout"],
         payload["datapath"],
+        payload["instruction_fields"],
+        payload["bit_order"],
     )
 
 
@@ -508,7 +577,9 @@ def _serialize_stepper_payload(
 
     The per-bit next-state functions are serialised through the arena
     snapshot (root-projected parallel lists with name-mapped levels);
-    layout, datapath fields and input names ride along as plain lists.
+    layout, datapath and instruction fields and input names ride along
+    as plain lists.  The instruction-bit order is not recorded: a restore
+    takes the ISA's current one.
     """
     layout = [(field, width) for field, width in payload["layout"]]
     keys = [(field, bit) for field, width in layout for bit in range(width)]
@@ -524,6 +595,7 @@ def _serialize_stepper_payload(
         "nodes": nodes,
         "layout": [[field, width] for field, width in layout],
         "datapath": list(payload["datapath"]),
+        "instruction_fields": list(payload["instruction_fields"]),
         "input_names": list(payload["input_names"]),
         "fetch_valid_name": payload["fetch_valid_name"],
         # Packed form: large relations are millions of ints, and parsing
@@ -533,10 +605,12 @@ def _serialize_stepper_payload(
 
 
 def _deserialize_stepper_payload(
-    manager: BDDManager, blob: Dict[str, object], prefix: str
+    manager: BDDManager, blob: Dict[str, object], prefix: str, bit_order: Sequence[int]
 ) -> Dict[str, object]:
     """Rebuild a session-cache relation payload from a snapshot blob.
 
+    ``bit_order`` is the ISA's instruction-bit order: a blob whose arena
+    declares its instruction words in any other order is refused.
     Raises :class:`~repro.bdd.kernel.SnapshotError` on any structural
     problem (the arena restore validates the node lists; this wrapper
     validates the bookkeeping around them) — the caller falls back to a
@@ -550,6 +624,7 @@ def _deserialize_stepper_payload(
         layout = [(field, int(width)) for field, width in blob["layout"]]
         keys = [(field, bit) for field, width in layout for bit in range(width)]
         datapath = list(blob["datapath"])
+        instruction_fields = list(blob["instruction_fields"])
         input_names = list(blob["input_names"])
         fetch_valid_name = blob["fetch_valid_name"]
         arena = blob["arena"]
@@ -558,13 +633,18 @@ def _deserialize_stepper_payload(
     # Cross-validate the blob's bookkeeping against the arena's recorded
     # declaration sequence: both are independently-stored copies of the
     # same fact (what extraction declares), so any single corrupted
-    # field — an input name, the layout, the datapath list, the
-    # fetch-valid flag — makes them disagree and the record is refused
-    # *before* the manager is touched.  A blob from before the
-    # control-first order carries no datapath list at all.
+    # field — an input name, the layout, the datapath or instruction
+    # fields, the fetch-valid flag — makes them disagree and the record
+    # is refused *before* the manager is touched.  The bit order is the
+    # caller's, so a blob recorded under another instruction-bit order
+    # is refused whatever its bookkeeping claims; one from before the
+    # decode-first order carries no instruction fields either, and one
+    # from before the control-first order no datapath list.
     payload = {
         "layout": layout,
         "datapath": datapath,
+        "instruction_fields": instruction_fields,
+        "bit_order": list(bit_order),
         "input_names": input_names,
         "fetch_valid_name": fetch_valid_name,
     }
@@ -704,7 +784,7 @@ def cached_extract_steppers(
     manager: BDDManager,
     specification,
     implementation,
-    instruction_width: int,
+    bit_order: Sequence[int],
     spec_key: object,
     impl_key: object,
     snapshot_store=None,
@@ -714,13 +794,16 @@ def cached_extract_steppers(
     """Acquire the stepper pair from the cheapest of four tiers.
 
     Extraction is the fixed per-run cost of the relational backend
-    (on a 2-CPU box: 0.5 s for the ``FUZZ_ALPHA0_SPEC`` pair, 5.8 s at
-    the default 267-state-bit Alpha0 condensation).  Keys must identify
-    the model construction exactly: the executor derives them from the
-    architecture (name + condensation options) and, for the
+    (on a 2-CPU box: 0.1 s for the ``FUZZ_ALPHA0_SPEC`` pair, 0.6–1.2 s
+    at the default 267-state-bit Alpha0 condensation; 0.45 s and
+    3.4–4.7 s with instruction words in plain bit order).
+    ``bit_order`` is the ISA's instruction-bit order.  Keys must
+    identify the model construction exactly: the executor derives them
+    from the architecture (name + condensation options) and, for the
     implementation, the injected-bug kwargs.  Acquired relations are
-    re-bound to the fresh model instances.  Each role (specification first, then implementation)
-    is served by the first tier that has it:
+    re-bound to the fresh model instances.  Each role (specification
+    first, then implementation) is served by the first tier that has
+    it:
 
     1. **Session cache** (``manager.session_cache``): a repeated
        scenario on a pooled manager — or a bug-sweep variant, which
@@ -804,7 +887,9 @@ def cached_extract_steppers(
                     "snapshot.restore", manager=manager, role=role
                 ) as restore_span:
                     try:
-                        payload = _deserialize_stepper_payload(manager, blob, prefix)
+                        payload = _deserialize_stepper_payload(
+                            manager, blob, prefix, bit_order
+                        )
                     except SnapshotError as error:
                         payload = None
                         restore_span.set(status="invalid")
@@ -841,7 +926,7 @@ def cached_extract_steppers(
                 manager,
                 model,
                 prefix,
-                instruction_width,
+                bit_order,
                 advance,
                 with_fetch_valid=with_fetch_valid,
             )

@@ -97,7 +97,7 @@ def relational_samples(
 
     specification, implementation = architecture.make_models(manager)
     spec_stepper, impl_stepper = extract_steppers(
-        manager, specification, implementation, architecture.instruction_width
+        manager, specification, implementation, architecture.instruction_bit_order
     )
     if strip_guards:
         for stepper in (spec_stepper, impl_stepper):

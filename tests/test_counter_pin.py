@@ -107,17 +107,17 @@ EXPECTED = {
     "cold": {
         "pool": {
             "acquisitions": 3,
-            "arena.allocated_total": 23638,
+            "arena.allocated_total": 15616,
             "arena.capacity": 0,
             "arena.free": 0,
             "arena.gc_reclaimed": 0,
             "arena.gc_runs": 0,
             "arena.live": 0,
-            "arena.peak_live": 18341,
+            "arena.peak_live": 11100,
             "cache.clears": 0,
             "cache.evicted_entries": 0,
-            "cache.hits": 12070,
-            "cache.misses": 20412,
+            "cache.hits": 9685,
+            "cache.misses": 12631,
             "cache.total_entries": 0,
             "managers": 2,
             "reuses": 1,
@@ -150,17 +150,17 @@ EXPECTED = {
     "parallel": {
         "per_worker": {
             "pool.acquisitions": 3,
-            "pool.arena.allocated_total": 18462,
+            "pool.arena.allocated_total": 11220,
             "pool.arena.capacity": 0,
             "pool.arena.free": 0,
             "pool.arena.gc_reclaimed": 0,
             "pool.arena.gc_runs": 0,
             "pool.arena.live": 0,
-            "pool.arena.peak_live": 18466,
+            "pool.arena.peak_live": 11224,
             "pool.cache.clears": 0,
             "pool.cache.evicted_entries": 0,
-            "pool.cache.hits": 11774,
-            "pool.cache.misses": 20398,
+            "pool.cache.hits": 9593,
+            "pool.cache.misses": 12618,
             "pool.cache.total_entries": 0,
             "pool.created": 2,
             "pool.managers": 0,
@@ -199,17 +199,17 @@ EXPECTED = {
     "supervised": {
         "pool": {
             "acquisitions": 4,
-            "arena.allocated_total": 23638,
+            "arena.allocated_total": 15616,
             "arena.capacity": 0,
             "arena.free": 0,
             "arena.gc_reclaimed": 0,
             "arena.gc_runs": 0,
             "arena.live": 0,
-            "arena.peak_live": 18341,
+            "arena.peak_live": 11100,
             "cache.clears": 0,
             "cache.evicted_entries": 0,
-            "cache.hits": 12070,
-            "cache.misses": 20412,
+            "cache.hits": 9685,
+            "cache.misses": 12631,
             "cache.total_entries": 0,
             "managers": 2,
             "reuses": 2,
@@ -271,7 +271,7 @@ EXPECTED = {
             "arena.gc_reclaimed": 0,
             "arena.gc_runs": 0,
             "arena.live": 0,
-            "arena.peak_live": 18341,
+            "arena.peak_live": 11100,
             "cache.clears": 0,
             "cache.evicted_entries": 0,
             "cache.hits": 0,

@@ -97,7 +97,7 @@ class TestRelationSnapshots:
         specification, implementation = architecture.make_models(manager)
         manager.declare_all(beta_stimulus_order(architecture, siminfo))
         spec_stepper, impl_stepper = extract_steppers(
-            manager, specification, implementation, architecture.instruction_width
+            manager, specification, implementation, architecture.instruction_bit_order
         )
         return (
             manager,
@@ -150,7 +150,9 @@ class TestRelationSnapshots:
                     architecture, SimulationInfo(reset_cycles=1, slots=slots)
                 )
             )
-            restored = _deserialize_stepper_payload(target, blob, prefix)
+            restored = _deserialize_stepper_payload(
+                target, blob, prefix, architecture.instruction_bit_order
+            )
             reserialized = _serialize_stepper_payload(target, restored, prefix)
             assert self.canonical(blob) == self.canonical(reserialized), prefix
 
@@ -198,7 +200,9 @@ class TestRelationSnapshots:
         blob["input_names"][0] = "beta.s.in[999]"  # envelope-valid corruption
         target = BDDManager()
         with pytest.raises(SnapshotError):
-            _deserialize_stepper_payload(target, blob, SPEC_PREFIX)
+            _deserialize_stepper_payload(
+                target, blob, SPEC_PREFIX, architecture.instruction_bit_order
+            )
         assert target.variables == ()
 
     def test_alpha0_rehydrated_campaign_verdicts_byte_identical(self, tmp_path):

@@ -128,7 +128,7 @@ class TestEligibility:
             manager,
             specification,
             implementation,
-            architecture.instruction_width,
+            architecture.instruction_bit_order,
             spec_key=self.SPEC_KEY,
             impl_key=self.IMPL_KEY,
             snapshot_store=store,

@@ -354,6 +354,29 @@ class TestQuarantine:
         healed = run_with_store(tmp_path)
         assert healed.store["results"]["hits"] == len(CAMPAIGN)
 
+    def test_misshapen_verdict_counts_as_corrupt_not_as_a_hit(self, tmp_path):
+        """A valid envelope around a verdict the runner cannot read is
+        counted once, as corrupt, and quarantined; the scenario recomputes."""
+        scenario = Scenario(name="vsm/one", slots=(NORMAL,))
+        cold = run_with_store(tmp_path, [scenario])
+        store = ResultStore(tmp_path / "store")
+        fingerprint = scenario.fingerprint(store.salt)
+        path = store.result_path(fingerprint)
+        envelope = json.loads(path.read_bytes())
+        envelope["payload"] = {"verdict": {"kind": "beta"}}
+        path.write_bytes(json.dumps(envelope).encode())
+        recovered = run_with_store(tmp_path, [scenario])
+        assert recovered.verdict_json() == cold.verdict_json()
+        results = recovered.store["results"]
+        assert (results["hits"], results["misses"], results["corrupt"]) == (0, 0, 1)
+        assert (results["quarantined"], results["writes"]) == (1, 1)
+        assert results["hit_rate"] == 0.0
+        assert recovered.outcome("vsm/one").store["status"] == "corrupt"
+        names = [p.name for p in ResultStore(tmp_path / "store").quarantined_records()]
+        assert names == [f"{fingerprint}.corrupt"]
+        healed = run_with_store(tmp_path, [scenario])
+        assert healed.store["results"]["hits"] == 1
+
     def test_stale_envelope_is_quarantined_with_reason(self, tmp_path):
         run_with_store(tmp_path)
         store = ResultStore(tmp_path / "store")
