@@ -14,11 +14,11 @@ import pytest
 from repro.bdd import BDDManager
 from repro.fsm import (
     SymbolicFSM,
-    check_equivalence,
+    build_product,
     reachable_states,
     verify_definite_equivalence,
 )
-from repro.logic import Netlist, shift_register
+from repro.logic import inverted_shift_register, shift_register
 
 from _bench_utils import record_paper_comparison
 
@@ -26,19 +26,7 @@ from _bench_utils import record_paper_comparison
 def delay_line_pair(length, manager):
     """Two structurally different but equivalent `length`-cycle delay lines."""
     left = SymbolicFSM.from_netlist(shift_register(length), manager, prefix="L.")
-
-    other = Netlist("alt_delay")
-    other.add_input("din")
-    previous = "din"
-    for i in range(length):
-        # Same behaviour, but state is stored inverted.
-        other.add_gate(f"inv_in{i}", "NOT", [previous])
-        other.add_latch(f"neg{i}", f"inv_in{i}", reset_value=True)
-        other.add_gate(f"pos{i}", "NOT", [f"neg{i}"])
-        previous = f"pos{i}"
-    other.add_gate(f"stage{length - 1}", "BUF", [previous])
-    other.set_outputs([f"stage{length - 1}"])
-    right = SymbolicFSM.from_netlist(other, manager, prefix="R.")
+    right = SymbolicFSM.from_netlist(inverted_shift_register(length), manager, prefix="R.")
     return left, right
 
 
@@ -64,20 +52,18 @@ def test_baseline_product_machine_traversal(benchmark, length):
         manager = BDDManager()
         left, right = delay_line_pair(length, manager)
         right = align_inputs(manager, left, right)
-        from repro.fsm import build_product, build_transition_relation
-
         product = build_product(
             left, right, output_pairs=[(f"stage{length - 1}", f"stage{length - 1}")]
         )
-        relation = build_transition_relation(product)
-        reach = reachable_states(product, relation)
+        reach = reachable_states(product)
         equal = product.outputs["equal"]
         violation = manager.apply_and(reach.reachable, manager.apply_not(equal))
         return reach, manager.is_contradiction(violation)
 
     reach, equivalent = benchmark(run)
     assert equivalent
-    assert reach.iterations >= length
+    assert reach.iterations == length + 1
+    assert reach.reachable_state_count == 2**length
     record_paper_comparison(
         benchmark,
         experiment=f"Section 3.4 baseline (product machine, {length}-cycle delay line)",
@@ -124,12 +110,10 @@ def test_crossover_summary(benchmark):
             manager = BDDManager()
             left, right = delay_line_pair(length, manager)
             right = align_inputs(manager, left, right)
-            from repro.fsm import build_product, build_transition_relation
-
             product = build_product(
                 left, right, output_pairs=[(f"stage{length - 1}", f"stage{length - 1}")]
             )
-            reach = reachable_states(product, build_transition_relation(product))
+            reach = reachable_states(product)
             definite = verify_definite_equivalence(
                 left, right, length, output_pairs=[(f"stage{length - 1}", f"stage{length - 1}")]
             )
@@ -139,7 +123,7 @@ def test_crossover_summary(benchmark):
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     for length, baseline_iterations, definite_cycles in rows:
         assert definite_cycles == length + 1
-        assert baseline_iterations >= length
+        assert baseline_iterations == length + 1
     record_paper_comparison(
         benchmark,
         experiment="Traversal iterations vs definite-machine cycles",

@@ -21,7 +21,6 @@ from repro.bdd import BDDManager
 from repro.fsm import (
     SymbolicFSM,
     build_product,
-    build_transition_relation,
     canonical_realization,
     definiteness_order,
     reachable_states,
@@ -71,7 +70,7 @@ def main() -> int:
     product = build_product(
         specification, implementation, output_pairs=[("stage3", "out")]
     )
-    reach = reachable_states(product, build_transition_relation(product))
+    reach = reachable_states(product)
     print(
         f"Baseline product-machine traversal: {reach.iterations} image iterations, "
         f"{reach.reachable_state_count} reachable product states."

@@ -9,8 +9,8 @@ by splitting the code version into per-component content hashes:
 * ``bdd`` — the BDD kernel (``src/repro/bdd/``): node representation,
   ITE core, GC, snapshots.
 * ``relational`` — the relational subsystem (``src/repro/relational/``):
-  beta-relation extraction, the relational product and image
-  computation, snapshot (de)serialisation.
+  beta-relation extraction, the relational advance, snapshot
+  (de)serialisation.
 * ``verifier`` — the verdict path itself: the executor, the core
   verification/observation/report modules, the filtering-string and
   logic layers, and the ISA definitions.

@@ -34,15 +34,11 @@ def check_equivalence(
     left: SymbolicFSM,
     right: SymbolicFSM,
     max_iterations: Optional[int] = None,
-    relation=None,
 ) -> EquivalenceResult:
     """Check strict input/output equivalence of two machines.
 
-    The traversal runs over the partitioned transition relation with
-    early quantification by default (see
-    :func:`~repro.fsm.reachability.reachable_states`); pass an explicit
-    ``relation`` over the product machine to measure the classical
-    monolithic baseline or to tune the clustering.
+    The traversal runs over one monolithic transition relation of the
+    product machine (see :func:`~repro.fsm.reachability.reachable_states`).
 
     Returns an :class:`EquivalenceResult`; when the machines differ, the
     counterexample gives a reachable product state and an input
@@ -50,7 +46,7 @@ def check_equivalence(
     construction, though the witness input string is not reconstructed).
     """
     product = build_product(left, right)
-    reach = reachable_states(product, relation, max_iterations=max_iterations)
+    reach = reachable_states(product, max_iterations=max_iterations)
     manager = product.manager
     equal = product.outputs[EQUAL_OUTPUT]
     # Outputs must agree for every reachable state and every input:

@@ -9,7 +9,9 @@ computed by repeated image computation until a fixpoint:
 This is the exhaustive state-transition-graph traversal that the
 paper's definite-machine formulation avoids; it is retained here both
 as a substrate (it is still the standard FSM equivalence procedure) and
-as the baseline that the benchmarks compare against.
+as the baseline that the benchmarks compare against.  Every image is
+computed over one monolithic transition relation
+(:mod:`repro.fsm.transition`).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import List, Optional
 
 from ..bdd import BDDNode
 from .machine import SymbolicFSM
-from .transition import build_transition_relation  # noqa: F401 (baseline route)
+from .transition import build_transition_relation
 
 __all__ = ["ReachabilityResult", "reachable_states"]
 
@@ -41,22 +43,14 @@ class ReachabilityResult:
 
 def reachable_states(
     machine: SymbolicFSM,
-    relation=None,
     input_constraint: Optional[BDDNode] = None,
     max_iterations: Optional[int] = None,
 ) -> ReachabilityResult:
     """Fixpoint of breadth-first image computation from the reset state.
 
-    ``relation`` is anything with an ``image(states, input_constraint)``
-    method: the monolithic :class:`~repro.fsm.transition.TransitionRelation`
-    (the classical build-then-smooth baseline, still constructible via
-    :func:`build_transition_relation`) or a
-    :class:`~repro.relational.ImageComputer`.  When omitted, the
-    traversal runs over the **partitioned** relation with early
-    quantification — the relational subsystem is the default image
-    engine, with its default clustering bounds; pass an
-    :class:`~repro.relational.ImageComputer` built with other bounds
-    to tune them.
+    Images are taken over the machine's monolithic transition relation
+    (:func:`~repro.fsm.transition.build_transition_relation`), the
+    classical build-then-smooth route of Section 3.3.
 
     ``input_constraint`` limits the inputs considered at every step;
     ``max_iterations`` aborts long traversals (used by benchmarks to
@@ -64,11 +58,7 @@ def reachable_states(
     are recorded for reporting.
     """
     manager = machine.manager
-    if relation is None:
-        from ..relational import ImageComputer
-        from ..relational import TransitionRelation as PartitionedRelation
-
-        relation = ImageComputer(PartitionedRelation.from_fsm(machine))
+    relation = build_transition_relation(machine)
     current = machine.reset_cube()
     counts = [manager.sat_count(current, machine.state_names)]
     sizes = [manager.count_nodes(current)]

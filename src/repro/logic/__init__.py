@@ -19,6 +19,7 @@ from .netlist import Gate, Latch, Netlist, NetlistError
 from .generators import (
     counter,
     equality_comparator,
+    inverted_shift_register,
     parity_shift_register,
     random_netlist,
     ripple_adder,
@@ -41,6 +42,7 @@ __all__ = [
     "counter",
     "equality_comparator",
     "evaluate_gate",
+    "inverted_shift_register",
     "mux",
     "parity_shift_register",
     "random_netlist",

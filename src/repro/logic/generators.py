@@ -80,6 +80,27 @@ def parity_shift_register(length: int, name: str = "parity_shift_register") -> N
     return netlist
 
 
+def inverted_shift_register(length: int, name: str = "inverted_shift_register") -> Netlist:
+    """A shift register that stores every stage inverted.
+
+    Behaviourally equal to :func:`shift_register` — same input ``din``,
+    same output ``stage{length-1}`` — over latches ``neg{i}`` that reset
+    to 1; the structurally different partner of the product-machine
+    equivalence baseline.
+    """
+    netlist = Netlist(name)
+    netlist.add_input("din")
+    previous = "din"
+    for i in range(length):
+        netlist.add_gate(f"inv_in{i}", "NOT", [previous])
+        netlist.add_latch(f"neg{i}", f"inv_in{i}", reset_value=True)
+        netlist.add_gate(f"pos{i}", "NOT", [f"neg{i}"])
+        previous = f"pos{i}"
+    netlist.add_gate(f"stage{length - 1}", "BUF", [previous])
+    netlist.set_outputs([f"stage{length - 1}"])
+    return netlist
+
+
 def ripple_adder(width: int, name: str = "ripple_adder", registered: bool = False) -> Netlist:
     """A ``width``-bit ripple-carry adder (optionally with registered output).
 
@@ -148,10 +169,9 @@ def random_netlist(
 ) -> Netlist:
     """A seeded pseudo-random sequential netlist.
 
-    Used by the property tests: the relational subsystem's image
-    computation is checked against machines with no hand-designed
-    structure.  The same seed
-    always produces the same netlist.
+    Used by the property tests: image computation is checked against
+    machines with no hand-designed structure.  The same seed always
+    produces the same netlist.
     """
     rng = random.Random(seed)
     netlist = Netlist(f"{name}{seed}")

@@ -199,7 +199,7 @@ class SymbolicUnpipelinedVSM:
     def load_state(self, state: Dict[str, BitVec]) -> None:
         """Overwrite every latch with caller-supplied formulae.
 
-        Used by :mod:`repro.relational.models` to drive the machine from
+        Used by :mod:`repro.relational.beta` to drive the machine from
         a fully symbolic state when extracting its transition relation.
         """
         self.registers = [state[f"reg{i}"] for i in range(NUM_REGISTERS)]
@@ -433,9 +433,9 @@ class SymbolicPipelinedVSM:
     def state_layout(self) -> List[tuple]:
         """Flattened machine state — architectural plus every pipeline latch.
 
-        Field order is the declaration order
-        :func:`repro.relational.models.pipelined_vsm_relation` uses when
-        it lays out present/next variable pairs.
+        Field order is the layout order
+        :func:`repro.relational.beta.relation_declares` reads the
+        control fields in.
         """
         layout = [(f"reg{i}", DATA_WIDTH) for i in range(NUM_REGISTERS)]
         layout += [
@@ -503,7 +503,7 @@ class SymbolicPipelinedVSM:
         """Overwrite every latch with caller-supplied formulae.
 
         The inverse of :meth:`state_formulae`; used by
-        :mod:`repro.relational.models` to step the machine from a fully
+        :mod:`repro.relational.beta` to step the machine from a fully
         symbolic state when extracting its per-bit transition relation.
         """
         self.registers = [state[f"reg{i}"] for i in range(NUM_REGISTERS)]

@@ -1,5 +1,7 @@
 """Tests for transition relations, reachability, product machines and equivalence."""
 
+import random
+
 import pytest
 
 from repro.bdd import BDDManager
@@ -10,7 +12,15 @@ from repro.fsm import (
     check_equivalence,
     reachable_states,
 )
-from repro.logic import Netlist, counter, parity_shift_register, shift_register, toggle_machine
+from repro.logic import (
+    Netlist,
+    counter,
+    inverted_shift_register,
+    parity_shift_register,
+    random_netlist,
+    shift_register,
+    toggle_machine,
+)
 
 
 class TestTransitionRelation:
@@ -60,6 +70,61 @@ class TestTransitionRelation:
         pre = relation.preimage(target)
         assert manager.evaluate(pre, {"q0": True, "q1": False}) is True
         assert manager.evaluate(pre, {"q0": False, "q1": False}) is False
+
+
+def naive_route(manager, machine):
+    """Reference image/preimage: conjoin every ``s#next XNOR next_state(s)``
+    with the source set, smooth once, rename."""
+    next_of = {name: name + "#next" for name in machine.state_names}
+    present_of = {nxt: name for name, nxt in next_of.items()}
+    parts = [
+        manager.apply_xnor(manager.var(next_of[name]), machine.next_state[name])
+        for name in machine.state_names
+    ]
+
+    def conjoin(source):
+        for part in parts:
+            source = manager.apply_and(source, part)
+        return source
+
+    def image(states, constraint=None):
+        if constraint is not None:
+            states = manager.apply_and(states, constraint)
+        smoothed = manager.exists(
+            list(machine.input_names) + list(machine.state_names), conjoin(states)
+        )
+        return manager.rename(smoothed, present_of)
+
+    def preimage(target):
+        renamed = manager.rename(target, next_of)
+        return manager.exists(
+            list(machine.input_names) + list(next_of.values()), conjoin(renamed)
+        )
+
+    return image, preimage
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_netlist_image_matches_naive_route(seed):
+    """The monolithic relation's image and preimage are the same node as
+    the naive route on machines with no hand-designed structure."""
+    manager = BDDManager()
+    machine = SymbolicFSM.from_netlist(random_netlist(seed), manager)
+    relation = build_transition_relation(machine)
+    image, preimage = naive_route(manager, machine)
+    rng = random.Random(seed + 1000)
+    partial = {
+        name: rng.random() < 0.5 for name in machine.state_names if rng.random() < 0.6
+    }
+    constraint = manager.cube({machine.input_names[0]: True})
+    for frontier in (
+        machine.reset_cube(),
+        manager.cube(partial) if partial else manager.one,
+        manager.one,
+    ):
+        assert relation.image(frontier) is image(frontier)
+        assert relation.image(frontier, constraint) is image(frontier, constraint)
+        assert relation.preimage(frontier) is preimage(frontier)
 
 
 class TestReachability:
@@ -174,7 +239,6 @@ def check_equivalence_with_mapping(left, right, manager, outputs=None):
     """Helper: equivalence check for prefixed machines sharing one input."""
     from repro.fsm.product import build_product
     from repro.fsm.reachability import reachable_states
-    from repro.fsm.transition import build_transition_relation
     from repro.fsm.equivalence import EquivalenceResult
 
     if outputs is None:
@@ -185,8 +249,7 @@ def check_equivalence_with_mapping(left, right, manager, outputs=None):
         for right_name, left_name in zip(sorted(right.input_names), sorted(left.input_names))
     }
     product = build_product(left, right, output_pairs=outputs, input_mapping=input_mapping)
-    relation = build_transition_relation(product)
-    reach = reachable_states(product, relation)
+    reach = reachable_states(product)
     equal = product.outputs["equal"]
     violation = manager.apply_and(reach.reachable, manager.apply_not(equal))
     if manager.is_contradiction(violation):
@@ -197,6 +260,19 @@ def check_equivalence_with_mapping(left, right, manager, outputs=None):
         reach.reachable_state_count,
         counterexample=manager.pick_assignment(violation),
     )
+
+
+@pytest.mark.parametrize("length", [2, 3, 4, 5, 6])
+def test_delay_line_baseline_counts(length):
+    """Section 3.4 baseline: the product of two delay lines reaches its
+    2**length states in length + 1 image iterations."""
+    manager = BDDManager()
+    left = SymbolicFSM.from_netlist(shift_register(length), manager)
+    right = SymbolicFSM.from_netlist(inverted_shift_register(length), manager)
+    result = check_equivalence(left, right)
+    assert result.equivalent
+    assert result.iterations == length + 1
+    assert result.reachable_state_count == 2**length
 
 
 class TestCheckEquivalenceDirect:

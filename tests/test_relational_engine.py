@@ -9,13 +9,12 @@ keeps stable.
 
 import pytest
 
-from repro.bdd import BDDManager
 from repro.core.architectures import VSMArchitecture
 from repro.core.siminfo import SimulationInfo
 from repro.core.verifier import verify_beta_relation
 from repro.engine import CampaignRunner, Scenario
 from repro.isa import vsm as vsm_isa
-from repro.relational import BETA_COMPOSE, ConjunctivePartition
+from repro.relational import BETA_COMPOSE
 from repro.strings import CONTROL, NORMAL
 
 #: Every key a ``relational`` payload has carried besides ``beta_backend``.
@@ -68,8 +67,6 @@ class TestPolicyOnScenario:
             verify_beta_relation(
                 VSMArchitecture(), SimulationInfo(slots=(NORMAL,)), beta_backend="shuffle"
             )
-        with pytest.raises(ValueError):
-            ConjunctivePartition.build(BDDManager(), [], max_cluster_size=0)
 
     def test_policy_rejected_on_superscalar_scenarios(self):
         with pytest.raises(ValueError, match="silently ignored"):
