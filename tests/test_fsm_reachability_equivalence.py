@@ -1,7 +1,5 @@
 """Tests for transition relations, reachability, product machines and equivalence."""
 
-import random
-
 import pytest
 
 from repro.bdd import BDDManager
@@ -17,7 +15,6 @@ from repro.logic import (
     counter,
     inverted_shift_register,
     parity_shift_register,
-    random_netlist,
     shift_register,
     toggle_machine,
 )
@@ -70,61 +67,6 @@ class TestTransitionRelation:
         pre = relation.preimage(target)
         assert manager.evaluate(pre, {"q0": True, "q1": False}) is True
         assert manager.evaluate(pre, {"q0": False, "q1": False}) is False
-
-
-def naive_route(manager, machine):
-    """Reference image/preimage: conjoin every ``s#next XNOR next_state(s)``
-    with the source set, smooth once, rename."""
-    next_of = {name: name + "#next" for name in machine.state_names}
-    present_of = {nxt: name for name, nxt in next_of.items()}
-    parts = [
-        manager.apply_xnor(manager.var(next_of[name]), machine.next_state[name])
-        for name in machine.state_names
-    ]
-
-    def conjoin(source):
-        for part in parts:
-            source = manager.apply_and(source, part)
-        return source
-
-    def image(states, constraint=None):
-        if constraint is not None:
-            states = manager.apply_and(states, constraint)
-        smoothed = manager.exists(
-            list(machine.input_names) + list(machine.state_names), conjoin(states)
-        )
-        return manager.rename(smoothed, present_of)
-
-    def preimage(target):
-        renamed = manager.rename(target, next_of)
-        return manager.exists(
-            list(machine.input_names) + list(next_of.values()), conjoin(renamed)
-        )
-
-    return image, preimage
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_random_netlist_image_matches_naive_route(seed):
-    """The monolithic relation's image and preimage are the same node as
-    the naive route on machines with no hand-designed structure."""
-    manager = BDDManager()
-    machine = SymbolicFSM.from_netlist(random_netlist(seed), manager)
-    relation = build_transition_relation(machine)
-    image, preimage = naive_route(manager, machine)
-    rng = random.Random(seed + 1000)
-    partial = {
-        name: rng.random() < 0.5 for name in machine.state_names if rng.random() < 0.6
-    }
-    constraint = manager.cube({machine.input_names[0]: True})
-    for frontier in (
-        machine.reset_cube(),
-        manager.cube(partial) if partial else manager.one,
-        manager.one,
-    ):
-        assert relation.image(frontier) is image(frontier)
-        assert relation.image(frontier, constraint) is image(frontier, constraint)
-        assert relation.preimage(frontier) is preimage(frontier)
 
 
 class TestReachability:
