@@ -16,9 +16,11 @@ generative-campaign acceptance bars:
   the loop.
 
 Tiers: the full tier runs the 200-scenario acceptance campaign; the
-``bench_smoke`` tier runs a 20-scenario pass in CI time.  The full tier and the CLI write ``BENCH_fuzz.json`` next to
-this file (CI uploads it as an artifact); the smoke tier writes under
-pytest's ``tmp_path`` and never touches the committed record.
+``bench_smoke`` tier runs a 20-scenario pass in CI time.  The full tier
+and the CLI write ``BENCH_fuzz.json`` next to this file (CI uploads it
+as an artifact), each replacing the file with its own run's record; the
+smoke tier writes under pytest's ``tmp_path`` and never touches the
+committed record.
 
 CLI (the CI fuzz-smoke steps)::
 
@@ -33,6 +35,7 @@ asserts store survival across invocations.
 import argparse
 import json
 import pathlib
+import sys
 import tempfile
 import time
 
@@ -199,6 +202,20 @@ def test_fuzz_campaign_smoke(benchmark, tmp_path):
     )
 
 
+@pytest.mark.bench_smoke
+def test_cli_record_holds_only_the_last_run(tmp_path, monkeypatch):
+    """Each CLI run replaces the record: no stale keys, no growing list."""
+    record = tmp_path / JSON_PATH.name
+    monkeypatch.setattr(sys.modules[__name__], "JSON_PATH", record)
+    for argv in (["--count", "2"], ["--seed", "1", "--count", "1"]):
+        monkeypatch.setattr(sys, "argv", ["bench_fuzz_campaign.py", *argv])
+        main()
+    written = json.loads(record.read_text())
+    assert "cli_runs" not in written
+    assert (written["seed"], written["count"]) == (1, 1)
+    assert written["summary"]["scenarios"] == 1
+
+
 def test_fuzz_campaign_full(benchmark):
     """Acceptance tier: the seeded 200-scenario campaign."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -281,14 +298,7 @@ def main() -> int:
         "survival_rate": round(survival, 4),
         "violations": result.ground_truth_violations,
     }
-    existing = {}
-    if JSON_PATH.exists():
-        try:
-            existing = json.loads(JSON_PATH.read_text())
-        except ValueError:
-            existing = {}
-    existing.setdefault("cli_runs", []).append(payload)
-    JSON_PATH.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n")
+    _write_json(payload, JSON_PATH)
 
     if not result.ok:
         print(f"FAIL: {len(result.ground_truth_violations)} ground-truth violation(s):")

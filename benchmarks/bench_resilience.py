@@ -1,4 +1,4 @@
-"""Resilience layer overhead + checkpoint/resume benchmark (PR 10).
+"""Resilience layer overhead + resume benchmark.
 
 The resilience layer's contract mirrors telemetry's: *off means free,
 on means cheap, and never a changed verdict*.  The engine seams are
@@ -17,17 +17,17 @@ benchmark pins the "on means cheap" half and the recovery story:
   (backoff sleeping on the happy path, per-call policy rebuilds) fails
   CI outright while a noisy-box near-miss does not.
 
-* **Resume** — run the same campaign against a store + checkpoint
-  journal, kill it halfway with an injected ``KeyboardInterrupt``,
-  then resume against the same journal: the resumed run must replay
-  the journalled prefix from the store (no re-execution) and produce
-  a verdict byte-identical to an uninterrupted baseline.
+* **Resume** — run the same campaign against a store, kill it halfway
+  with an injected ``KeyboardInterrupt``, then run it again against
+  the same store: the rerun must replay the finished prefix from the
+  store's result records (no re-execution) and produce a verdict
+  byte-identical to an uninterrupted baseline.
 
 * **Fault differential** (CLI) — seeded fault schedules (store I/O
   faults, record corruption, retried scenario errors) run under
   supervision and must still produce byte-identical verdicts; the
-  journal file and the store's quarantine listing land next to
-  ``BENCH_resilience.json`` as CI artifacts.
+  faulted stores' quarantine listing lands in ``--artifacts`` as a CI
+  artifact.
 
 The CLI writes its full record to ``BENCH_resilience.json`` next to
 this file; the ``bench_smoke`` tests write theirs under pytest's
@@ -38,7 +38,6 @@ import argparse
 import gc
 import json
 import pathlib
-import shutil
 import tempfile
 import time
 
@@ -205,11 +204,11 @@ def measure_overhead(names=SMOKE_SCENARIOS, rounds=ROUNDS) -> dict:
     }
 
 
-def measure_resume(names=SMOKE_SCENARIOS, workdir=None) -> dict:
-    """Kill a journalled campaign halfway, resume, compare verdicts.
+def measure_resume(names=SMOKE_SCENARIOS) -> dict:
+    """Kill a campaign halfway, rerun it on the same store, compare verdicts.
 
-    Returns a measurement record; ``workdir`` (optional) receives the
-    surviving journal file as a CI artifact.
+    ``replayed`` is the rerun's result-store hits: the scenarios that
+    finished before the kill and were not executed again.
     """
     names = list(names)
     kill_at = len(names) // 2 or 1
@@ -217,7 +216,6 @@ def measure_resume(names=SMOKE_SCENARIOS, workdir=None) -> dict:
         root = pathlib.Path(tmp)
         baseline = CampaignRunner(store_path=root / "baseline-store").run(names)
         store_path = root / "store"
-        journal_path = root / "journal.jsonl"
         interrupt = FaultPlan(
             seed=1110,
             sites={"scenario.run": FaultSpec(kind="interrupt", at=(kill_at,))},
@@ -225,34 +223,24 @@ def measure_resume(names=SMOKE_SCENARIOS, workdir=None) -> dict:
         interrupted = False
         with faults.active(interrupt):
             try:
-                CampaignRunner(store_path=store_path).run(
-                    names, journal=journal_path
-                )
+                CampaignRunner(store_path=store_path).run(names)
             except KeyboardInterrupt:
                 interrupted = True
         started = time.perf_counter()
-        resumed = CampaignRunner(store_path=store_path).run(
-            names, journal=journal_path
-        )
+        resumed = CampaignRunner(store_path=store_path).run(names)
         resume_seconds = time.perf_counter() - started
-        journal_stats = resumed.resilience.get("journal", {})
-        record = {
+        replayed = resumed.store["results"]["hits"]
+        return {
             "scenarios": names,
             "killed_at_index": kill_at,
             "interrupted": interrupted,
             "resume_seconds": round(resume_seconds, 4),
-            "replayed": journal_stats.get("replayed", 0),
-            "re_executed": len(names) - journal_stats.get("replayed", 0),
-            "store_hits_on_resume": resumed.store["results"]["hits"],
+            "replayed": replayed,
+            "re_executed": len(names) - replayed,
             "verdicts_identical": (
                 resumed.verdict_json() == baseline.verdict_json()
             ),
-            "journal": journal_stats,
         }
-        if workdir is not None:
-            workdir.mkdir(parents=True, exist_ok=True)
-            shutil.copy(journal_path, workdir / "journal.jsonl")
-    return record
 
 
 def measure_fault_differential(names=SMOKE_SCENARIOS, workdir=None) -> dict:
@@ -348,15 +336,14 @@ def test_resilience_overhead_smoke(benchmark, tmp_path):
 
 @pytest.mark.bench_smoke
 def test_resilience_resume_smoke(benchmark):
-    """Interrupted + resumed journalled campaign stays byte-identical."""
+    """An interrupted campaign rerun on its store stays byte-identical."""
     payload = benchmark.pedantic(measure_resume, rounds=1, iterations=1)
     assert payload["interrupted"], "the injected interrupt never fired"
     assert payload["verdicts_identical"], "resume changed a verdict"
     assert payload["replayed"] == payload["killed_at_index"]
-    assert payload["store_hits_on_resume"] == payload["replayed"]
     record_paper_comparison(
         benchmark,
-        experiment="checkpoint resume (smoke)",
+        experiment="resume from the store (smoke)",
         paper="an interrupted campaign must be resumable without recomputation",
         measured=(
             f"killed at {payload['killed_at_index']}, replayed "
@@ -376,13 +363,12 @@ def main() -> int:
         "--artifacts",
         type=pathlib.Path,
         default=None,
-        help="directory receiving the resume journal and the faulted "
-        "stores' quarantine listing",
+        help="directory receiving the faulted stores' quarantine listing",
     )
     args = parser.parse_args()
     payload = {
         "overhead": measure_overhead(rounds=args.rounds),
-        "resume": measure_resume(workdir=args.artifacts),
+        "resume": measure_resume(),
         "fault_differential": measure_fault_differential(
             workdir=args.artifacts
         ),
@@ -400,7 +386,7 @@ def main() -> int:
     if not payload["resume"]["verdicts_identical"]:
         failures.append("resume changed a verdict")
     if payload["resume"]["replayed"] != payload["resume"]["killed_at_index"]:
-        failures.append("resume re-executed journalled work")
+        failures.append("resume re-executed finished work")
     if not payload["fault_differential"]["verdicts_identical"]:
         failures.append("a fault schedule changed a verdict")
     for failure in failures:

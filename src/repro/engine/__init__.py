@@ -22,14 +22,14 @@ One orchestrator for every verification workload of the reproduction:
 
 The engine is supervised by :mod:`repro.resilience`: a
 :class:`~repro.resilience.SupervisionPolicy` configures bounded
-scenario retries and worker respawn, a
-:class:`~repro.resilience.CampaignJournal` checkpoint makes campaigns
-resumable, and :mod:`repro.resilience.faults` injects deterministic
-failures into the engine's seams for testing — re-exported here for
-convenience.
+scenario retries and worker respawn, and
+:mod:`repro.resilience.faults` injects deterministic failures into the
+engine's seams for testing — re-exported here for convenience.  An
+interrupted campaign resumes by running again against the same
+:class:`ResultStore`, which replays every finished verdict.
 """
 
-from ..resilience import CampaignJournal, FaultPlan, FaultSpec, SupervisionPolicy
+from ..resilience import FaultPlan, FaultSpec, SupervisionPolicy
 from . import codehash
 from .executor import execute_scenario, run_beta, run_events, run_superscalar
 from .pool import ManagerPool
@@ -46,7 +46,6 @@ from .scenario import (
     Alpha0Spec,
     Scenario,
     ScenarioRegistry,
-    campaign_fingerprint,
     alpha0_bug_scenarios,
     alpha0_memory_scenario,
     alpha0_operate_scenario,
@@ -64,7 +63,6 @@ __all__ = [
     "Alpha0Spec",
     "BETA",
     "CODE_SALT",
-    "CampaignJournal",
     "CampaignReport",
     "CampaignRunner",
     "EVENTS",
@@ -84,7 +82,6 @@ __all__ = [
     "alpha0_bug_scenarios",
     "alpha0_memory_scenario",
     "alpha0_operate_scenario",
-    "campaign_fingerprint",
     "default_registry",
     "event_scenarios",
     "execute_scenario",

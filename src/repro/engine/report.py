@@ -22,9 +22,8 @@ from typing import Dict, List, Optional
 #: Version of the :meth:`CampaignReport.to_dict` schema.  v2 added
 #: ``schema_version``/``generated_at`` themselves plus the ``telemetry``
 #: section (trace summary and metrics-registry snapshot).  v3 added the
-#: ``resilience`` section (supervision policy and retry/respawn/
-#: redispatch activity, checkpoint-journal state, fault-injection
-#: statistics).
+#: ``resilience`` section (supervision policy, retry/respawn/
+#: redispatch activity and fault-injection statistics).
 REPORT_SCHEMA_VERSION = 3
 
 
@@ -136,10 +135,9 @@ class CampaignReport:
     telemetry: Dict[str, object] = field(default_factory=dict)
     #: Resilience section (measurement, not verdict): the supervision
     #: policy in force, scenario retry / store-write retry counts,
-    #: worker respawn/redispatch/hang activity, checkpoint-journal state
-    #: and fault-injector statistics.  Empty for an unsupervised,
-    #: unjournalled, fault-free campaign — the overwhelmingly common
-    #: case pays nothing.
+    #: worker respawn/redispatch/hang activity and fault-injector
+    #: statistics.  Empty for an unsupervised, fault-free campaign —
+    #: the overwhelmingly common case pays nothing.
     resilience: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -267,11 +265,6 @@ class CampaignReport:
                 parts.append(f"{workers['respawned']} worker(s) respawned")
             if workers.get("hung_terminated"):
                 parts.append(f"{workers['hung_terminated']} hung worker(s) terminated")
-            journal = resilience.get("journal") or {}
-            if journal.get("resumed"):
-                parts.append(
-                    f"resumed at {journal.get('completed', 0)}/{journal.get('total', 0)}"
-                )
             if parts:
                 lines.append("  resilience: " + ", ".join(parts))
         return "\n".join(lines)

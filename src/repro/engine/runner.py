@@ -29,8 +29,8 @@
   over a pipe of its own, and a worker with no unit left may run a
   speculative job the caller handed in (fuzz campaigns warm the store
   with their minimizer's candidate verdicts).  It is the only parallel
-  scheduler: every worker is supervised, traced and journalled as its
-  outcomes arrive.  Because pooled results are bit-identical to
+  scheduler: every worker is supervised and traced as its outcomes
+  arrive.  Because pooled results are bit-identical to
   fresh-manager results (see :mod:`repro.engine.pool`), every mode —
   serial, parallel, warm-store — carries the same verdicts, byte for
   byte;
@@ -39,11 +39,11 @@
   scenario retries with seeded backoff and store-write retry; the
   affinity scheduler *always* supervises its workers (a dead worker is
   respawned and its in-flight unit re-dispatched instead of failing
-  its scenarios); a checkpoint journal
-  (:class:`~repro.resilience.CampaignJournal`) makes an interrupted
-  campaign resumable, re-executing only unfinished scenarios.  The
-  standing invariant extends to the failure paths: under any quiescent
-  injected-fault schedule (see :mod:`repro.resilience.faults`) the
+  its scenarios).  An interrupted campaign resumes by running it again
+  against the same store: finished verdicts replay from their records
+  and only unfinished scenarios execute.  The standing invariant
+  extends to the failure paths: under any quiescent injected-fault
+  schedule (see :mod:`repro.resilience.faults`) the
   verdicts stay byte-identical to the fault-free run.
 """
 
@@ -61,15 +61,10 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 from .executor import execute_scenario
 from .pool import ManagerPool
 from .report import CampaignReport, ScenarioOutcome
-from .scenario import (
-    Scenario,
-    ScenarioRegistry,
-    campaign_fingerprint,
-    default_registry,
-)
+from .scenario import Scenario, ScenarioRegistry, default_registry
 from .store import ResultStore
 from .. import telemetry
-from ..resilience import CampaignJournal, SupervisionPolicy, faults
+from ..resilience import SupervisionPolicy, faults
 from ..telemetry import report as trace_report
 
 ScenarioLike = Union[Scenario, str]
@@ -545,7 +540,6 @@ class CampaignRunner:
         max_workers: Optional[int] = None,
         mp_context: Optional[str] = None,
         supervision: Optional[SupervisionPolicy] = None,
-        journal: Optional[Union[str, Path]] = None,
         _jobs: Sequence[Job] = (),
     ) -> CampaignReport:
         """Execute a campaign and return its report.
@@ -564,12 +558,9 @@ class CampaignRunner:
         ``supervision`` turns on bounded scenario retries with seeded
         backoff (and, in parallel mode, overrides the worker respawn /
         re-dispatch caps and enables the hung-worker watchdog via
-        ``soft_timeout``).  ``journal`` names a checkpoint-journal file:
-        completed scenarios are marked as the campaign progresses, and
-        re-running the same campaign against the same journal (after an
-        interrupt or crash) re-executes only unfinished work — the
-        persistent store replays the finished verdicts byte-identically.
-        A journal therefore requires the runner to have a store.
+        ``soft_timeout``).  To resume an interrupted campaign, run it
+        again against the same store: the finished verdicts replay from
+        their records byte-identically and only unfinished work runs.
 
         ``_jobs`` (internal) hands parallel mode speculative work for
         idle workers (see :data:`Job`): the campaign layer uses it to
@@ -579,11 +570,6 @@ class CampaignRunner:
         resolved = self.resolve(scenarios)
         if not resolved:
             return CampaignReport(outcomes=[], mode="serial")
-        if journal is not None and self.store is None:
-            raise ValueError(
-                "a checkpoint journal needs a persistent store "
-                "(pass store= or store_path= to the runner)"
-            )
         tracer = telemetry.get_tracer()
         trace_start = tracer.event_count() if tracer is not None else 0
         started = time.perf_counter()
@@ -595,80 +581,55 @@ class CampaignRunner:
             # keeps being used never accumulates dead ``*.tmp`` litter,
             # even in fan-out directories no current scenario writes to.
             self.store.sweep_stale_tmp()
-        journal_obj: Optional[CampaignJournal] = None
-        fingerprints: Optional[List[str]] = None
-        journal_replayed = 0
-        if journal is not None:
-            fingerprints = [
-                scenario.fingerprint(self.store.salt) for scenario in resolved
-            ]
-            journal_obj = CampaignJournal(
-                journal,
-                key=campaign_fingerprint(resolved, self.store.salt),
-                total=len(resolved),
-                fsync=self.store.fsync,
-            )
-            journal_replayed = len(journal_obj.completed)
         worker_records: List[Dict[str, object]] = []
-        try:
-            with telemetry.span(
-                "campaign.run",
-                scenarios=len(resolved),
-                parallel=parallel,
-            ):
-                if parallel:
-                    outcomes, pool_stats, worker_records = self._run_parallel_affinity(
-                        resolved,
-                        max_workers,
-                        mp_context,
-                        supervision,
-                        journal_obj,
-                        fingerprints,
-                        _jobs if self.store is not None else (),
+        with telemetry.span(
+            "campaign.run",
+            scenarios=len(resolved),
+            parallel=parallel,
+        ):
+            if parallel:
+                outcomes, pool_stats, worker_records = self._run_parallel_affinity(
+                    resolved,
+                    max_workers,
+                    mp_context,
+                    supervision,
+                    _jobs if self.store is not None else (),
+                )
+                if self.memoize:
+                    # Leave the memo as a serial run would, so later
+                    # run_one calls (the minimizer's) see the same
+                    # hits in either mode.
+                    for scenario, outcome in zip(resolved, outcomes):
+                        if outcome.error is None:
+                            self._memo.setdefault(
+                                (scenario.order_signature(), scenario.cache_key()),
+                                copy.deepcopy(outcome),
+                            )
+                mode = "parallel"
+            else:
+                before = self.pool.statistics()
+                last_use = {
+                    scenario.order_signature(): index
+                    for index, scenario in enumerate(resolved)
+                }
+                outcomes = []
+                for index, scenario in enumerate(resolved):
+                    outcome, _ = _execute_pooled(
+                        scenario,
+                        self.pool,
+                        self._memo if self.memoize else None,
+                        store=self.store,
+                        supervision=supervision,
                     )
-                    if self.memoize:
-                        # Leave the memo as a serial run would, so later
-                        # run_one calls (the minimizer's) see the same
-                        # hits in either mode.
-                        for scenario, outcome in zip(resolved, outcomes):
-                            if outcome.error is None:
-                                self._memo.setdefault(
-                                    (scenario.order_signature(), scenario.cache_key()),
-                                    copy.deepcopy(outcome),
-                                )
-                    mode = "parallel"
-                else:
-                    before = self.pool.statistics()
-                    last_use = {
-                        scenario.order_signature(): index
-                        for index, scenario in enumerate(resolved)
-                    }
-                    outcomes = []
-                    for index, scenario in enumerate(resolved):
-                        outcome, _ = _execute_pooled(
-                            scenario,
-                            self.pool,
-                            self._memo if self.memoize else None,
-                            store=self.store,
-                            supervision=supervision,
-                        )
-                        outcomes.append(outcome)
-                        signature = scenario.order_signature()
-                        if last_use[signature] == index:
-                            # No later scenario can reuse this manager.
-                            self.pool.release(signature)
-                        if journal_obj is not None and outcome.error is None:
-                            # Mark as we go: a campaign killed at any
-                            # instant has journalled exactly the work
-                            # that completed before the kill.
-                            journal_obj.mark(index, fingerprints[index])
-                    pool_stats = telemetry.delta(before, self.pool.statistics())
-                    # The report counts the managers the campaign created.
-                    pool_stats["managers"] = pool_stats.pop("created")
-                    mode = "serial"
-        finally:
-            if journal_obj is not None:
-                journal_obj.close()
+                    outcomes.append(outcome)
+                    signature = scenario.order_signature()
+                    if last_use[signature] == index:
+                        # No later scenario can reuse this manager.
+                        self.pool.release(signature)
+                pool_stats = telemetry.delta(before, self.pool.statistics())
+                # The report counts the managers the campaign created.
+                pool_stats["managers"] = pool_stats.pop("created")
+                mode = "serial"
         store_stats: Dict[str, object] = {}
         if store_before is not None:
             store_stats = telemetry.total(
@@ -687,9 +648,7 @@ class CampaignRunner:
             total_seconds=time.perf_counter() - started,
             store=store_stats,
         )
-        report.resilience = self._resilience_section(
-            supervision, counters, journal_obj, journal_replayed
-        )
+        report.resilience = self._resilience_section(supervision, counters)
         if tracer is not None:
             report.telemetry = self._telemetry_section(
                 tracer, trace_start, worker_records
@@ -701,12 +660,10 @@ class CampaignRunner:
     def _resilience_section(
         supervision: Optional[SupervisionPolicy],
         counters: Dict[str, object],
-        journal_obj: Optional[CampaignJournal],
-        journal_replayed: int,
     ) -> Dict[str, object]:
         """The report's ``resilience`` section (empty when nothing to say).
 
-        Present exactly when the campaign was supervised, journalled,
+        Present exactly when the campaign was supervised,
         fault-injected, or saw any retry/respawn activity — the plain
         fault-free unsupervised run keeps an empty section and an
         unchanged report.  ``counters`` are the registry counters the
@@ -721,10 +678,6 @@ class CampaignRunner:
         workers = {key: counters.get(name, 0) for key, name in _WORKER_COUNTERS}
         if any(workers.values()):
             section["workers"] = workers
-        if journal_obj is not None:
-            stats = journal_obj.statistics()
-            stats["replayed"] = journal_replayed
-            section["journal"] = stats
         fault_stats = faults.statistics()
         if fault_stats is not None:
             section["faults"] = fault_stats
@@ -776,8 +729,6 @@ class CampaignRunner:
         max_workers: Optional[int],
         mp_context: Optional[str],
         supervision: Optional[SupervisionPolicy] = None,
-        journal: Optional[CampaignJournal] = None,
-        fingerprints: Optional[List[str]] = None,
         jobs: Sequence[Job] = (),
     ) -> Tuple[List[ScenarioOutcome], Dict[str, object], List[Dict[str, object]]]:
         """The supervised affinity scheduler (parent-side dispatch).
@@ -976,12 +927,6 @@ class CampaignRunner:
                 state = worker_states.get(wid)
                 if state is not None:
                     state["last_seen"] = time.monotonic()
-                if (
-                    journal is not None
-                    and fingerprints is not None
-                    and outcome.error is None
-                ):
-                    journal.mark(index, fingerprints[index])
             else:  # "close"
                 _, wid, record = message
                 worker_records.append(record)
@@ -1098,7 +1043,6 @@ def run_campaign(
     cache_limit: Optional[int] = None,
     store_path: Optional[Union[str, Path]] = None,
     supervision: Optional[SupervisionPolicy] = None,
-    journal: Optional[Union[str, Path]] = None,
 ) -> CampaignReport:
     """One-shot convenience wrapper around :class:`CampaignRunner`."""
     runner = CampaignRunner(cache_limit=cache_limit, store_path=store_path)
@@ -1107,5 +1051,4 @@ def run_campaign(
         parallel=parallel,
         max_workers=max_workers,
         supervision=supervision,
-        journal=journal,
     )

@@ -555,25 +555,6 @@ class Scenario:
         return replace(self, name=name)
 
 
-def campaign_fingerprint(scenarios: Sequence["Scenario"], salt: str = "") -> str:
-    """Content address of a whole campaign: its ordered scenario fingerprints.
-
-    The checkpoint journal (:mod:`repro.resilience.journal`) keys its
-    completion marks by this value, so a journal written for one
-    campaign can never leak marks into a different one — a permuted,
-    extended or edited scenario list (or a code change that bumped the
-    store salt) produces a different campaign key and the journal
-    starts fresh.  Deliberately *not* a :class:`Scenario` field: the
-    per-scenario fingerprint (and with it every persistent store
-    record) stays untouched.
-    """
-    blob = json.dumps(
-        [scenario.fingerprint(salt) for scenario in scenarios],
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 class ScenarioRegistry:
     """Named collection of scenarios, resolvable by name or tag."""
 

@@ -40,8 +40,9 @@ can therefore never be served from a damaged or outdated store.  Writes
 go through a temp file plus :func:`os.replace`, so concurrent writers
 (the affinity scheduler's workers share one store directory) can only
 ever publish whole records; temp files orphaned by a writer that died
-mid-publish are swept opportunistically once they outlive
-``tmp_max_age`` seconds.
+mid-publish are swept when they outlive :data:`TMP_MAX_AGE_SECONDS`
+by :meth:`ResultStore.sweep_stale_tmp`, which the campaign runner calls
+at the start of every campaign.
 
 :data:`CODE_SALT` is the *engine-level* salt: since PR 6 the per-model
 and per-subsystem code versions are tracked automatically by the
@@ -78,7 +79,7 @@ STORE_VERSION = 2
 #: Compression level of snapshot records (zlib; 6 is the speed/size knee).
 _SNAPSHOT_COMPRESSION = 6
 
-#: Default age (seconds) past which an orphaned ``*.tmp`` file — a
+#: Age (seconds) past which an orphaned ``*.tmp`` file — a
 #: writer died between ``mkstemp`` and ``os.replace`` — is swept.  Old
 #: enough that no live writer can still be holding it open.
 TMP_MAX_AGE_SECONDS = 3600.0
@@ -88,7 +89,7 @@ TMP_MAX_AGE_SECONDS = 3600.0
 #: overwrite-in-place behaviour instead of growing the directory.
 QUARANTINE_LIMIT = 256
 
-#: Default age (seconds) past which a quarantined record is swept (the
+#: Age (seconds) past which a quarantined record is swept (the
 #: ``sweep_stale_tmp`` aging rule applied to forensic artefacts: long
 #: enough to collect — a week — short enough that a store that keeps
 #: being used never accumulates them indefinitely).
@@ -162,21 +163,15 @@ class ResultStore:
         self,
         root: Union[str, Path],
         salt: str = CODE_SALT,
-        tmp_max_age: float = TMP_MAX_AGE_SECONDS,
         fsync: bool = False,
-        quarantine_limit: int = QUARANTINE_LIMIT,
-        quarantine_max_age: float = QUARANTINE_MAX_AGE_SECONDS,
     ) -> None:
         self.root = Path(root)
         self.salt = salt
-        self.tmp_max_age = tmp_max_age
         #: Durable publishes: fsync the record bytes before the atomic
         #: rename (off by default — the rename already guarantees no
         #: partial record is ever visible; fsync additionally survives
         #: power loss at the cost of one sync per write).
         self.fsync = fsync
-        self.quarantine_limit = quarantine_limit
-        self.quarantine_max_age = quarantine_max_age
         self._results_dir = self.root / "results"
         self._snapshots_dir = self.root / "snapshots"
         self._quarantine_dir = self.root / "quarantine"
@@ -307,18 +302,18 @@ class ResultStore:
         workflow wants (what *did* the damaged bytes look like?).  The
         atomic rename preserves them; the caller still recomputes and
         republishes at the original path.  Capped at
-        ``quarantine_limit`` files (beyond it the old overwrite-in-place
+        :data:`QUARANTINE_LIMIT` files (beyond it the old overwrite-in-place
         behaviour resumes) and swept by age like orphaned temp files.
         Best-effort: any filesystem refusal leaves the record where it
         was — quarantine must never turn a refused read into a raise.
         """
-        if path is None or self.quarantine_limit <= 0:
+        if path is None or QUARANTINE_LIMIT <= 0:
             return None
         try:
             self._quarantine_dir.mkdir(parents=True, exist_ok=True)
             self._sweep_quarantine()
             existing = sum(1 for _ in self._quarantine_dir.iterdir())
-            if existing >= self.quarantine_limit:
+            if existing >= QUARANTINE_LIMIT:
                 return None
             target = self._quarantine_dir / f"{fingerprint}.{reason}"
             os.replace(path, target)
@@ -326,13 +321,13 @@ class ResultStore:
             return None
         counters["quarantined"] += 1
         telemetry.get_registry().counter(f"store.quarantine.{reason}").inc()
-        telemetry.get_registry().gauge("store.quarantine.files").set(existing + 1)
         return target
 
     def _sweep_quarantine(self) -> None:
-        """Unlink quarantined records older than ``quarantine_max_age``
-        (the ``sweep_stale_tmp`` aging rule applied to forensics)."""
-        cutoff = time.time() - self.quarantine_max_age
+        """Unlink quarantined records older than
+        :data:`QUARANTINE_MAX_AGE_SECONDS` (the ``sweep_stale_tmp`` aging
+        rule applied to forensics)."""
+        cutoff = time.time() - QUARANTINE_MAX_AGE_SECONDS
         try:
             candidates = list(self._quarantine_dir.iterdir())
         except OSError:
@@ -355,9 +350,10 @@ class ResultStore:
 
     def _sweep_stale_tmp(self, directory: Path) -> None:
         """Unlink orphaned ``*.tmp`` files in ``directory`` older than
-        ``tmp_max_age`` (a writer died between ``mkstemp`` and
-        ``os.replace``); live writers' fresh temp files are untouched."""
-        cutoff = time.time() - self.tmp_max_age
+        :data:`TMP_MAX_AGE_SECONDS` (a writer died between ``mkstemp``
+        and ``os.replace``); live writers' fresh temp files are
+        untouched."""
+        cutoff = time.time() - TMP_MAX_AGE_SECONDS
         try:
             candidates = list(directory.glob("*.tmp"))
         except OSError:
@@ -390,10 +386,6 @@ class ResultStore:
     def _write_record(self, path: Path, data: bytes, counters: Dict[str, int]) -> int:
         """Atomically publish ``data`` at ``path``; returns bytes written."""
         path.parent.mkdir(parents=True, exist_ok=True)
-        # Opportunistic orphan sweep: writes are rare (misses only), the
-        # fan-out keeps each directory small, and sweeping here means a
-        # store that keeps being *used* never accumulates temp litter.
-        self._sweep_stale_tmp(path.parent)
         fd, tmp_name = tempfile.mkstemp(
             dir=path.parent, prefix=path.name, suffix=".tmp"
         )

@@ -1,8 +1,8 @@
-"""Resilience layer: fault injection, supervised retry, checkpoint/resume.
+"""Resilience layer: fault injection and supervised retry.
 
 The campaign engine's standing invariant is *byte-identical verdicts on
 every path*; this package extends "every path" to the failure paths.
-Three pieces, all deterministic and all off-by-default-free:
+Two pieces, both deterministic:
 
 * :mod:`repro.resilience.faults` — a seeded fault-injection harness
   wrapping the engine's seams (store read/write I/O, record corruption,
@@ -14,10 +14,10 @@ Three pieces, all deterministic and all off-by-default-free:
   behind the runner's bounded retries with seeded exponential backoff,
   store-write retry, affinity-worker respawn and the hung-worker
   watchdog.
-* :mod:`repro.resilience.journal` — the :class:`CampaignJournal`:
-  append-only JSONL completion marks that let an interrupted campaign
-  resume executing only unfinished scenarios, with the content-
-  addressed store guaranteeing the replayed verdicts byte-identical.
+
+Resuming needs no piece of its own: an interrupted campaign run again
+against the same content-addressed store replays its finished verdicts
+byte-identically and executes only the unfinished scenarios.
 
 The engine imports this package; this package imports nothing from the
 engine (plain data crosses the boundary), mirroring how
@@ -35,13 +35,11 @@ from .faults import (
     InjectedFault,
     InjectedIOError,
 )
-from .journal import CampaignJournal
 from .supervision import SupervisionPolicy, transient
 from . import faults
 
 __all__ = [
     "CRASH_EXIT_CODE",
-    "CampaignJournal",
     "FAULT_KINDS",
     "FAULT_SITES",
     "FaultInjector",

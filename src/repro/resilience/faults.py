@@ -1,7 +1,7 @@
 """Deterministic, seeded fault injection for the campaign engine.
 
 The engine's resilience machinery — supervised retries, worker respawn,
-store quarantine, checkpoint/resume — is failure-handling code, and
+store quarantine, resume from the store — is failure-handling code, and
 failure-handling code that is never exercised rots silently.  This
 module makes failures *first-class test inputs*: a :class:`FaultPlan`
 describes, as a pure function of ``(seed, site, invocation_index)``,
@@ -32,7 +32,7 @@ Design rules (mirroring :mod:`repro.telemetry`):
    bytes a reader is about to parse (exercising the corrupt-record +
    quarantine path); ``error`` raises :class:`InjectedError` into the
    scenario isolation; ``interrupt`` raises ``KeyboardInterrupt`` (the
-   checkpoint tests' mid-campaign kill); ``crash`` hard-exits the
+   resume tests' mid-campaign kill); ``crash`` hard-exits the
    worker process; ``hang`` sleeps past the supervisor's soft timeout.
 
 Site catalog (the engine seams that are wrapped):

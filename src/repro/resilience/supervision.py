@@ -44,8 +44,8 @@ def transient(error: BaseException) -> bool:
     ``io`` fault kind models); ``TimeoutError`` covers supervised
     timeouts.  ``KeyboardInterrupt``/``SystemExit`` are never retried —
     they propagate (campaign isolation must not swallow a user
-    interrupt), which is what keeps the checkpoint journal's
-    interrupted-campaign semantics exact.
+    interrupt), so an interrupted campaign stops at once and a rerun
+    against the same store resumes it from the verdicts it recorded.
     """
     if isinstance(error, (KeyboardInterrupt, SystemExit)):
         return False

@@ -10,8 +10,7 @@ and the engine layers import *it*, never the reverse.
 Three pieces:
 
 * :mod:`repro.telemetry.registry` — process-local, thread-safe
-  instruments (counters, gauges, fixed-bucket histograms) with a
-  JSON-serialisable :meth:`~repro.telemetry.registry.MetricsRegistry.snapshot`,
+  counters with a JSON-serialisable :meth:`~repro.telemetry.registry.MetricsRegistry.snapshot`,
   and the counter arithmetic every layer's statistics share
   (:func:`~repro.telemetry.registry.delta`,
   :func:`~repro.telemetry.registry.total`,
@@ -43,11 +42,8 @@ endpoint payload, the JSONL events are the progress stream.
 """
 
 from .registry import (
-    DEFAULT_BUCKETS,
     LEVEL_KEYS,
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     delta,
     get_registry,
@@ -69,11 +65,8 @@ from .tracing import (
 )
 
 __all__ = [
-    "DEFAULT_BUCKETS",
     "LEVEL_KEYS",
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NULL_SPAN",
     "Span",

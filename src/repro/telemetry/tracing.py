@@ -49,8 +49,6 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from .registry import get_registry
-
 __all__ = [
     "Span",
     "Tracer",
@@ -240,8 +238,6 @@ class Tracer:
             event["error"] = error
         with self._lock:
             self.events.append(event)
-        get_registry().histogram(f"span.{span.name}.seconds").observe(seconds)
-        get_registry().counter(f"span.{span.name}.count").inc()
 
     # ------------------------------------------------------------------
     # Public API

@@ -1,13 +1,13 @@
-"""The resilience layer: fault injection, supervision, checkpoint/resume (PR 10).
+"""The resilience layer: fault injection, supervision and resume.
 
 The engine's standing invariant — byte-identical verdicts on every
 path — must extend to the *failure* paths.  This suite pins it
 differentially: a campaign run under a seeded, quiescent fault
 schedule (store I/O errors, record corruption, worker crashes, hangs,
 scenario exceptions) reports verdicts byte-identical to the fault-free
-run, serially and in parallel; a campaign interrupted mid-run and
-resumed against its checkpoint journal replays only the finished
-scenarios and still reproduces the fault-free bytes.
+run, serially and in parallel; a campaign interrupted mid-run and run
+again against the same store replays only the finished scenarios and
+still reproduces the fault-free bytes.
 """
 
 import json
@@ -25,11 +25,9 @@ from repro.engine import (
     FaultSpec,
     Scenario,
     SupervisionPolicy,
-    campaign_fingerprint,
 )
 from repro.resilience import (
     CRASH_EXIT_CODE,
-    CampaignJournal,
     FaultInjector,
     InjectedError,
     InjectedFault,
@@ -192,63 +190,6 @@ class TestSupervisionPolicy:
     def test_round_trips_through_dict(self):
         policy = SupervisionPolicy(max_attempts=5, soft_timeout=2.0, seed=9)
         assert SupervisionPolicy.from_dict(policy.to_dict()) == policy
-
-
-# ----------------------------------------------------------------------
-# The checkpoint journal
-# ----------------------------------------------------------------------
-class TestCampaignJournal:
-    def test_fresh_journal_then_resume(self, tmp_path):
-        path = tmp_path / "c.journal"
-        with CampaignJournal(path, key="k1", total=3) as journal:
-            assert not journal.resumed and journal.remaining == 3
-            journal.mark(0, "fp0")
-            journal.mark(1, "fp1")
-        with CampaignJournal(path, key="k1", total=3) as journal:
-            assert journal.resumed
-            assert journal.completed == {"fp0", "fp1"}
-            assert journal.remaining == 1
-            assert journal.is_complete("fp0") and not journal.is_complete("fp2")
-
-    def test_foreign_journal_starts_fresh(self, tmp_path):
-        path = tmp_path / "c.journal"
-        with CampaignJournal(path, key="k1", total=3) as journal:
-            journal.mark(0, "fp0")
-        # Different campaign key: marks must not leak.
-        with CampaignJournal(path, key="k2", total=3) as journal:
-            assert not journal.resumed and journal.completed == set()
-        # Same key, different total: also foreign.
-        with CampaignJournal(path, key="k2", total=4) as journal:
-            assert not journal.resumed
-
-    def test_torn_final_line_is_tolerated(self, tmp_path):
-        path = tmp_path / "c.journal"
-        with CampaignJournal(path, key="k", total=3) as journal:
-            journal.mark(0, "fp0")
-            journal.mark(1, "fp1")
-        # Simulate a crash mid-append: the final line is truncated.
-        text = path.read_text()
-        path.write_text(text[: text.rindex("fp1") + 1])
-        with CampaignJournal(path, key="k", total=3) as journal:
-            assert journal.resumed
-            assert journal.completed == {"fp0"}
-            # And the journal keeps accepting marks after the tear.
-            journal.mark(1, "fp1")
-        with CampaignJournal(path, key="k", total=3) as journal:
-            assert journal.completed == {"fp0", "fp1"}
-
-    def test_marks_are_deduplicated(self, tmp_path):
-        path = tmp_path / "c.journal"
-        with CampaignJournal(path, key="k", total=2) as journal:
-            journal.mark(0, "fp0")
-            journal.mark(0, "fp0")
-        assert sum(1 for line in path.read_text().splitlines() if "done" in line) == 1
-
-    def test_campaign_fingerprint_is_order_sensitive(self):
-        forward = campaign_fingerprint(CAMPAIGN, "salt")
-        assert forward == campaign_fingerprint(list(CAMPAIGN), "salt")
-        assert forward != campaign_fingerprint(list(reversed(CAMPAIGN)), "salt")
-        assert forward != campaign_fingerprint(CAMPAIGN, "other-salt")
 
 
 # ----------------------------------------------------------------------
@@ -499,72 +440,45 @@ class TestWorkerChannels:
 
 
 # ----------------------------------------------------------------------
-# Checkpoint/resume through the runner
+# Resume: run the campaign again against the same store
 # ----------------------------------------------------------------------
 class TestCheckpointResume:
-    def test_journal_requires_a_store(self, tmp_path):
-        with pytest.raises(ValueError, match="persistent store"):
-            CampaignRunner().run(CAMPAIGN, journal=tmp_path / "c.journal")
-
     def test_interrupted_campaign_resumes_with_identical_bytes(
         self, tmp_path, baseline_verdicts
     ):
         store = tmp_path / "store"
-        journal = tmp_path / "campaign.journal"
         # Injected KeyboardInterrupt mid-campaign: scenario index 2 of 3.
         plan = FaultPlan(
             sites={"scenario.run": FaultSpec(kind="interrupt", at=(2,), max_fires=1)}
         )
         with faults.active(plan):
             with pytest.raises(KeyboardInterrupt):
-                CampaignRunner(store_path=store).run(CAMPAIGN, journal=journal)
-        # The kill left a replayable journal and no partial records.
-        assert journal.exists()
+                CampaignRunner(store_path=store).run(CAMPAIGN)
+        # The kill left no partial records.
         assert not list(store.rglob("*.tmp"))
-        resumed = CampaignRunner(store_path=store).run(CAMPAIGN, journal=journal)
+        resumed = CampaignRunner(store_path=store).run(CAMPAIGN)
         assert resumed.verdict_json() == baseline_verdicts
-        section = resumed.resilience["journal"]
-        assert section["resumed"] is True
-        assert section["replayed"] == 2
-        assert section["completed"] == len(CAMPAIGN)
-        # Only the unfinished scenario was re-executed; the journalled
-        # ones replayed from the store.
+        # Only the unfinished scenario was re-executed; the two that
+        # finished before the kill replayed from the store.
         hits = sum(1 for o in resumed.outcomes if o.store.get("status") == "hit")
         assert hits == 2
+        assert resumed.store["results"]["hits"] == 2
 
     def test_completed_journal_replays_everything(self, tmp_path, baseline_verdicts):
         store = tmp_path / "store"
-        journal = tmp_path / "campaign.journal"
-        CampaignRunner(store_path=store).run(CAMPAIGN, journal=journal)
-        replayed = CampaignRunner(store_path=store).run(CAMPAIGN, journal=journal)
+        CampaignRunner(store_path=store).run(CAMPAIGN)
+        replayed = CampaignRunner(store_path=store).run(CAMPAIGN)
         assert replayed.verdict_json() == baseline_verdicts
         assert all(o.store.get("status") == "hit" for o in replayed.outcomes)
 
-    def test_lying_journal_costs_recompute_never_a_wrong_verdict(
-        self, tmp_path, baseline_verdicts
-    ):
-        store = tmp_path / "store"
-        journal = tmp_path / "campaign.journal"
-        CampaignRunner(store_path=store).run(CAMPAIGN, journal=journal)
-        # Delete the store out from under a complete journal: the
-        # journal is a hint, so everything silently re-executes.
-        for path in store.rglob("*.json"):
-            path.unlink()
-        report = CampaignRunner(store_path=store).run(CAMPAIGN, journal=journal)
-        assert report.verdict_json() == baseline_verdicts
-        assert all(o.store.get("status") != "hit" for o in report.outcomes)
-
     def test_parallel_campaign_journals_and_resumes(self, tmp_path, baseline_verdicts):
         store = tmp_path / "store"
-        journal = tmp_path / "campaign.journal"
-        CampaignRunner(store_path=store).run(
-            CAMPAIGN, parallel=True, max_workers=2, journal=journal
-        )
+        CampaignRunner(store_path=store).run(CAMPAIGN, parallel=True, max_workers=2)
         resumed = CampaignRunner(store_path=store).run(
-            CAMPAIGN, parallel=True, max_workers=2, journal=journal
+            CAMPAIGN, parallel=True, max_workers=2
         )
         assert resumed.verdict_json() == baseline_verdicts
-        assert resumed.resilience["journal"]["resumed"] is True
+        assert resumed.store["results"]["hits"] == len(CAMPAIGN)
         assert all(o.store.get("status") == "hit" for o in resumed.outcomes)
 
 

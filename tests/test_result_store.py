@@ -20,6 +20,7 @@ from repro.engine import (
     Scenario,
     content_fingerprint,
 )
+from repro.engine import store as store_module
 from repro.strings import CONTROL, NORMAL
 
 #: A small mixed campaign: two signatures, a shared golden spec, a bug.
@@ -301,30 +302,21 @@ class TestTmpSweep:
         store = ResultStore(tmp_path / "store")
         assert store.sweep_stale_tmp() == len(orphans)
         assert all(not orphan.exists() for orphan in orphans)
-        assert fresh.exists()  # younger than tmp_max_age
+        assert fresh.exists()  # younger than TMP_MAX_AGE_SECONDS
         assert keeper.exists()  # not a temp file at all
         assert store.statistics()["tmp_swept"] == len(orphans)
-
-    def test_writes_sweep_their_directory_opportunistically(self, tmp_path):
-        directory, orphans = self.seed_orphans(tmp_path)
-        store = ResultStore(tmp_path / "store")
-        # Publish a record whose fan-out directory is the seeded one.
-        store.save_result("ab" + "0" * 62, {"verdict": {}})
-        assert all(not orphan.exists() for orphan in orphans)
-        assert store.statistics()["tmp_swept"] == len(orphans)
-        # The published record survived its own directory's sweep.
-        assert store.load_result("ab" + "0" * 62)[0] is not None
 
     def test_campaign_reports_swept_orphans(self, tmp_path):
         self.seed_orphans(tmp_path)
         report = run_with_store(tmp_path)
         assert report.store["tmp_swept"] == 3
 
-    def test_zero_max_age_sweeps_everything(self, tmp_path):
+    def test_zero_max_age_sweeps_everything(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "TMP_MAX_AGE_SECONDS", 0.0)
         directory, _ = self.seed_orphans(tmp_path, count=1, age=0.0)
         fresh = directory / "young.json.tmp"
         fresh.write_bytes(b"x")
-        store = ResultStore(tmp_path / "store", tmp_max_age=0.0)
+        store = ResultStore(tmp_path / "store")
         assert store.sweep_stale_tmp() == 2
         assert not fresh.exists()
 
@@ -397,13 +389,12 @@ class TestQuarantine:
         census = ResultStore(tmp_path / "store").disk_statistics()
         assert census["quarantine"]["records"] == 1
 
-    def test_cap_falls_back_to_overwrite_in_place(self, tmp_path):
+    def test_cap_falls_back_to_overwrite_in_place(self, tmp_path, monkeypatch):
         cold = run_with_store(tmp_path)
         self.corrupt_record(tmp_path, index=0)
         self.corrupt_record(tmp_path, index=1)
-        runner = CampaignRunner(
-            store=ResultStore(tmp_path / "store", quarantine_limit=1)
-        )
+        monkeypatch.setattr(store_module, "QUARANTINE_LIMIT", 1)
+        runner = CampaignRunner(store=ResultStore(tmp_path / "store"))
         recovered = runner.run(CAMPAIGN)
         assert recovered.verdict_json() == cold.verdict_json()
         assert recovered.store["results"]["corrupt"] == 2
@@ -413,18 +404,17 @@ class TestQuarantine:
         healed = run_with_store(tmp_path)
         assert healed.store["results"]["hits"] == len(CAMPAIGN)
 
-    def test_disabled_quarantine_keeps_old_behaviour(self, tmp_path):
+    def test_disabled_quarantine_keeps_old_behaviour(self, tmp_path, monkeypatch):
         run_with_store(tmp_path)
         self.corrupt_record(tmp_path)
-        runner = CampaignRunner(
-            store=ResultStore(tmp_path / "store", quarantine_limit=0)
-        )
+        monkeypatch.setattr(store_module, "QUARANTINE_LIMIT", 0)
+        runner = CampaignRunner(store=ResultStore(tmp_path / "store"))
         recovered = runner.run(CAMPAIGN)
         assert recovered.store["results"]["corrupt"] == 1
         assert recovered.store["results"]["quarantined"] == 0
         assert ResultStore(tmp_path / "store").quarantined_records() == []
 
-    def test_aged_forensics_are_swept(self, tmp_path):
+    def test_aged_forensics_are_swept(self, tmp_path, monkeypatch):
         import os
         import time
 
@@ -434,10 +424,12 @@ class TestQuarantine:
         [artefact] = ResultStore(tmp_path / "store").quarantined_records()
         stamp = time.time() - 3600.0
         os.utime(artefact, (stamp, stamp))
-        keeper = ResultStore(tmp_path / "store", quarantine_max_age=7200.0)
+        monkeypatch.setattr(store_module, "QUARANTINE_MAX_AGE_SECONDS", 7200.0)
+        keeper = ResultStore(tmp_path / "store")
         keeper.sweep_stale_tmp()
         assert keeper.quarantined_records() == [artefact]
-        sweeper = ResultStore(tmp_path / "store", quarantine_max_age=1800.0)
+        monkeypatch.setattr(store_module, "QUARANTINE_MAX_AGE_SECONDS", 1800.0)
+        sweeper = ResultStore(tmp_path / "store")
         sweeper.sweep_stale_tmp()
         assert sweeper.quarantined_records() == []
 
